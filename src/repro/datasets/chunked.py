@@ -228,17 +228,17 @@ def load_chunked(
     :func:`iter_transaction_chunks` plus the mmap spill store to stay
     out of core.
     """
-    rows: List[np.ndarray] = []
+    parts: List[TransactionDatabase] = []
     max_item = -1
     for chunk in iter_transaction_chunks(
         source, format=format, chunk_size=chunk_size, num_items=num_items
     ):
-        rows.extend(chunk.rows)
+        # Pack each chunk as it arrives: per-row arrays live for one
+        # chunk, never for the whole file.
+        parts.append(chunk.database(max(chunk.max_item + 1, 1)))
         max_item = max(max_item, chunk.max_item)
     vocabulary = num_items if num_items is not None else max_item + 1
-    return TransactionDatabase.from_sorted_rows(
-        rows, num_items=max(vocabulary, 1)
-    )
+    return TransactionDatabase.concatenate(parts, max(vocabulary, 1))
 
 
 # ----------------------------------------------------------------------

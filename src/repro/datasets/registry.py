@@ -186,11 +186,9 @@ def dataset_chunks(
 
     def _slices() -> Iterator[TransactionChunk]:
         for start in range(0, database.num_transactions, size):
-            window = database.rows[start:start + size]
-            max_item = max(
-                (int(row[-1]) for row in window if row.size), default=-1
-            )
-            yield TransactionChunk(start, tuple(window), max_item)
+            window = database.slice(start, start + size)
+            max_item = int(window.items.max()) if window.total_size else -1
+            yield TransactionChunk(start, window.rows, max_item)
 
     return database.num_items, _slices()
 

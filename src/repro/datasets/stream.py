@@ -18,11 +18,11 @@ Versioning model
   :class:`~repro.datasets.transactions.TransactionDatabase` —
   downstream code (backends, sessions, miners) never learns it came
   from a stream.
-* Snapshots are **copy-on-write**: row arrays are shared with the log,
-  and the latest snapshot is advanced incrementally via
-  :meth:`TransactionDatabase.extended`, so its warm derived state
-  (item-support cache, CSR inverted index) carries over across
-  appends instead of being rebuilt.
+* Snapshots are **copy-on-write**: the latest snapshot is advanced
+  incrementally via :meth:`TransactionDatabase.extended`, so its warm
+  derived state (item-support cache, tid-list index) carries over
+  across appends instead of being rebuilt, and every other version is
+  a zero-copy :meth:`~TransactionDatabase.slice` of it.
 
 Nothing in this module touches privacy: a snapshot is exact data, and
 all DP accounting happens downstream when mechanisms release
@@ -36,8 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
-import numpy as np
-
 from repro.datasets.transactions import TransactionDatabase
 from repro.errors import ValidationError
 
@@ -45,10 +43,10 @@ __all__ = ["LogSnapshot", "TransactionLog"]
 
 #: Historical snapshot databases kept alive per log (FIFO beyond
 #: this).  The latest version lives outside this cache — it is the
-#: incrementally maintained head and is always warm.  Snapshots share
-#: row arrays, but a queried snapshot lazily builds an O(|D|)
-#: inverted index, so unbounded retention would leak memory in a
-#: long-lived service.
+#: incrementally maintained head and is always warm.  Each cached
+#: version holds its own O(|D|) arrays (and, once queried, tid-list
+#: index), so unbounded retention would leak memory in a long-lived
+#: service.
 SNAPSHOT_CACHE_LIMIT = 8
 
 
@@ -109,11 +107,8 @@ class TransactionLog:
         )
         self._num_items = initial.num_items
         self._item_labels = initial.item_labels
-        self._rows: List[np.ndarray] = [
-            initial.transaction_array(index) for index in range(len(initial))
-        ]
         #: ``_boundaries[v]`` is the transaction count at version ``v``.
-        self._boundaries: List[int] = [len(self._rows)]
+        self._boundaries: List[int] = [len(initial)]
         self._latest: TransactionDatabase = initial
         self._snapshot_cache: Dict[int, TransactionDatabase] = {}
 
@@ -121,15 +116,11 @@ class TransactionLog:
     def from_database(
         cls, database: TransactionDatabase
     ) -> "TransactionLog":
-        """A log whose version ``0`` *is* ``database`` (rows shared)."""
+        """A log whose version ``0`` *is* ``database``."""
         log = cls.__new__(cls)
         log._num_items = database.num_items
         log._item_labels = database.item_labels
-        log._rows = [
-            database.transaction_array(index)
-            for index in range(len(database))
-        ]
-        log._boundaries = [len(log._rows)]
+        log._boundaries = [len(database)]
         log._latest = database
         log._snapshot_cache = {}
         return log
@@ -150,7 +141,7 @@ class TransactionLog:
     @property
     def num_transactions(self) -> int:
         """Total transactions at the latest version."""
-        return len(self._rows)
+        return self._boundaries[-1]
 
     @property
     def item_labels(self) -> Optional[Sequence[str]]:
@@ -193,11 +184,8 @@ class TransactionLog:
         # The outgoing head becomes a historical snapshot; keeping it
         # cached means recent versions stay warm for audits.
         self._cache_snapshot(self.version, self._latest)
-        self._rows.extend(
-            delta.transaction_array(index) for index in range(len(delta))
-        )
         self._latest = self._latest.extended(delta)
-        self._boundaries.append(len(self._rows))
+        self._boundaries.append(len(self._latest))
         return self.version
 
     def _as_delta(self, transactions) -> TransactionDatabase:
@@ -239,7 +227,7 @@ class TransactionLog:
         The latest snapshot is maintained incrementally across appends
         (warm caches carried over) and is always served from that warm
         head; a historical version evicted from the bounded cache is
-        rebuilt from the shared rows on demand.
+        sliced out of the head on demand.
         """
         version = (
             self.version if version is None else self._check_version(version)
@@ -248,11 +236,7 @@ class TransactionLog:
             return LogSnapshot(version=version, database=self._latest)
         database = self._snapshot_cache.get(version)
         if database is None:
-            database = TransactionDatabase.from_sorted_rows(
-                self._rows[: self._boundaries[version]],
-                self._num_items,
-                self._item_labels,
-            )
+            database = self._latest.slice(0, self._boundaries[version])
             self._cache_snapshot(version, database)
         return LogSnapshot(version=version, database=database)
 
@@ -274,8 +258,6 @@ class TransactionLog:
             raise ValidationError(
                 f"delta until={until} precedes since={since}"
             )
-        return TransactionDatabase.from_sorted_rows(
-            self._rows[self._boundaries[since]: self._boundaries[until]],
-            self._num_items,
-            self._item_labels,
+        return self._latest.slice(
+            self._boundaries[since], self._boundaries[until]
         )

@@ -5,14 +5,23 @@ vocabulary ``I = {0, …, num_items − 1}`` (paper Section 2.2).  Items are
 small integers internally; an optional ``item_labels`` sequence maps
 them back to external names (e.g. FIMI item ids or AOL keywords).
 
-Two complementary representations are kept:
+Storage is one CSR layout, the same in RAM, in shared memory and in
+memory-mapped shard segments:
 
-* **horizontal** — each transaction as a sorted ``numpy`` int array,
-  used for streaming scans (BasisFreq bin counting);
-* **vertical** — a CSR-style inverted index mapping each item to its
-  *tid-list* (sorted array of transaction indices), built lazily in one
-  vectorized pass and used for support counting via intersection and
-  for the scatter-add bin kernel.
+* **rows** — ``offsets`` (``N + 1`` int64) and ``items`` (int64), so
+  transaction ``i`` is ``items[offsets[i]:offsets[i + 1]]``;
+* **index** — the item-major transpose: ``index_offsets``
+  (``num_items + 1``) and ``tids``, so the *tid-list* of item ``j`` is
+  ``tids[index_offsets[j]:index_offsets[j + 1]]``.  It is built lazily
+  in one vectorized pass, or handed over ready-made by
+  :meth:`TransactionDatabase.from_csr` (segment files persist it), and
+  backs support counting by intersection and the scatter-add bin
+  kernel.
+
+Both are flat arrays over whatever buffer holds them, so a database can
+be a zero-copy view of a mapping.  Per-row array objects exist only if
+something asks for :attr:`~TransactionDatabase.rows`; no counting
+kernel does.
 
 The class is deliberately immutable: every mining and privacy component
 treats the database as a read-only value, which makes the DP accounting
@@ -35,36 +44,19 @@ def canonical_itemset(items: Iterable[int]) -> Itemset:
     return tuple(sorted({int(item) for item in items}))
 
 
-def _merge_csr(
-    tids_a: np.ndarray,
-    offsets_a: np.ndarray,
-    tids_b: np.ndarray,
-    offsets_b: np.ndarray,
-    tid_offset_b: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Merge two CSR inverted indexes over the same item vocabulary.
+def _readonly(array) -> np.ndarray:
+    """``array`` as a read-only int64 ndarray view (no copy if int64)."""
+    view = np.asarray(array, dtype=np.int64).view()
+    view.flags.writeable = False
+    return view
 
-    ``b``'s tids are shifted by ``tid_offset_b`` (the number of
-    transactions in ``a``), so per-item concatenation ``a ⧺ b`` stays
-    sorted without any comparison work.  Both inputs are scattered into
-    one flat array in O(total) with no Python-level per-item loop.
-    """
-    counts_a = np.diff(offsets_a)
-    counts_b = np.diff(offsets_b)
-    offsets = np.zeros_like(offsets_a)
-    np.cumsum(counts_a + counts_b, out=offsets[1:])
-    merged = np.empty(tids_a.size + tids_b.size, dtype=np.int64)
-    within_a = np.arange(tids_a.size, dtype=np.int64) - np.repeat(
-        offsets_a[:-1], counts_a
-    )
-    merged[np.repeat(offsets[:-1], counts_a) + within_a] = tids_a
-    within_b = np.arange(tids_b.size, dtype=np.int64) - np.repeat(
-        offsets_b[:-1], counts_b
-    )
-    merged[np.repeat(offsets[:-1] + counts_a, counts_b) + within_b] = (
-        tids_b + tid_offset_b
-    )
-    return merged, offsets
+
+def _pack_rows(rows: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Row arrays → ``(offsets, items)`` CSR arrays, int64."""
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([row.size for row in rows], out=offsets[1:])
+    items = np.concatenate(rows) if offsets[-1] else np.empty(0)
+    return offsets, items.astype(np.int64, copy=False)
 
 
 class TransactionDatabase:
@@ -91,27 +83,16 @@ class TransactionDatabase:
         num_items: Optional[int] = None,
         item_labels: Optional[Sequence[str]] = None,
     ) -> None:
-        rows: List[np.ndarray] = []
-        max_item = -1
-        for transaction in transactions:
-            row = np.array(sorted({int(item) for item in transaction}),
-                           dtype=np.int64)
-            if row.size and row[0] < 0:
-                raise ValidationError(
-                    f"item ids must be non-negative, got {row[0]}"
-                )
-            if row.size:
-                max_item = max(max_item, int(row[-1]))
-            rows.append(row)
-        self._init_from_rows(rows, max_item, num_items, item_labels)
-
-    def _init_from_rows(
-        self,
-        rows: List[np.ndarray],
-        max_item: int,
-        num_items: Optional[int],
-        item_labels: Optional[Sequence[str]],
-    ) -> None:
+        offsets, items = _pack_rows([
+            np.array(sorted({int(item) for item in transaction}),
+                     dtype=np.int64)
+            for transaction in transactions
+        ])
+        if items.size and items.min() < 0:
+            raise ValidationError(
+                f"item ids must be non-negative, got {items.min()}"
+            )
+        max_item = int(items.max()) if items.size else -1
         if num_items is None:
             num_items = max_item + 1
         elif num_items <= max_item:
@@ -119,18 +100,63 @@ class TransactionDatabase:
                 f"num_items={num_items} is smaller than the largest "
                 f"observed item id {max_item}"
             )
+        self._init_csr(offsets, items, num_items, item_labels, None)
+
+    def _init_csr(
+        self,
+        offsets,
+        items,
+        num_items: int,
+        item_labels: Optional[Sequence[str]],
+        index: Optional[Tuple[np.ndarray, np.ndarray]],
+    ) -> None:
         if item_labels is not None and len(item_labels) != num_items:
             raise ValidationError(
                 f"item_labels has {len(item_labels)} entries but "
                 f"num_items={num_items}"
             )
-        self._rows: Tuple[np.ndarray, ...] = tuple(rows)
+        self._offsets = _readonly(offsets)
+        self._items = _readonly(items)
         self._num_items = int(num_items)
         self._item_labels = tuple(item_labels) if item_labels else None
-        # Lazy vertical index (CSR layout over items).
-        self._index_tids: Optional[np.ndarray] = None
-        self._index_offsets: Optional[np.ndarray] = None
+        # O(1) checks only: the arrays may be views of a mapping.
+        if (self._offsets.ndim != 1 or self._offsets[0] != 0
+                or self._offsets[-1] != self._items.size):
+            raise ValidationError("CSR offsets must run from 0 to len(items)")
+        self._index: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        if index is not None:
+            index_offsets, tids = self._index = tuple(map(_readonly, index))
+            if (index_offsets.shape != (self._num_items + 1,)
+                    or index_offsets[0] != 0
+                    or index_offsets[-1] != tids.size
+                    or tids.size != self._items.size):
+                raise ValidationError(
+                    "tid-list index does not match the rows' shape"
+                )
         self._item_support_cache: Optional[np.ndarray] = None
+        self._rows: Optional[Tuple[np.ndarray, ...]] = None
+
+    @classmethod
+    def from_csr(
+        cls,
+        offsets,
+        items,
+        num_items: int,
+        index: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+        item_labels: Optional[Sequence[str]] = None,
+    ) -> "TransactionDatabase":
+        """A database over ready CSR arrays, without copying them.
+
+        ``items`` must hold each row sorted and duplicate-free, with
+        ids in ``[0, num_items)``; ``index``, when given, is the
+        matching ``(index_offsets, tids)`` item-major CSR.  Only O(1)
+        shape checks run — the arrays may be views of a mapping whose
+        pages should not all be touched — so callers are trusted the
+        way :meth:`from_sorted_rows` trusts its callers.
+        """
+        database = cls.__new__(cls)
+        database._init_csr(offsets, items, num_items, item_labels, index)
+        return database
 
     @classmethod
     def from_sorted_rows(
@@ -142,8 +168,9 @@ class TransactionDatabase:
         """Fast construction path for trusted callers (generators).
 
         ``rows`` must already be sorted, duplicate-free int64 arrays
-        with items in ``[0, num_items)``.  Only cheap spot checks are
-        performed; use the regular constructor for untrusted data.
+        with items in ``[0, num_items)``; they are packed into CSR.
+        Only cheap spot checks are performed; use the regular
+        constructor for untrusted data.
         """
         rows = [np.asarray(row, dtype=np.int64) for row in rows]
         for row in rows[: min(len(rows), 8)]:
@@ -155,10 +182,37 @@ class TransactionDatabase:
                 raise ValidationError(
                     "from_sorted_rows requires sorted unique in-range rows"
                 )
-        database = cls.__new__(cls)
-        database._init_from_rows(list(rows), num_items - 1, num_items,
-                                 item_labels)
-        return database
+        return cls.from_csr(*_pack_rows(rows), num_items,
+                            item_labels=item_labels)
+
+    @classmethod
+    def concatenate(
+        cls,
+        parts: Sequence["TransactionDatabase"],
+        num_items: int,
+        item_labels: Optional[Sequence[str]] = None,
+    ) -> "TransactionDatabase":
+        """The transactions of ``parts``, in order, as one database
+        over ``num_items`` items (each part's vocabulary must fit).
+
+        One ``np.concatenate`` per CSR array; no per-row work.
+        """
+        if any(part.num_items > num_items for part in parts):
+            raise ValidationError(
+                f"cannot concatenate databases over more than "
+                f"{num_items} items into one over {num_items}"
+            )
+        bases = np.cumsum([0] + [part.total_size for part in parts])
+        return cls.from_csr(
+            np.concatenate([[0]] + [
+                part._offsets[1:] + base for part, base in zip(parts, bases)
+            ]),
+            np.concatenate(
+                [np.empty(0, np.int64)] + [part._items for part in parts]
+            ),
+            num_items,
+            item_labels=item_labels,
+        )
 
     # ------------------------------------------------------------------
     # Basic shape
@@ -166,7 +220,7 @@ class TransactionDatabase:
     @property
     def num_transactions(self) -> int:
         """``N``, the number of transactions."""
-        return len(self._rows)
+        return self._offsets.size - 1
 
     @property
     def num_items(self) -> int:
@@ -181,58 +235,98 @@ class TransactionDatabase:
     @property
     def total_size(self) -> int:
         """Sum of transaction lengths (the paper's ``|D|``)."""
-        return int(sum(row.size for row in self._rows))
+        return self._items.size
 
     @property
     def avg_transaction_length(self) -> float:
         """Average ``|t|`` (Table 2(a)'s ``avg |t|`` column)."""
-        if not self._rows:
+        if not self.num_transactions:
             return 0.0
         return self.total_size / self.num_transactions
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """Row offsets, ``N + 1`` int64 (read-only)."""
+        return self._offsets
+
+    @property
+    def items(self) -> np.ndarray:
+        """Every transaction's items, concatenated (read-only)."""
+        return self._items
+
+    @property
+    def index(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The item-major CSR ``(index_offsets, tids)``, built lazily.
+
+        Built in one pass: a stable sort of ``items`` (a radix sort
+        whenever the vocabulary fits 16 bits) lists each item's
+        transactions in tid order.
+        """
+        if self._index is None:
+            small = self._num_items <= 1 << 16
+            keys = self._items.astype(np.uint16) if small else self._items
+            order = np.argsort(keys, kind="stable")
+            tids = np.repeat(
+                np.arange(self.num_transactions, dtype=np.int64),
+                np.diff(self._offsets),
+            )[order]
+            index_offsets = np.zeros(self._num_items + 1, dtype=np.int64)
+            np.cumsum(
+                np.bincount(self._items, minlength=self._num_items),
+                out=index_offsets[1:],
+            )
+            self._index = (_readonly(index_offsets), _readonly(tids))
+        return self._index
 
     def __len__(self) -> int:
         return self.num_transactions
 
     def __iter__(self) -> Iterator[Itemset]:
-        for row in self._rows:
-            yield tuple(int(item) for item in row)
+        for index in range(self.num_transactions):
+            yield self.transaction(index)
 
     def transaction(self, index: int) -> Itemset:
         """The ``index``-th transaction as a sorted tuple of items."""
-        return tuple(int(item) for item in self._rows[index])
+        return tuple(self.transaction_array(index).tolist())
 
     def transaction_array(self, index: int) -> np.ndarray:
         """The ``index``-th transaction as a read-only sorted array."""
-        return self._rows[index]
+        position = range(self.num_transactions)[index]
+        return self._items[
+            self._offsets[position]: self._offsets[position + 1]
+        ]
 
     @property
     def rows(self) -> Tuple[np.ndarray, ...]:
-        """All transactions as a tuple of sorted row arrays.
+        """All transactions as a tuple of read-only row views.
 
-        This is the horizontal CSR-of-rows representation itself —
-        shared, never copied — so bulk consumers (shard construction,
-        shared-memory packing) can slice it directly instead of
-        looping :meth:`transaction_array` per transaction.  Treat the
-        arrays as read-only; mutating them breaks immutability.
+        Built on first use (one view object per row) and kept; the
+        counting kernels never ask for it.
         """
+        if self._rows is None:
+            self._rows = (
+                tuple(np.split(self._items, self._offsets[1:-1]))
+                if self.num_transactions
+                else ()
+            )
         return self._rows
 
     def slice(self, start: int, stop: int) -> "TransactionDatabase":
-        """A database over transactions ``[start, stop)``, rows shared.
+        """A database over transactions ``[start, stop)``, items shared.
 
-        The shard-construction fast path: one tuple slice of the
-        horizontal representation, no per-transaction Python loop and
-        no row copies or revalidation (the rows are already canonical).
-        Vocabulary and labels carry over unchanged.
+        The shard-construction fast path: a view of ``items`` plus
+        ``stop - start + 1`` rebased offsets — no per-row work and no
+        revalidation.  Vocabulary and labels carry over unchanged.
         """
-        sliced = TransactionDatabase.__new__(TransactionDatabase)
-        sliced._init_from_rows(
-            list(self._rows[start:stop]),
-            self._num_items - 1,
+        start, stop, _ = slice(start, stop).indices(self.num_transactions)
+        stop = max(start, stop)
+        offsets = self._offsets[start: stop + 1]
+        return TransactionDatabase.from_csr(
+            offsets - offsets[0],
+            self._items[offsets[0]: offsets[-1]],
             self._num_items,
-            self._item_labels,
+            item_labels=self._item_labels,
         )
-        return sliced
 
     def __repr__(self) -> str:
         return (
@@ -244,32 +338,6 @@ class TransactionDatabase:
     # ------------------------------------------------------------------
     # Vertical representation
     # ------------------------------------------------------------------
-    def _ensure_inverted_index(self) -> None:
-        """Build the CSR inverted index in one vectorized pass."""
-        if self._index_offsets is not None:
-            return
-        lengths = np.array([row.size for row in self._rows], dtype=np.int64)
-        if lengths.sum() == 0:
-            self._index_tids = np.empty(0, dtype=np.int64)
-            self._index_offsets = np.zeros(
-                self._num_items + 1, dtype=np.int64
-            )
-            return
-        flat_items = (
-            np.concatenate([row for row in self._rows if row.size])
-            if len(self._rows)
-            else np.empty(0, dtype=np.int64)
-        )
-        flat_tids = np.repeat(
-            np.arange(len(self._rows), dtype=np.int64), lengths
-        )
-        order = np.argsort(flat_items, kind="stable")
-        sorted_items = flat_items[order]
-        self._index_tids = flat_tids[order]
-        self._index_offsets = np.searchsorted(
-            sorted_items, np.arange(self._num_items + 1, dtype=np.int64)
-        )
-
     def tidlist(self, item: int) -> np.ndarray:
         """Sorted array of transaction indices containing ``item``."""
         item = int(item)
@@ -277,25 +345,15 @@ class TransactionDatabase:
             raise ValidationError(
                 f"item {item} outside vocabulary [0, {self._num_items})"
             )
-        self._ensure_inverted_index()
-        start = self._index_offsets[item]
-        stop = self._index_offsets[item + 1]
-        return self._index_tids[start:stop]
+        index_offsets, tids = self.index
+        return tids[index_offsets[item]: index_offsets[item + 1]]
 
     def item_supports(self) -> np.ndarray:
         """Support count of every single item, shape ``(num_items,)``."""
         if self._item_support_cache is None:
-            if self._rows:
-                flat = [row for row in self._rows if row.size]
-                if flat:
-                    counts = np.bincount(
-                        np.concatenate(flat), minlength=self._num_items
-                    ).astype(np.int64)
-                else:
-                    counts = np.zeros(self._num_items, dtype=np.int64)
-            else:
-                counts = np.zeros(self._num_items, dtype=np.int64)
-            self._item_support_cache = counts
+            self._item_support_cache = np.bincount(
+                self._items, minlength=self._num_items
+            ).astype(np.int64)
         return self._item_support_cache.copy()
 
     def item_frequencies(self) -> np.ndarray:
@@ -348,16 +406,14 @@ class TransactionDatabase:
         Returns a *new* database whose transactions are this database's
         followed by ``delta``'s; both inputs are left untouched (the
         immutability contract holds — streaming callers advance by
-        replacing their reference).  Row arrays are shared, never
-        copied, and warm derived state carries over instead of being
-        rebuilt from scratch:
+        replacing their reference).  Warm derived state carries over
+        instead of being rebuilt from scratch:
 
         * the item-support cache, when built, is extended by adding
           ``delta``'s supports;
-        * the CSR inverted index, when built, is merged with
-          ``delta``'s in one vectorized scatter pass — per-item
-          tid-lists stay sorted because every appended tid exceeds
-          every existing tid.
+        * the tid-list index, when built, is merged with ``delta``'s in
+          one vectorized scatter pass — per-item tid-lists stay sorted
+          because every appended tid exceeds every existing tid.
 
         This is the substrate beneath
         :class:`repro.datasets.stream.TransactionLog` snapshots and
@@ -368,25 +424,26 @@ class TransactionDatabase:
                 f"cannot extend a database over {self._num_items} items "
                 f"with a delta over {delta.num_items} items"
             )
-        combined = TransactionDatabase.__new__(TransactionDatabase)
-        combined._init_from_rows(
-            list(self._rows) + list(delta._rows),
-            self._num_items - 1,
-            self._num_items,
-            self._item_labels,
+        combined = TransactionDatabase.concatenate(
+            [self, delta], self._num_items, self._item_labels
         )
         if self._item_support_cache is not None:
             combined._item_support_cache = (
                 self._item_support_cache + delta.item_supports()
             )
-        if self._index_offsets is not None:
-            delta._ensure_inverted_index()
-            combined._index_tids, combined._index_offsets = _merge_csr(
-                self._index_tids,
-                self._index_offsets,
-                delta._index_tids,
-                delta._index_offsets,
-                self.num_transactions,
+        if self._index is not None:
+            # Each of delta's tid-lists (shifted past our tids) goes in
+            # at the end of ours; np.insert keeps equal positions in
+            # order, so every merged list stays sorted.
+            index_offsets, tids = self._index
+            delta_offsets, delta_tids = delta.index
+            tids = np.insert(
+                tids,
+                np.repeat(index_offsets[1:], np.diff(delta_offsets)),
+                delta_tids + self.num_transactions,
+            )
+            combined._index = (
+                _readonly(index_offsets + delta_offsets), _readonly(tids)
             )
         return combined
 
@@ -403,15 +460,20 @@ class TransactionDatabase:
                     f"item {item} outside vocabulary [0, {self._num_items})"
                 )
             keep[item] = True
-        projected = [row[keep[row]] for row in self._rows]
-        return TransactionDatabase.from_sorted_rows(
-            projected, self._num_items, self._item_labels
+        kept = keep[self._items]
+        # Kept items before each row boundary, read off a running count.
+        running = np.zeros(self._items.size + 1, dtype=np.int64)
+        np.cumsum(kept, out=running[1:])
+        return TransactionDatabase.from_csr(
+            running[self._offsets], self._items[kept], self._num_items,
+            item_labels=self._item_labels,
         )
 
     def relabel(self, item_labels: Sequence[str]) -> "TransactionDatabase":
-        """Return a copy with new external item labels."""
-        return TransactionDatabase.from_sorted_rows(
-            list(self._rows), self._num_items, item_labels
+        """Return a copy with new external item labels (arrays shared)."""
+        return TransactionDatabase.from_csr(
+            self._offsets, self._items, self._num_items,
+            index=self._index, item_labels=item_labels,
         )
 
     @classmethod

@@ -2,39 +2,51 @@
 
 :class:`~repro.engine.sharded.ShardedBackend` normally holds every
 shard database in RAM.  This module gives it a disk-backed
-alternative: each shard's CSR rows live in one **segment file** under
+alternative: each shard's CSR arrays live in one **segment file** under
 the state dir, and queries open them through ``np.memmap`` — the OS
 page cache decides which pages are resident, so a dataset far larger
 than RAM can be counted with a bounded working set.
 
-Segment file layout (all little-endian)::
+Segment file layout, format version 2 (all little-endian int64 after
+the header)::
 
-    [ header: 64 bytes ] [ offsets: (num_rows+1) int64 ] [ items: int64 ]
+    [ header: 64 bytes ]
+    [ row offsets:   num_rows + 1  ]   transaction i is
+    [ items:         total_size    ]   items[offsets[i]:offsets[i+1]]
+    [ index offsets: num_items + 1 ]   item j's tid-list is
+    [ tids:          total_size    ]   tids[index[j]:index[j+1]]
 
-The header carries a magic, a format version, the shape, and a CRC32
-of the payload.  Every write goes ``<file>.tmp`` → ``fsync`` →
-``rename``, and the manifest (``manifest.json``, same discipline) is
-only updated afterwards — so a crash mid-spill can strand a ``.tmp``
-orphan but never publish a half-written segment under a live name.
-Damage that *does* happen to published files (disk faults, manual
-truncation) is caught on :meth:`MmapShardStore.open` by the
-header/size check (or a full CRC pass with ``verify="crc"``) and
-reported as a :class:`~repro.errors.TornSegmentError` naming exactly
-the broken segment indices, so the caller re-spills **those shards
-only** via :meth:`MmapShardStore.rebuild_segment`.
+— the :class:`~repro.datasets.transactions.TransactionDatabase` CSR
+layout, so a file is about twice its row CSR.  The index is computed
+once, at write time: attaching is a header check plus an ``mmap``, with
+no per-row objects and no index rebuild.  The header carries a magic,
+the version, the shape, and a CRC32 of the whole payload.  Version-1
+files (rows only) fail the header check — they are never counted.
+
+Every write goes ``<file>.tmp`` → ``fsync`` → ``rename``, and the
+manifest (``manifest.json``, same discipline) is only updated
+afterwards — so a crash mid-spill can strand a ``.tmp`` orphan but
+never publish a half-written segment under a live name.  Damage that
+*does* happen to published files (disk faults, manual truncation) is
+caught on :meth:`MmapShardStore.open` by the header/size check (or a
+full CRC pass with ``verify="crc"``) and reported as a
+:class:`~repro.errors.TornSegmentError` naming exactly the broken
+segment indices, so the caller re-spills **those shards only** via
+:meth:`MmapShardStore.rebuild_segment`.
 
 The store is built **chunk by chunk** (:meth:`MmapShardStore.build`
 over a :func:`~repro.datasets.chunked.iter_transaction_chunks`
 stream): at no point does it hold more than one segment's rows in
 memory.  Reading back, :meth:`shard_database` returns shard databases
-whose rows are zero-copy views into the mapping, kept in an LRU cache
+that are zero-copy views into the mapping, kept in an LRU cache
 sized from ``memory_budget_bytes`` — evicting an entry drops the
 mapping, and with it the resident pages.
 
 Process-mode workers attach segments by *path* via
 :func:`attach_file_segment` — unlike the shared-memory plane this
 needs no ``/dev/shm``, just a common filesystem, which cluster
-workers already require for the shared ledger.
+workers already require for the shared ledger.  Both planes carve
+their buffer into a database with the same :func:`attach_words`.
 """
 
 from __future__ import annotations
@@ -63,8 +75,10 @@ __all__ = [
     "FileSegmentSpec",
     "MmapShardStore",
     "attach_file_segment",
+    "attach_words",
     "process_resident_bytes",
-    "read_segment_rows",
+    "segment_arrays",
+    "segment_words",
     "write_segment",
 ]
 
@@ -74,7 +88,7 @@ _WORD = 8  # int64 bytes
 _MAGIC = b"PBSHRD01"
 _HEADER_SIZE = 64
 _HEADER_FORMAT = "<8sqqqqq"  # magic, version, rows, size, items, crc
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 _MANIFEST_NAME = "manifest.json"
 _MANIFEST_VERSION = 1
 
@@ -99,6 +113,39 @@ def process_resident_bytes() -> Optional[int]:
         return None
 
 
+def segment_words(num_rows: int, total_size: int, num_items: int) -> int:
+    """int64 words in a segment payload: rows CSR, then its index."""
+    return (num_rows + 1) + total_size + (num_items + 1) + total_size
+
+
+def segment_arrays(database: TransactionDatabase) -> Tuple[np.ndarray, ...]:
+    """A shard's payload regions in segment order (row offsets, items,
+    index offsets, tids); builds the index if it is not built yet."""
+    return (database.offsets, database.items, *database.index)
+
+
+def attach_words(
+    words: np.ndarray, num_rows: int, total_size: int, num_items: int
+) -> TransactionDatabase:
+    """A segment payload's int64 words as a database of views — the
+    one attach path of the shared-memory and mmap planes.
+
+    Raises :class:`~repro.errors.ValidationError` when the words do
+    not have the declared shape.
+    """
+    expected = segment_words(num_rows, total_size, num_items)
+    if words.size != expected:
+        raise ValidationError(
+            f"segment holds {words.size} words, shape needs {expected}"
+        )
+    offsets, items, index_offsets, tids = np.split(
+        words, np.cumsum([num_rows + 1, total_size, num_items + 1])
+    )
+    return TransactionDatabase.from_csr(
+        offsets, items, num_items, index=(index_offsets, tids)
+    )
+
+
 @dataclass(frozen=True)
 class FileSegmentSpec:
     """Picklable handle for one on-disk segment.
@@ -120,61 +167,45 @@ class FileSegmentSpec:
 
     @property
     def num_words(self) -> int:
-        """int64 words in the payload (offsets then flattened items)."""
-        return self.num_rows + 1 + self.total_size
-
-
-def _pack_rows(
-    rows: Sequence[np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray]:
-    lengths = np.fromiter(
-        (row.size for row in rows), count=len(rows), dtype=np.int64
-    )
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    if len(rows) and offsets[-1]:
-        items = np.concatenate(rows).astype(np.int64, copy=False)
-    else:
-        items = np.empty(0, dtype=np.int64)
-    return offsets, items
+        """int64 words in the payload (see :func:`segment_words`)."""
+        return segment_words(self.num_rows, self.total_size, self.num_items)
 
 
 def write_segment(
-    path: PathLike,
-    rows: Sequence[np.ndarray],
-    num_items: int,
+    path: PathLike, database: TransactionDatabase
 ) -> FileSegmentSpec:
-    """Write one segment file atomically; returns its spec.
+    """Write ``database`` as one segment file, atomically; returns its
+    spec.
 
-    ``rows`` must already be sorted unique int64 arrays (the chunked
-    loaders and the engine's own shard slices both guarantee this).
-    The payload CRC is computed on the way out, the bytes are fsynced,
-    and only then does the file appear under ``path`` — a crash leaves
-    at worst an orphaned ``path.tmp``, never a torn live segment.
+    The payload — rows and their tid-list index — and its CRC are
+    written out, the bytes are fsynced, and only then does the file
+    appear under ``path``: a crash leaves at worst an orphaned
+    ``path.tmp``, never a torn live segment.
 
     Raises :class:`~repro.errors.StateStoreError` on I/O failure
     (``ENOSPC`` included), with the temp file cleaned up and any
     previously published segment untouched.
     """
     path = Path(path)
-    offsets, items = _pack_rows(rows)
-    header_crc = zlib.crc32(offsets.tobytes())
-    header_crc = zlib.crc32(items.tobytes(), header_crc)
+    arrays = segment_arrays(database)
+    crc = 0
+    for array in arrays:
+        crc = zlib.crc32(array, crc)
     header = struct.pack(
         _HEADER_FORMAT,
         _MAGIC,
         _FORMAT_VERSION,
-        len(rows),
-        int(offsets[-1]),
-        int(num_items),
-        header_crc,
+        database.num_transactions,
+        database.total_size,
+        database.num_items,
+        crc,
     ).ljust(_HEADER_SIZE, b"\0")
     temp_path = path.with_name(path.name + ".tmp")
     try:
         with open(temp_path, "wb") as handle:
             handle.write(header)
-            handle.write(offsets.tobytes())
-            handle.write(items.tobytes())
+            for array in arrays:
+                handle.write(array)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp_path, path)
@@ -187,9 +218,9 @@ def write_segment(
     return FileSegmentSpec(
         name=str(path),
         path=str(path),
-        num_rows=len(rows),
-        total_size=int(offsets[-1]),
-        num_items=int(num_items),
+        num_rows=database.num_transactions,
+        total_size=database.total_size,
+        num_items=database.num_items,
     )
 
 
@@ -205,7 +236,10 @@ def _read_header(path: Path) -> Tuple[int, int, int, int]:
     if magic != _MAGIC:
         raise ValueError(f"bad magic {magic!r}")
     if version != _FORMAT_VERSION:
-        raise ValueError(f"unsupported segment version {version}")
+        raise ValueError(
+            f"unsupported segment version {version} "
+            f"(this build reads version {_FORMAT_VERSION})"
+        )
     return int(num_rows), int(total_size), int(num_items), int(crc)
 
 
@@ -215,19 +249,20 @@ def verify_segment(
     """``None`` if the file matches its spec, else what is wrong.
 
     The default check is cheap (header fields + exact file size —
-    catches truncation, the crash-window damage).  ``check_crc=True``
-    reads the whole payload, catching in-place corruption too.
+    catches truncation anywhere, index region included, the
+    crash-window damage).  ``check_crc=True`` reads the whole payload,
+    catching in-place corruption too.
     """
     path = Path(spec.path)
     try:
         num_rows, total_size, num_items, crc = _read_header(path)
     except (OSError, ValueError) as exc:
         return f"unreadable header: {exc}"
-    if (num_rows, total_size) != (spec.num_rows, spec.total_size):
+    shape = (spec.num_rows, spec.total_size, spec.num_items)
+    if (num_rows, total_size, num_items) != shape:
         return (
-            f"header shape ({num_rows} rows, {total_size} items) "
-            f"disagrees with manifest ({spec.num_rows}, "
-            f"{spec.total_size})"
+            f"header shape ({num_rows} rows, {total_size} items, "
+            f"{num_items} vocabulary) disagrees with manifest {shape}"
         )
     expected_bytes = _HEADER_SIZE + spec.num_words * _WORD
     actual_bytes = path.stat().st_size
@@ -237,10 +272,7 @@ def verify_segment(
         with open(path, "rb") as handle:
             handle.seek(_HEADER_SIZE)
             actual_crc = 0
-            while True:
-                block = handle.read(1 << 20)
-                if not block:
-                    break
+            for block in iter(lambda: handle.read(1 << 20), b""):
                 actual_crc = zlib.crc32(block, actual_crc)
         if actual_crc != crc:
             return (
@@ -252,51 +284,32 @@ def verify_segment(
 def attach_file_segment(
     spec: FileSegmentSpec,
 ) -> Tuple[np.memmap, TransactionDatabase]:
-    """Open a segment read-only and rebuild its shard zero-copy.
+    """Map a segment read-only and view it as its shard database.
 
-    Returns ``(memmap, database)``; the rows are views into the
-    mapping, so the caller keeps the memmap referenced for as long as
-    the database is in use.  Dropping both unmaps the file and gives
-    the pages back.  Validates the header/size first — workers never
-    count over a torn file.
+    Returns ``(memmap, database)``; the database's arrays (rows and
+    tid-list index) are views into the mapping, which stays mapped for
+    as long as either is referenced — dropping both unmaps the file
+    and gives the pages back.  Validates the header/size first, then
+    the offsets' end points — workers never count over a torn file.
     """
     problem = verify_segment(spec)
-    if problem is not None:
-        raise TornSegmentError(
-            Path(spec.path).parent, [_index_of(Path(spec.path).name)], problem
+    if problem is None:
+        mapping = np.memmap(
+            spec.path,
+            dtype=np.int64,
+            mode="r",
+            offset=_HEADER_SIZE,
+            shape=(spec.num_words,),
         )
-    mapping = np.memmap(
-        spec.path,
-        dtype=np.int64,
-        mode="r",
-        offset=_HEADER_SIZE,
-        shape=(spec.num_words,),
+        try:
+            return mapping, attach_words(
+                mapping, spec.num_rows, spec.total_size, spec.num_items
+            )
+        except ValidationError as exc:
+            problem = str(exc)
+    raise TornSegmentError(
+        Path(spec.path).parent, [_index_of(Path(spec.path).name)], problem
     )
-    offsets = mapping[: spec.num_rows + 1]
-    items = mapping[spec.num_rows + 1:]
-    if offsets.size and int(offsets[-1]) != spec.total_size:
-        raise TornSegmentError(
-            Path(spec.path).parent,
-            [_index_of(Path(spec.path).name)],
-            f"offsets end at {int(offsets[-1])}, "
-            f"manifest says {spec.total_size}",
-        )
-    rows: List[np.ndarray] = [
-        items[offsets[index]: offsets[index + 1]]
-        for index in range(spec.num_rows)
-    ]
-    database = TransactionDatabase.from_sorted_rows(rows, spec.num_items)
-    return mapping, database
-
-
-def read_segment_rows(spec: FileSegmentSpec) -> List[np.ndarray]:
-    """The segment's rows as in-memory copies (tail rewrites)."""
-    mapping, database = attach_file_segment(spec)
-    try:
-        return [np.array(row) for row in database.rows]
-    finally:
-        del database
-        del mapping
 
 
 def _segment_file_name(index: int, generation: int) -> str:
@@ -357,7 +370,7 @@ class MmapShardStore:
             )
         self._specs = list(specs)
         self._generations = list(generations)
-        self._pending: List[np.ndarray] = []
+        self._pending = TransactionDatabase.concatenate([], self._num_items)
         self._lock = threading.Lock()
         self._cache: "OrderedDict[int, Tuple[np.memmap, TransactionDatabase]]"
         self._cache = OrderedDict()
@@ -545,22 +558,32 @@ class MmapShardStore:
     def append_rows(self, rows: Sequence[np.ndarray]) -> None:
         """Buffer rows; publish full segments as they fill up.
 
-        Items must be sorted unique int64 in ``[0, num_items)`` — the
-        chunked loaders guarantee this, and the segment writer trusts
-        it exactly like ``from_sorted_rows`` does.
+        Items must be sorted unique int64 — the chunked loaders
+        guarantee this, and the segment writer trusts it exactly like
+        ``from_sorted_rows`` does.
+        """
+        self.append(
+            TransactionDatabase.from_sorted_rows(rows, self._num_items)
+        )
+
+    def append(self, database: TransactionDatabase) -> None:
+        """Buffer ``database``'s transactions; publish full segments.
+
+        Ids are range-checked against the store's vocabulary (one
+        vectorized ``max``).
         """
         self._ensure_open()
-        for row in rows:
-            array = np.asarray(row, dtype=np.int64)
-            if array.size and int(array[-1]) >= self._num_items:
+        if database.total_size:
+            largest = int(database.items.max())
+            if largest >= self._num_items:
                 raise ValidationError(
-                    f"item {int(array[-1])} out of range for "
+                    f"item {largest} out of range for "
                     f"num_items={self._num_items}"
                 )
-            self._pending.append(array)
-        while len(self._pending) >= self._rows_per_segment:
-            self._publish(self._pending[: self._rows_per_segment])
-            self._pending = self._pending[self._rows_per_segment:]
+        self._pending = TransactionDatabase.concatenate(
+            [self._pending, database], self._num_items
+        )
+        self._drain(everything=False)
 
     def flush(self) -> None:
         """Publish any buffered rows and sync the manifest.
@@ -571,51 +594,51 @@ class MmapShardStore:
         segment granularity once the fault clears.
         """
         self._ensure_open()
-        while len(self._pending) >= self._rows_per_segment:
-            self._publish(self._pending[: self._rows_per_segment])
-            self._pending = self._pending[self._rows_per_segment:]
-        if self._pending:
-            self._publish(self._pending)
-            self._pending = []
+        self._drain(everything=True)
         self._write_manifest()
 
-    def extend(self, rows: Sequence[np.ndarray]) -> int:
-        """Append ``rows`` to the spilled data; returns the index of
+    def _drain(self, everything: bool) -> None:
+        """Publish full segments from the pending buffer (and, with
+        ``everything``, the partial rest)."""
+        size = self._rows_per_segment
+        pending = self._pending.num_transactions
+        while pending >= size or (everything and pending):
+            self._publish(self._pending.slice(0, size))
+            self._pending = self._pending.slice(size, pending)
+            pending = self._pending.num_transactions
+
+    def extend(self, delta: TransactionDatabase) -> int:
+        """Append ``delta`` to the spilled data; returns the index of
         the first changed segment.
 
-        A partial tail segment is rewritten (read back, concatenated,
-        republished under a bumped generation — atomically, so a crash
-        mid-extend leaves the old tail live); full segments are never
-        touched.  This is the
+        A partial tail segment is rewritten (attached, extended with
+        its index merged, republished under a bumped generation —
+        atomically, so a crash mid-extend leaves the old tail live);
+        full segments are never touched.  This is the
         :meth:`~repro.engine.backend.CountingBackend.extend` spill
         path: ingest appends, it does not respill.
         """
         self._ensure_open()
-        if not rows:
+        if not delta.num_transactions:
             return max(len(self._specs) - 1, 0)
         first_changed = len(self._specs)
-        tail_rows: List[np.ndarray] = []
         stale_tail: Optional[Path] = None
         if (
             self._specs
             and self._specs[-1].num_rows < self._rows_per_segment
         ):
             first_changed = len(self._specs) - 1
-            tail_rows = read_segment_rows(self._specs[-1])
+            take = self._rows_per_segment - self._specs[-1].num_rows
+            _, tail = attach_file_segment(self._specs[-1])
             self._drop_cached(first_changed)
             old_spec = self._specs.pop()
             generation = self._generations.pop() + 1
             self._publish(
-                tail_rows + [
-                    np.asarray(row, dtype=np.int64)
-                    for row in rows[: self._rows_per_segment
-                                    - len(tail_rows)]
-                ],
-                generation=generation,
+                tail.extended(delta.slice(0, take)), generation=generation
             )
             stale_tail = Path(old_spec.path)
-            rows = rows[self._rows_per_segment - len(tail_rows):]
-        self.append_rows(rows)
+            delta = delta.slice(take, delta.num_transactions)
+        self.append(delta)
         self.flush()
         # Only after the manifest names the new generation may the old
         # tail go: a crash before this line leaves both files, and the
@@ -651,7 +674,8 @@ class MmapShardStore:
         generation = self._generations[index] + 1
         name = _segment_file_name(index, generation)
         spec = write_segment(
-            self._directory / name, list(rows), self._num_items
+            self._directory / name,
+            TransactionDatabase.from_sorted_rows(rows, self._num_items),
         )
         old_path = Path(self._specs[index].path)
         self._specs[index] = spec
@@ -662,13 +686,11 @@ class MmapShardStore:
         return spec
 
     def _publish(
-        self, rows: Sequence[np.ndarray], generation: int = 0
+        self, database: TransactionDatabase, generation: int = 0
     ) -> None:
         index = len(self._specs)
         name = _segment_file_name(index, generation)
-        spec = write_segment(
-            self._directory / name, list(rows), self._num_items
-        )
+        spec = write_segment(self._directory / name, database)
         self._specs.append(spec)
         self._generations.append(generation)
 
@@ -710,11 +732,10 @@ class MmapShardStore:
     def shard_database(self, index: int) -> TransactionDatabase:
         """Shard ``index`` as a database of memmap views (LRU-cached).
 
-        The cache holds at most ``memory_budget_bytes`` worth of open
-        shards (estimated as payload + lazily built per-shard index);
-        evicted entries drop their mapping, and the OS reclaims the
-        pages.  Always keeps at least one entry, or nothing would ever
-        be answerable.
+        The cache holds at most ``memory_budget_bytes`` of mapped
+        segment files; evicted entries drop their mapping, and the OS
+        reclaims the pages.  Always keeps at least one entry, or
+        nothing would ever be answerable.
         """
         self._ensure_open()
         if not 0 <= index < len(self._specs):
@@ -738,42 +759,29 @@ class MmapShardStore:
                 self._cache.popitem(last=False)
         return database
 
-    def databases(self) -> List[TransactionDatabase]:
-        """Every shard database, opened through the cache in order."""
-        return [
-            self.shard_database(index)
-            for index in range(len(self._specs))
-        ]
-
     def database(self) -> TransactionDatabase:
-        """The full dataset as one database of memmap-view rows.
+        """The full dataset as one in-memory CSR database.
 
-        This materializes row *view objects* for every transaction
-        (cheap pages, but ~100 bytes of Python object per row), so the
-        out-of-core plane avoids it on hot paths; it exists for
-        whole-database consumers like the session's result assembly.
+        Copies every segment's rows (not their index) into RAM, one
+        ``np.concatenate`` per array; the out-of-core plane avoids it
+        on hot paths — it exists for whole-database consumers like the
+        session's result assembly.
         """
         self._ensure_open()
-        rows: List[np.ndarray] = []
-        for index in range(len(self._specs)):
-            rows.extend(self.shard_database(index).rows)
-        return TransactionDatabase.from_sorted_rows(
-            rows, self._num_items
+        return TransactionDatabase.concatenate(
+            [self.shard_database(index) for index in range(len(self._specs))],
+            self._num_items,
         )
 
-    def _segment_bytes(self, spec: FileSegmentSpec) -> int:
-        # Payload words twice over: the mapped CSR plus the shard's
-        # lazily built inverted index, which is the same nnz again.
-        return 2 * spec.num_words * _WORD + 96 * spec.num_rows
-
     def _resident_estimate_locked(self) -> int:
+        # The whole file is mapped: header, rows and their index.
         return sum(
-            self._segment_bytes(self._specs[index])
+            _HEADER_SIZE + self._specs[index].num_words * _WORD
             for index in self._cache
         )
 
     def resident_bytes(self) -> int:
-        """Estimated bytes held by currently cached shards."""
+        """Bytes of segment files currently mapped by cached shards."""
         with self._lock:
             return self._resident_estimate_locked()
 
@@ -804,18 +812,14 @@ class MmapShardStore:
         with self._lock:
             self._cache.pop(index, None)
 
-    def drop_caches(self) -> None:
-        """Release every cached shard mapping (keeps files on disk)."""
-        with self._lock:
-            self._cache.clear()
-
     def close(self) -> None:
         """Release mappings and mark the store closed (idempotent).
 
         Segment files stay on disk — a store is durable state; remove
         the directory itself to discard it.
         """
-        self.drop_caches()
+        with self._lock:
+            self._cache.clear()
         self._closed = True
 
     def _ensure_open(self) -> None:

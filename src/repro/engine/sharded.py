@@ -26,7 +26,7 @@ same per-shard kernels (:mod:`repro.engine.parallel`):
   speedup well below the core count.
 * ``mode="processes"`` — a persistent spawn-safe worker pool over
   **shared-memory shard segments** (:mod:`repro.engine.shm`).  Each
-  shard's CSR rows are published once into a
+  shard's CSR arrays (rows and tid-list index) are published once into a
   ``multiprocessing.shared_memory`` block; workers attach zero-copy
   and queries ship as small descriptors (item ids, a basis, a batch of
   itemsets) — never pickled databases.  Every core runs a full
@@ -271,12 +271,12 @@ class ShardedBackend(CountingBackend):
         Existing full shards are untouched (their warm per-shard
         indexes — and, in process mode, their published shared-memory
         segments — stay valid); the last, partially filled shard is
-        rebuilt with the new rows folded in (rows shared, ≤ one
-        shard's worth of work), and any remaining delta rows form new
-        tail shards.  In process mode only the rebuilt tail's segment
-        is republished and only the new tails are published; the
-        cached item-support vector is advanced by adding ``delta``'s
-        supports.
+        extended with the new rows (≤ one shard's worth of work, its
+        tid-list index merged rather than rebuilt), and any remaining
+        delta rows form new tail shards, as slices of ``delta``.  In
+        process mode only the rebuilt tail's segment is republished
+        and only the new tails are published; the cached item-support
+        vector is advanced by adding ``delta``'s supports.
         """
         self._validate_delta(delta)
         if self._store is not None:
@@ -285,24 +285,16 @@ class ShardedBackend(CountingBackend):
         extended = self._database.extended(delta)
         if self._shards is not None and delta.num_transactions:
             first_changed = len(self._shards)
-            pending = list(delta.rows)
+            count = delta.num_transactions
+            start = 0
             last = self._shards[-1]
             if last.num_transactions < self._shard_size:
                 first_changed -= 1
-                take = min(
-                    self._shard_size - last.num_transactions, len(pending)
-                )
-                merged = list(last.rows) + pending[:take]
-                self._shards[-1] = TransactionDatabase.from_sorted_rows(
-                    merged, self._database.num_items
-                )
-                pending = pending[take:]
-            for start in range(0, len(pending), self._shard_size):
+                start = min(self._shard_size - last.num_transactions, count)
+                self._shards[-1] = last.extended(delta.slice(0, start))
+            for begin in range(start, count, self._shard_size):
                 self._shards.append(
-                    TransactionDatabase.from_sorted_rows(
-                        pending[start: start + self._shard_size],
-                        self._database.num_items,
-                    )
+                    delta.slice(begin, begin + self._shard_size)
                 )
             if self._segments is not None:
                 # Republish only the changed tail: unlink the rebuilt
@@ -331,7 +323,7 @@ class ShardedBackend(CountingBackend):
         """
         if not delta.num_transactions:
             return
-        first_changed = self._store.extend(list(delta.rows))
+        first_changed = self._store.extend(delta)
         if self._segments is not None:
             self._segments[first_changed:] = [
                 _FileSegment(spec)
@@ -346,23 +338,15 @@ class ShardedBackend(CountingBackend):
 
     # -- shard plumbing -------------------------------------------------
     def _ensure_shards(self) -> List[TransactionDatabase]:
-        """Build the shard databases lazily (rows are shared, not
-        copied — each shard is one slice of the horizontal CSR rows)."""
+        """Build the shard databases lazily (items are shared, not
+        copied — each shard is one slice of the CSR arrays)."""
         if self._shards is None:
             n = self._database.num_transactions
-            shards = [
-                self._database.slice(
-                    start, min(start + self._shard_size, n)
-                )
+            # An empty database is its own single (empty) shard.
+            self._shards = [
+                self._database.slice(start, start + self._shard_size)
                 for start in range(0, n, self._shard_size)
-            ]
-            if not shards:  # empty database: one empty shard
-                shards.append(
-                    TransactionDatabase.from_sorted_rows(
-                        [], self._database.num_items
-                    )
-                )
-            self._shards = shards
+            ] or [self._database]
         return self._shards
 
     def _workers_for(self, num_shards: int) -> int:
@@ -384,10 +368,7 @@ class ShardedBackend(CountingBackend):
         if self._store is not None:
             count = self._store.num_segments
             if count == 0:
-                empty = TransactionDatabase.from_sorted_rows(
-                    [], self._store.num_items
-                )
-                return [task(empty)]
+                return [task(self._store.database())]
             indices = range(count)
 
             def run(index: int) -> _T:

@@ -9,17 +9,17 @@ zero-copy, and ships only a tiny picklable :class:`ShardSegmentSpec`
 (name + shape metadata) per query.
 
 Layout of one segment (a single ``multiprocessing.shared_memory``
-block of int64 words)::
+block of int64 words) is the payload of an mmap segment file, without
+the header (:func:`~repro.engine.mmap.segment_arrays`)::
 
-    [ offsets: num_rows + 1 ] [ items: total_size ]
+    [ row offsets ] [ items ] [ index offsets ] [ tids ]
 
-— exactly the CSR-of-rows horizontal representation of
-:class:`~repro.datasets.transactions.TransactionDatabase`: row ``i``
-is ``items[offsets[i]:offsets[i+1]]``.  :func:`attach_segment`
-reconstructs the shard database from **views** into the block (the
-trusted :meth:`~repro.datasets.transactions.TransactionDatabase
-.from_sorted_rows` path), so a worker's copy of a shard costs one
-``mmap``, not one allocation per row.
+— the CSR layout of
+:class:`~repro.datasets.transactions.TransactionDatabase`, rows then
+their item-major tid-list index.  :func:`attach_segment` views the
+block through :func:`~repro.engine.mmap.attach_words`, the attach path
+the mmap plane uses too, so a worker's copy of a shard costs one
+``mmap``: no allocation per row and no index rebuild.
 
 Ownership: the publishing process (the backend) is the only one that
 ever unlinks a segment; workers merely ``close()`` their attachments.
@@ -37,11 +37,12 @@ from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from repro.datasets.transactions import TransactionDatabase
+from repro.engine.mmap import attach_words, segment_arrays, segment_words
 from repro.errors import ValidationError
 
 __all__ = [
@@ -87,8 +88,9 @@ class ShardSegmentSpec:
 
     @property
     def num_words(self) -> int:
-        """int64 words in the block (offsets then flattened items)."""
-        return self.num_rows + 1 + self.total_size
+        """int64 words in the block (see
+        :func:`~repro.engine.mmap.segment_words`)."""
+        return segment_words(self.num_rows, self.total_size, self.num_items)
 
 
 class ShardSegment:
@@ -126,58 +128,39 @@ class ShardSegment:
         )
 
 
-def _pack_rows(
-    rows: Tuple[np.ndarray, ...]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Flatten row arrays into (offsets, items) CSR arrays, int64."""
-    lengths = np.fromiter(
-        (row.size for row in rows), count=len(rows), dtype=np.int64
-    )
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    if len(rows):
-        items = (
-            np.concatenate(rows).astype(np.int64, copy=False)
-            if offsets[-1]
-            else np.empty(0, dtype=np.int64)
-        )
-    else:
-        items = np.empty(0, dtype=np.int64)
-    return offsets, items
-
-
 def publish_shard(shard: TransactionDatabase) -> ShardSegment:
-    """Copy ``shard``'s rows into a fresh shared block, once.
+    """Copy ``shard``'s rows and tid-list index into a fresh shared
+    block, once.
 
     The one full copy in the process plane's lifetime: publication.
     Every later query attaches views instead of copying.
     """
     from multiprocessing import shared_memory
 
-    offsets, items = _pack_rows(shard.rows)
-    spec_name = f"repro_shard_{secrets.token_hex(8)}"
-    num_words = offsets.size + items.size
-    block = shared_memory.SharedMemory(
-        create=True, size=max(num_words, 1) * _WORD, name=spec_name
-    )
-    words = np.ndarray(num_words, dtype=np.int64, buffer=block.buf)
-    words[: offsets.size] = offsets
-    words[offsets.size:] = items
+    arrays = segment_arrays(shard)
     spec = ShardSegmentSpec(
-        name=spec_name,
+        name=f"repro_shard_{secrets.token_hex(8)}",
         num_rows=shard.num_transactions,
-        total_size=int(offsets[-1]),
+        total_size=shard.total_size,
         num_items=shard.num_items,
+    )
+    block = shared_memory.SharedMemory(
+        create=True, size=spec.num_words * _WORD, name=spec.name
+    )
+    np.concatenate(
+        arrays,
+        out=np.ndarray(spec.num_words, dtype=np.int64, buffer=block.buf),
     )
     return ShardSegment(block, spec)
 
 
 def attach_segment(spec: ShardSegmentSpec):
-    """Worker-side attach: rebuild the shard database zero-copy.
+    """Worker-side attach: view the shard database zero-copy.
 
     Returns ``(shared_memory_block, database)``; the caller must keep
-    the block referenced for as long as the database is used (rows are
-    views into its buffer) and ``close()`` it when evicting.
+    the block referenced for as long as the database is used (its
+    arrays are views into the block's buffer) and ``close()`` it when
+    evicting.
     """
     from multiprocessing import shared_memory
 
@@ -192,29 +175,15 @@ def attach_segment(spec: ShardSegmentSpec):
         # it exactly once.  No double-unlink — and no unregister here,
         # which would strip the shared entry out from under the owner.
         block = shared_memory.SharedMemory(name=spec.name)
-    if block.size < spec.num_words * _WORD:
-        block.close()
-        raise ValidationError(
-            f"segment {spec.name} holds {block.size} bytes, spec needs "
-            f"{spec.num_words * _WORD}"
+    words = np.ndarray(block.size // _WORD, dtype=np.int64, buffer=block.buf)
+    try:
+        return block, attach_words(
+            words[: spec.num_words],
+            spec.num_rows, spec.total_size, spec.num_items,
         )
-    words = np.ndarray(spec.num_words, dtype=np.int64, buffer=block.buf)
-    offsets = words[: spec.num_rows + 1]
-    items = words[spec.num_rows + 1:]
-    if offsets.size and int(offsets[-1]) != spec.total_size:
+    except ValidationError as exc:
         block.close()
-        raise ValidationError(
-            f"segment {spec.name} is inconsistent: offsets end at "
-            f"{int(offsets[-1])}, spec says {spec.total_size}"
-        )
-    rows: List[np.ndarray] = [
-        items[offsets[index]: offsets[index + 1]]
-        for index in range(spec.num_rows)
-    ]
-    database = TransactionDatabase.from_sorted_rows(
-        rows, spec.num_items
-    )
-    return block, database
+        raise ValidationError(f"segment {spec.name}: {exc}") from None
 
 
 def publish_all(

@@ -379,12 +379,11 @@ class PrivBasisService:
         )
         try:
             step = store.rows_per_segment
-            rows = database.rows
-            # Feed the spill in segment-sized chunks so peak resident
+            # Feed the spill in segment-sized slices so peak resident
             # extra memory during the build is one segment, not the
             # whole dataset twice.
-            for start in range(0, len(rows), step):
-                store.append_rows(rows[start:start + step])
+            for start in range(0, database.num_transactions, step):
+                store.append(database.slice(start, start + step))
             store.flush()
         except BaseException:
             store.close()

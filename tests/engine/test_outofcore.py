@@ -18,6 +18,7 @@ an independent database shape, chunk size, and segment size.
 from __future__ import annotations
 
 import gzip
+import os
 
 import numpy as np
 import pytest
@@ -293,3 +294,100 @@ def test_closed_backend_store_rejects_queries(tmp_path):
     backend.close()
     with pytest.raises(StateStoreError):
         store.shard_database(0)
+
+
+# ----------------------------------------------------------------------
+# Zero-copy attach: a segment is viewed, never unpacked
+# ----------------------------------------------------------------------
+def _forbid_row_views(monkeypatch):
+    """Make any per-row access on a database fail the test."""
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("a counting kernel materialized rows")
+
+    monkeypatch.setattr(TransactionDatabase, "rows", property(forbidden))
+    monkeypatch.setattr(TransactionDatabase, "transaction_array", forbidden)
+    monkeypatch.setattr(TransactionDatabase, "__iter__", forbidden)
+
+
+def _assert_counts_from_views(attached, reference, mapping, monkeypatch):
+    from repro.engine import parallel
+
+    np.testing.assert_array_equal(attached.offsets, reference.offsets)
+    np.testing.assert_array_equal(attached.items, reference.items)
+    assert np.shares_memory(attached.offsets, mapping)
+    assert np.shares_memory(attached.items, mapping)
+    for item in range(reference.num_items):
+        tids = attached.tidlist(item)
+        np.testing.assert_array_equal(tids, reference.tidlist(item))
+        if tids.size:
+            assert np.shares_memory(tids, mapping)
+    bases = [(0, 1, 2), (3,), (1, 4, 5, 6)]
+    pool = list(range(reference.num_items))
+    want_bins = parallel.shard_bin_counts_batch(reference, bases)
+    want_pairs = parallel.shard_pairwise_supports(reference, pool)
+    _forbid_row_views(monkeypatch)
+    for got, want in zip(
+        parallel.shard_bin_counts_batch(attached, bases), want_bins
+    ):
+        np.testing.assert_array_equal(got, want)
+    assert parallel.shard_pairwise_supports(attached, pool) == want_pairs
+
+
+def test_file_segment_attaches_zero_copy(tmp_path, monkeypatch):
+    from repro.engine.mmap import attach_file_segment, write_segment
+
+    rows, num_items = random_rows(21)
+    reference = TransactionDatabase(rows, num_items=num_items)
+    spec = write_segment(tmp_path / "seg-000000-g0000.seg", reference)
+    mapping, attached = attach_file_segment(spec)
+    _assert_counts_from_views(attached, reference, mapping, monkeypatch)
+
+
+def test_shm_segment_attaches_zero_copy(monkeypatch):
+    from repro.engine import shm
+
+    if not shm.shared_memory_available():
+        pytest.skip("platform offers no shared memory")
+    rows, num_items = random_rows(22)
+    reference = TransactionDatabase(rows, num_items=num_items)
+    segment = shm.publish_shard(reference)
+    try:
+        block, attached = shm.attach_segment(segment.spec)
+        words = np.ndarray(
+            segment.spec.num_words, dtype=np.int64, buffer=block.buf
+        )
+        _assert_counts_from_views(attached, reference, words, monkeypatch)
+        del words, attached
+        block.close()
+    finally:
+        segment.unlink()
+
+
+def test_spilled_backend_never_builds_rows(tmp_path, monkeypatch):
+    """Every primitive over a store counts from the mapped CSR."""
+    backend, database, _ = spilled_backend(tmp_path, 23)
+    reference = BitmapBackend(database)
+    pool, bases, _ = queries_for(database.num_items, 23)
+    want_bins = reference.bin_counts_batch(bases)
+    want_pairs = reference.pairwise_supports(pool)
+    _forbid_row_views(monkeypatch)
+    with backend:
+        for got, want in zip(backend.bin_counts_batch(bases), want_bins):
+            np.testing.assert_array_equal(got, want)
+        assert backend.pairwise_supports(pool) == want_pairs
+
+
+def test_resident_bytes_are_the_mapped_files(tmp_path):
+    """The LRU budget charges exactly the bytes a cached shard maps."""
+    backend, _, _ = spilled_backend(tmp_path, 24)
+    with backend:
+        store = backend.store
+        store.shard_database(0)
+        store.shard_database(1)
+        sizes = [
+            os.path.getsize(spec.path) for spec in store.segment_specs[:2]
+        ]
+        assert store.resident_bytes() == sum(sizes)
+        assert backend.data_plane_stats()["resident_shard_bytes"] == (
+            sum(sizes)
+        )

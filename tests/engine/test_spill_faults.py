@@ -202,6 +202,90 @@ class TestTornSegments:
         assert reopened.num_rows == len(rows)
         reopened.close()
 
+    def test_truncation_inside_the_index_is_detected_at_open(
+        self, tmp_path
+    ):
+        directory = tmp_path / "shards"
+        store, _ = build_store(directory)
+        spec = store.segment_specs[2]
+        store.close()
+        # Cut the file a few words into the tid-list index region:
+        # header, row offsets and items stay whole.
+        rows_end = 64 + 8 * (spec.num_rows + 1 + spec.total_size)
+        victim = segment_files(directory)[2]
+        victim.write_bytes(victim.read_bytes()[: rows_end + 8 * 3])
+        with pytest.raises(TornSegmentError) as excinfo:
+            MmapShardStore.open(directory)
+        assert excinfo.value.segments == (2,)
+
+    def test_flipped_tid_byte_needs_crc_verification(self, tmp_path):
+        directory = tmp_path / "shards"
+        store, _ = build_store(directory)
+        spec = store.segment_specs[0]
+        store.close()
+        # The first tid: past the rows CSR and the index offsets.
+        first_tid = 64 + 8 * (
+            spec.num_rows + 1 + spec.total_size + spec.num_items + 1
+        )
+        victim = segment_files(directory)[0]
+        data = bytearray(victim.read_bytes())
+        data[first_tid] ^= 0x01
+        victim.write_bytes(bytes(data))
+
+        MmapShardStore.open(directory, verify="size").close()
+        with pytest.raises(TornSegmentError) as excinfo:
+            MmapShardStore.open(directory, verify="crc")
+        assert excinfo.value.segments == (0,)
+
+    def test_version_1_segment_is_refused_not_counted(self, tmp_path):
+        """A rows-only v1 file fails every attach path with a typed
+        error — at open, and at query time after ``verify="none"``."""
+        import struct
+
+        directory = tmp_path / "shards"
+        store, _ = build_store(directory)
+        spec = store.segment_specs[1]
+        store.close()
+        victim = segment_files(directory)[1]
+        data = bytearray(victim.read_bytes())
+        data[8:16] = struct.pack("<q", 1)  # format version field
+        v1_bytes = 64 + 8 * (spec.num_rows + 1 + spec.total_size)
+        victim.write_bytes(bytes(data[:v1_bytes]))
+
+        with pytest.raises(TornSegmentError) as excinfo:
+            MmapShardStore.open(directory)
+        assert excinfo.value.segments == (1,)
+        assert "version 1" in str(excinfo.value)
+        unverified = MmapShardStore.open(directory, verify="none")
+        with ShardedBackend.from_store(unverified) as backend:
+            with pytest.raises(TornSegmentError):
+                backend.item_supports()
+
+    def test_extend_and_rebuild_write_the_index(self, tmp_path):
+        """Tail rewrites and repairs publish full v2 segments: their
+        CRC covers the index, and the attached index is the one a
+        fresh build computes."""
+        from repro.datasets.transactions import TransactionDatabase
+
+        directory = tmp_path / "shards"
+        store, rows = build_store(directory, rows_per_segment=15)
+        extra = random_rows(7, count=12)
+        store.extend(TransactionDatabase(extra, num_items=12))
+        store.rebuild_segment(0, rows[:15])
+        store.close()
+        reopened = MmapShardStore.open(directory, verify="crc")
+        everything = rows + extra
+        for index, spec in enumerate(reopened.segment_specs):
+            start = index * 15
+            fresh = TransactionDatabase(
+                everything[start:start + spec.num_rows], num_items=12
+            )
+            attached = reopened.shard_database(index)
+            for part, want in zip(attached.index, fresh.index):
+                np.testing.assert_array_equal(part, want)
+        assert reopened.num_rows == len(everything)
+        reopened.close()
+
     def test_missing_manifest_is_state_store_error(self, tmp_path):
         directory = tmp_path / "shards"
         store, _ = build_store(directory)
