@@ -34,21 +34,12 @@ compose under the per-tenant ε ledger).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from repro.datasets.transactions import TransactionDatabase
 from repro.errors import ValidationError
 
 __all__ = ["LogSnapshot", "TransactionLog"]
-
-#: Historical snapshot databases kept alive per log (FIFO beyond
-#: this).  The latest version lives outside this cache — it is the
-#: incrementally maintained head and is always warm.  Each cached
-#: version holds its own O(|D|) arrays (and, once queried, tid-list
-#: index), so unbounded retention would leak memory in a long-lived
-#: service.
-SNAPSHOT_CACHE_LIMIT = 8
-
 
 @dataclass(frozen=True)
 class LogSnapshot:
@@ -110,7 +101,6 @@ class TransactionLog:
         #: ``_boundaries[v]`` is the transaction count at version ``v``.
         self._boundaries: List[int] = [len(initial)]
         self._latest: TransactionDatabase = initial
-        self._snapshot_cache: Dict[int, TransactionDatabase] = {}
 
     @classmethod
     def from_database(
@@ -122,7 +112,6 @@ class TransactionLog:
         log._item_labels = database.item_labels
         log._boundaries = [len(database)]
         log._latest = database
-        log._snapshot_cache = {}
         return log
 
     # ------------------------------------------------------------------
@@ -181,9 +170,6 @@ class TransactionLog:
                 "cannot append an empty batch (versions must advance "
                 "the data); skip the call instead"
             )
-        # The outgoing head becomes a historical snapshot; keeping it
-        # cached means recent versions stay warm for audits.
-        self._cache_snapshot(self.version, self._latest)
         self._latest = self._latest.extended(delta)
         self._boundaries.append(len(self._latest))
         return self.version
@@ -212,33 +198,24 @@ class TransactionLog:
             )
         return version
 
-    def _cache_snapshot(
-        self, version: int, database: TransactionDatabase
-    ) -> None:
-        """FIFO-bounded cache of *historical* snapshot databases."""
-        while len(self._snapshot_cache) >= max(SNAPSHOT_CACHE_LIMIT, 1):
-            oldest = next(iter(self._snapshot_cache))
-            del self._snapshot_cache[oldest]
-        self._snapshot_cache[version] = database
-
     def snapshot(self, version: Optional[int] = None) -> LogSnapshot:
         """An immutable snapshot of ``version`` (default: latest).
 
         The latest snapshot is maintained incrementally across appends
         (warm caches carried over) and is always served from that warm
-        head; a historical version evicted from the bounded cache is
-        sliced out of the head on demand.
+        head; a historical version is a zero-copy slice of the head, so
+        the log holds one copy of its rows however many versions are
+        read.
         """
         version = (
             self.version if version is None else self._check_version(version)
         )
         if version == self.version:
             return LogSnapshot(version=version, database=self._latest)
-        database = self._snapshot_cache.get(version)
-        if database is None:
-            database = self._latest.slice(0, self._boundaries[version])
-            self._cache_snapshot(version, database)
-        return LogSnapshot(version=version, database=database)
+        return LogSnapshot(
+            version=version,
+            database=self._latest.slice(0, self._boundaries[version]),
+        )
 
     def delta(
         self, since: int, until: Optional[int] = None

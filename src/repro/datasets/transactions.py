@@ -258,14 +258,11 @@ class TransactionDatabase:
     def index(self) -> Tuple[np.ndarray, np.ndarray]:
         """The item-major CSR ``(index_offsets, tids)``, built lazily.
 
-        Built in one pass: a stable sort of ``items`` (a radix sort
-        whenever the vocabulary fits 16 bits) lists each item's
+        Built in one pass: a stable sort of ``items`` lists each item's
         transactions in tid order.
         """
         if self._index is None:
-            small = self._num_items <= 1 << 16
-            keys = self._items.astype(np.uint16) if small else self._items
-            order = np.argsort(keys, kind="stable")
+            order = np.argsort(self._items, kind="stable")
             tids = np.repeat(
                 np.arange(self.num_transactions, dtype=np.int64),
                 np.diff(self._offsets),
@@ -327,6 +324,22 @@ class TransactionDatabase:
             self._num_items,
             item_labels=self._item_labels,
         )
+
+    def moved_to(self, items: np.ndarray) -> "TransactionDatabase":
+        """This database over ``items``, an equal array held elsewhere.
+
+        Offsets, vocabulary, labels and whatever is already derived
+        (tid-list index, item supports) carry over; only the buffer
+        behind the items changes.  A holder of views into a buffer that
+        :meth:`extended` copied moves them onto the copy with this, so
+        the old buffer can be freed.
+        """
+        moved = TransactionDatabase.from_csr(
+            self._offsets, items, self._num_items,
+            index=self._index, item_labels=self._item_labels,
+        )
+        moved._item_support_cache = self._item_support_cache
+        return moved
 
     def __repr__(self) -> str:
         return (

@@ -105,6 +105,14 @@ class CachedBackend(CountingBackend):
         return self._inner.database
 
     @property
+    def num_transactions(self) -> int:
+        return self._inner.num_transactions
+
+    @property
+    def num_items(self) -> int:
+        return self._inner.num_items
+
+    @property
     def snapshot_version(self) -> int:
         """How many times this cache has been advanced by an append."""
         return self._snapshot_version

@@ -430,8 +430,8 @@ class MmapShardStore:
         """Spill a chunk stream into a fresh store, chunk by chunk.
 
         ``chunks`` yields :class:`~repro.datasets.chunked
-        .TransactionChunk` objects (or anything with ``.rows``); peak
-        memory during the build is one segment's rows plus one chunk.
+        .TransactionChunk` objects; peak memory during the build is one
+        segment's rows plus one chunk.
         """
         store = cls.create(
             directory,
@@ -440,7 +440,7 @@ class MmapShardStore:
             memory_budget_bytes=memory_budget_bytes,
         )
         for chunk in chunks:
-            store.append_rows(chunk.rows)
+            store.append(chunk.database(num_items))
         store.flush()
         return store
 
@@ -555,17 +555,6 @@ class MmapShardStore:
         return self._budget
 
     # -- writing --------------------------------------------------------
-    def append_rows(self, rows: Sequence[np.ndarray]) -> None:
-        """Buffer rows; publish full segments as they fill up.
-
-        Items must be sorted unique int64 — the chunked loaders
-        guarantee this, and the segment writer trusts it exactly like
-        ``from_sorted_rows`` does.
-        """
-        self.append(
-            TransactionDatabase.from_sorted_rows(rows, self._num_items)
-        )
-
     def append(self, database: TransactionDatabase) -> None:
         """Buffer ``database``'s transactions; publish full segments.
 

@@ -198,7 +198,7 @@ class PrivBasisSession:
             delta = transactions
         else:
             delta = TransactionDatabase(
-                transactions, num_items=self.database.num_items
+                transactions, num_items=self._backend.num_items
             )
         if delta.num_transactions == 0:
             raise ValidationError(
@@ -269,7 +269,7 @@ class PrivBasisSession:
         if delta is not None:
             if not isinstance(delta, TransactionDatabase):
                 delta = TransactionDatabase(
-                    delta, num_items=self.database.num_items
+                    delta, num_items=self._backend.num_items
                 )
             if delta.num_transactions:
                 self._backend.extend(delta)
@@ -318,7 +318,7 @@ class PrivBasisSession:
             "epsilon_spent": self._epsilon_spent,
             "epsilon_limit": self._epsilon_limit,
             "snapshot_version": self._snapshot_version,
-            "num_transactions": self.database.num_transactions,
+            "num_transactions": self._backend.num_transactions,
             "cache": self._backend.cache_info(),
         }
         pools_built = getattr(inner, "pools_built", None)

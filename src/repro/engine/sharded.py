@@ -48,8 +48,8 @@ through the store's budget-bounded LRU cache in thread mode, or
 attached by path in worker processes — which needs no ``/dev/shm`` at
 all.  Counts are bit-identical to the in-memory plane (same kernels,
 same additive merges, exact integers); only residency changes.  The
-full :attr:`database` is materialized lazily as mapped views and only
-if something asks for it.
+full :attr:`database` is copied into RAM only if something asks for
+it.
 """
 
 from __future__ import annotations
@@ -207,8 +207,10 @@ class ShardedBackend(CountingBackend):
 
     @property
     def database(self) -> TransactionDatabase:
-        """The full database (lazy memmap-view assembly on the mmap
-        plane — avoid on hot paths; queries never need it)."""
+        """The full database.  On the mmap plane it is copied out of
+        the segments into RAM on first use and then kept — avoid it on
+        hot paths; queries never need it, and :attr:`num_items` /
+        :attr:`num_transactions` answer without it."""
         if self._database is None:
             self._database = self._store.database()
         return self._database
@@ -273,7 +275,8 @@ class ShardedBackend(CountingBackend):
         segments — stay valid); the last, partially filled shard is
         extended with the new rows (≤ one shard's worth of work, its
         tid-list index merged rather than rebuilt), and any remaining
-        delta rows form new tail shards, as slices of ``delta``.  In
+        delta rows form new tail shards.  Every shard then views the
+        extended database's arrays, so the rows are held once.  In
         process mode only the rebuilt tail's segment is republished
         and only the new tails are published; the cached item-support
         vector is advanced by adding ``delta``'s supports.
@@ -296,6 +299,15 @@ class ShardedBackend(CountingBackend):
                 self._shards.append(
                     delta.slice(begin, begin + self._shard_size)
                 )
+            # Move every shard onto the extended arrays, warm indexes
+            # and all: the old database's and delta's arrays can then
+            # be freed, so the rows are held once, not twice.
+            self._shards = [
+                shard.moved_to(extended.items[base: base + shard.total_size])
+                for shard, base in zip(
+                    self._shards, extended.offsets[:: self._shard_size]
+                )
+            ]
             if self._segments is not None:
                 # Republish only the changed tail: unlink the rebuilt
                 # shard's old segment, publish it and the new shards
@@ -333,8 +345,9 @@ class ShardedBackend(CountingBackend):
             self._item_supports = (
                 self._item_supports + delta.item_supports()
             )
-        if self._database is not None:
-            self._database = self._database.extended(delta)
+        # A materialized full database is stale now; it is copied out
+        # of the segments again only if something asks for it.
+        self._database = None
 
     # -- shard plumbing -------------------------------------------------
     def _ensure_shards(self) -> List[TransactionDatabase]:

@@ -772,14 +772,14 @@ class PrivBasisService:
 
                     delta = TransactionDatabase(
                         transactions,
-                        num_items=session.database.num_items,
+                        num_items=session.backend.num_items,
                     )
                     log_store.record_append(
                         session.snapshot_version + 1, transactions
                     )
                     version = session.ingest(delta)
                     log_store.sync()
-                return version, session.database.num_transactions
+                return version, session.backend.num_transactions
 
             version, total = await self._run_locked(
                 tenant.dataset, append
@@ -819,8 +819,8 @@ class PrivBasisService:
                 "tenant": tenant.tenant_id,
                 "dataset": tenant.dataset,
                 "snapshot_version": session.snapshot_version,
-                "num_transactions": session.database.num_transactions,
-                "num_items": session.database.num_items,
+                "num_transactions": session.backend.num_transactions,
+                "num_items": session.backend.num_items,
                 "num_releases": session.num_releases,
             }
 

@@ -147,3 +147,10 @@ def test_arrays_are_shared_and_read_only():
     assert np.shares_memory(database.offsets, offsets)
     assert not database.items.flags.writeable
     assert not database.tidlist(0).flags.writeable
+
+
+def test_index_over_a_vocabulary_wider_than_16_bits():
+    rows = [(3, 65_535, 69_999), (), (65_536,), (3, 69_999)]
+    database = TransactionDatabase(rows, num_items=70_000)
+    for item in (0, 3, 65_535, 65_536, 65_537, 69_999):
+        assert database.tidlist(item).tolist() == naive_tidlist(rows, item)

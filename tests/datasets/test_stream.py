@@ -90,11 +90,19 @@ class TestSnapshotSemantics:
             )
         assert warm.support([0, 3]) == cold.support([0, 3])
 
-    def test_evicted_historical_snapshot_is_rebuilt_on_demand(self):
-        log = TransactionLog(12, random_rows(10, 3))
-        for seed in range(20):  # push version 0 out of the cache
+    def test_historical_snapshots_are_views_of_the_head(self):
+        rows = random_rows(10, 3)
+        log = TransactionLog(12, rows)
+        for seed in range(20):
             log.append(random_rows(100 + seed, 2))
-        assert log.snapshot(0).num_transactions == 3
+        old = log.snapshot(0).database
+        assert list(old) == [tuple(row) for row in rows]
+        # One copy of the rows, however many versions are read.
+        head = log.snapshot().database
+        for version in range(log.version):
+            assert np.shares_memory(
+                log.snapshot(version).database.items, head.items
+            )
 
     def test_delta_returns_exactly_the_appended_window(self):
         log = TransactionLog(12, random_rows(11, 4))

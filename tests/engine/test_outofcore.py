@@ -391,3 +391,21 @@ def test_resident_bytes_are_the_mapped_files(tmp_path):
         assert backend.data_plane_stats()["resident_shard_bytes"] == (
             sum(sizes)
         )
+
+
+def test_session_shape_reads_never_copy_the_store(tmp_path, monkeypatch):
+    """Ingest and stats read N and |I| off the store, not a RAM copy."""
+    backend, database, _ = spilled_backend(tmp_path, 25)
+
+    def forbidden(_store):
+        raise AssertionError("the store was copied into RAM")
+
+    monkeypatch.setattr(MmapShardStore, "database", forbidden)
+    session = PrivBasisSession(backend)
+    delta_rows, _ = random_rows(26, num_transactions=9)
+    assert session.ingest([row.tolist() for row in delta_rows]) == 1
+    total = database.num_transactions + 9
+    assert session.stats()["num_transactions"] == total
+    assert session.backend.num_transactions == total
+    assert session.backend.num_items == database.num_items
+    session.close()

@@ -20,6 +20,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.datasets.transactions import TransactionDatabase
 from repro.engine import BitmapBackend, ShardedBackend
 from repro.engine import mmap as mmap_plane
 from repro.engine.mmap import MmapShardStore
@@ -45,7 +46,7 @@ def build_store(directory, seed=0, rows_per_segment=10,
         directory, num_items=num_items,
         rows_per_segment=rows_per_segment,
     )
-    store.append_rows(rows)
+    store.append(TransactionDatabase.from_sorted_rows(rows, num_items))
     store.flush()
     return store, rows
 
@@ -74,7 +75,7 @@ class TestNoSpace:
         monkeypatch.setattr(mmap_plane.os, "fsync", full_disk)
         extra = random_rows(99, count=25)
         with pytest.raises(StateStoreError) as excinfo:
-            store.append_rows(extra)
+            store.append(TransactionDatabase.from_sorted_rows(extra, 12))
         assert "ENOSPC" in str(excinfo.value)
 
         # The failed publish left no torn segment and no orphan temp

@@ -144,6 +144,22 @@ class TestAppendEquivalence:
             )
 
 
+def assert_all_shards_match(backend) -> None:
+    """Each shard equals its window of the backend's full database."""
+    database = backend.database
+    start = 0
+    for shard in backend._ensure_shards():
+        window = database.slice(start, start + shard.num_transactions)
+        np.testing.assert_array_equal(shard.offsets, window.offsets)
+        np.testing.assert_array_equal(shard.items, window.items)
+        for item in range(database.num_items):
+            np.testing.assert_array_equal(
+                shard.tidlist(item), window.tidlist(item)
+            )
+        start += shard.num_transactions
+    assert start == database.num_transactions
+
+
 class TestExtendMechanics:
     def test_sharded_tail_shard_grows_before_new_shards(self):
         base = random_database(1, 20)
@@ -156,6 +172,23 @@ class TestExtendMechanics:
         # 14→16 fills the tail, then 38 remaining rows → 3 new shards.
         assert backend.num_shards == 5
         assert backend.num_transactions == 70
+
+    def test_sharded_extend_holds_the_rows_once(self):
+        backend = ShardedBackend(random_database(1, 20), shard_size=8)
+        warm_up(backend)
+        first = backend._ensure_shards()[0]
+        backend.extend(random_database(2, 13))
+        # Every shard views the extended database's items: neither the
+        # old database's arrays nor delta's stay alive behind a shard.
+        items = backend.database.items
+        shards = backend._ensure_shards()
+        assert len(shards) == 5
+        for shard in shards:
+            if shard.total_size:  # an empty view shares no bytes
+                assert np.shares_memory(shard.items, items)
+        # The untouched full shard kept its warm index.
+        assert np.shares_memory(shards[0].index[1], first.index[1])
+        assert_all_shards_match(backend)
 
     def test_bitmap_pools_are_extended_not_rebuilt(self):
         base = random_database(4, 37)
