@@ -5,8 +5,8 @@ vocabulary ``I = {0, …, num_items − 1}`` (paper Section 2.2).  Items are
 small integers internally; an optional ``item_labels`` sequence maps
 them back to external names (e.g. FIMI item ids or AOL keywords).
 
-Storage is one CSR layout, the same in RAM, in shared memory and in
-memory-mapped shard segments:
+Storage is one CSR layout, the same in RAM and in memory-mapped shard
+segments:
 
 * **rows** — ``offsets`` (``N + 1`` int64) and ``items`` (int64), so
   transaction ``i`` is ``items[offsets[i]:offsets[i + 1]]``;

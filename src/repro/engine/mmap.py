@@ -42,11 +42,9 @@ that are zero-copy views into the mapping, kept in an LRU cache
 sized from ``memory_budget_bytes`` — evicting an entry drops the
 mapping, and with it the resident pages.
 
-Process-mode workers attach segments by *path* via
-:func:`attach_file_segment` — unlike the shared-memory plane this
-needs no ``/dev/shm``, just a common filesystem, which cluster
-workers already require for the shared ledger.  Both planes carve
-their buffer into a database with the same :func:`attach_words`.
+A segment is attached by *path* via :func:`attach_file_segment`,
+which maps the file and carves it into a database of views with
+:func:`attach_words`.
 """
 
 from __future__ import annotations
@@ -127,8 +125,7 @@ def segment_arrays(database: TransactionDatabase) -> Tuple[np.ndarray, ...]:
 def attach_words(
     words: np.ndarray, num_rows: int, total_size: int, num_items: int
 ) -> TransactionDatabase:
-    """A segment payload's int64 words as a database of views — the
-    one attach path of the shared-memory and mmap planes.
+    """A segment payload's int64 words as a database of views.
 
     Raises :class:`~repro.errors.ValidationError` when the words do
     not have the declared shape.
@@ -148,18 +145,12 @@ def attach_words(
 
 @dataclass(frozen=True)
 class FileSegmentSpec:
-    """Picklable handle for one on-disk segment.
+    """Handle for one on-disk segment: its path and shape.
 
-    The process plane ships this (not the data) per query, exactly as
-    :class:`~repro.engine.shm.ShardSegmentSpec` does for shared
-    memory.  ``name`` doubles as the worker-side attachment cache key,
-    so it is the **full path** (unique across datasets sharing one
-    worker pool) and the file name embeds the segment's generation
-    counter — a rebuilt tail gets a fresh name and stale worker caches
-    can never serve old rows.
+    The file name embeds the segment's generation counter, so a
+    rebuilt tail gets a fresh path and never aliases the old rows.
     """
 
-    name: str
     path: str
     num_rows: int
     total_size: int
@@ -216,7 +207,6 @@ def write_segment(
             f"cannot spill shard segment {path.name}: {reason}: {exc}"
         ) from exc
     return FileSegmentSpec(
-        name=str(path),
         path=str(path),
         num_rows=database.num_transactions,
         total_size=database.total_size,
@@ -290,7 +280,7 @@ def attach_file_segment(
     tid-list index) are views into the mapping, which stays mapped for
     as long as either is referenced — dropping both unmaps the file
     and gives the pages back.  Validates the header/size first, then
-    the offsets' end points — workers never count over a torn file.
+    the offsets' end points — nothing counts over a torn file.
     """
     problem = verify_segment(spec)
     if problem is None:
@@ -330,8 +320,8 @@ class MmapShardStore:
     by chunk), reopen read-only with :meth:`open` — the restart path,
     which verifies every segment and raises
     :class:`~repro.errors.TornSegmentError` for damage.  Thread-safe:
-    the shard cache takes a lock, so threads-mode workers can pull
-    shard databases concurrently.
+    the shard cache takes a lock, so the sharded backend's pool
+    threads can pull shard databases concurrently.
 
     Layout under ``directory`` (conventionally
     ``<state-dir>/shards/<dataset>/…``)::
@@ -342,8 +332,7 @@ class MmapShardStore:
         ...
 
     A segment file's name embeds its generation; tail rewrites (from
-    ``extend``) bump it, so readers — including process-plane workers
-    with per-name attachment caches — can never confuse old and new
+    ``extend``) bump it, so readers can never confuse old and new
     contents.
     """
 
@@ -483,7 +472,6 @@ class MmapShardStore:
         for entry in manifest.get("segments", []):
             specs.append(
                 FileSegmentSpec(
-                    name=str(directory / str(entry["file"])),
                     path=str(directory / str(entry["file"])),
                     num_rows=int(entry["num_rows"]),
                     total_size=int(entry["total_size"]),
@@ -596,9 +584,8 @@ class MmapShardStore:
             self._pending = self._pending.slice(size, pending)
             pending = self._pending.num_transactions
 
-    def extend(self, delta: TransactionDatabase) -> int:
-        """Append ``delta`` to the spilled data; returns the index of
-        the first changed segment.
+    def extend(self, delta: TransactionDatabase) -> None:
+        """Append ``delta`` to the spilled data.
 
         A partial tail segment is rewritten (attached, extended with
         its index merged, republished under a bumped generation —
@@ -609,17 +596,15 @@ class MmapShardStore:
         """
         self._ensure_open()
         if not delta.num_transactions:
-            return max(len(self._specs) - 1, 0)
-        first_changed = len(self._specs)
+            return
         stale_tail: Optional[Path] = None
         if (
             self._specs
             and self._specs[-1].num_rows < self._rows_per_segment
         ):
-            first_changed = len(self._specs) - 1
             take = self._rows_per_segment - self._specs[-1].num_rows
             _, tail = attach_file_segment(self._specs[-1])
-            self._drop_cached(first_changed)
+            self._drop_cached(len(self._specs) - 1)
             old_spec = self._specs.pop()
             generation = self._generations.pop() + 1
             self._publish(
@@ -634,7 +619,6 @@ class MmapShardStore:
         # manifest decides which one is live.
         if stale_tail is not None:
             stale_tail.unlink(missing_ok=True)
-        return min(first_changed, len(self._specs) - 1)
 
     def rebuild_segment(
         self, index: int, rows: Sequence[np.ndarray]

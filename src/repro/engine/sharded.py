@@ -4,8 +4,8 @@
 fixed-size contiguous shards, materializes each shard as its own
 :class:`~repro.datasets.transactions.TransactionDatabase` (sharing the
 row arrays — no transaction data is copied), and answers every
-counting primitive by running the ordinary kernels per shard in a
-worker pool and merging:
+counting primitive by running a per-shard kernel (the ``shard_*``
+functions below) on a thread pool and merging in the caller:
 
 * item-support vectors and bin histograms add elementwise (the bins of
   a basis partition each shard exactly as they partition ``D``);
@@ -16,40 +16,22 @@ merged answers equal the single-scan answers exactly — the
 equivalence test-suite pins this against both
 :class:`~repro.engine.bitmap.BitmapBackend` and the naive oracle.
 
-Two execution modes share those merge rules and, deliberately, the
-same per-shard kernels (:mod:`repro.engine.parallel`):
-
-* ``mode="threads"`` — a thread pool.  The numpy kernels release the
-  GIL in their hot loops and shard databases live in process memory,
-  so dispatch is free; but the Python-level per-shard work (bitmap
-  row packing, dict merges) serializes on the GIL, which caps the
-  speedup well below the core count.
-* ``mode="processes"`` — a persistent spawn-safe worker pool over
-  **shared-memory shard segments** (:mod:`repro.engine.shm`).  Each
-  shard's CSR arrays (rows and tid-list index) are published once into a
-  ``multiprocessing.shared_memory`` block; workers attach zero-copy
-  and queries ship as small descriptors (item ids, a basis, a batch of
-  itemsets) — never pickled databases.  Every core runs a full
-  interpreter, so the GIL ceiling is gone.  ``extend(delta)``
-  republishes only the tail shard segment; full shards (and their
-  segments) are never touched.  When shared memory is unavailable the
-  backend falls back to thread mode instead of failing
-  (:attr:`ShardedBackend.effective_mode` tells which one ran).
-
-Per-query working memory is one shard's scratch per worker instead of
-one full-database scratch, in both modes, which is what makes long
-bases feasible on large ``N``.
+The numpy kernels release the GIL in their hot loops and the shard
+databases live in process memory, so dispatch is free; the
+Python-level per-shard work (bitmap row packing, dict merges)
+serializes on the GIL, which caps the speedup below the core count.
+Per-query working memory is one shard's scratch per pool thread
+instead of one full-database scratch, which is what makes long bases
+feasible on large ``N``.
 
 **Out-of-core (mmap) plane.**  Instead of an in-memory database, the
 backend can be built over a :class:`~repro.engine.mmap.MmapShardStore`
 (``ShardedBackend.from_store`` or the ``store=`` kwarg): shards then
 live in memory-mapped segment files under the state dir, fetched
-through the store's budget-bounded LRU cache in thread mode, or
-attached by path in worker processes — which needs no ``/dev/shm`` at
-all.  Counts are bit-identical to the in-memory plane (same kernels,
-same additive merges, exact integers); only residency changes.  The
-full :attr:`database` is copied into RAM only if something asks for
-it.
+through the store's budget-bounded LRU cache.  Counts are
+bit-identical to the in-memory plane (same kernels, same additive
+merges, exact integers); only residency changes.  The full
+:attr:`database` is copied into RAM only if something asks for it.
 """
 
 from __future__ import annotations
@@ -74,41 +56,68 @@ from repro.datasets.transactions import (
     TransactionDatabase,
     canonical_itemset,
 )
-from repro.engine import parallel, shm
 from repro.engine.backend import CountingBackend
-from repro.errors import ValidationError, WorkerPoolError
+from repro.errors import ValidationError
+from repro.fim.counting import ItemBitmaps, bin_counts_for_items
 
 if TYPE_CHECKING:  # pragma: no cover - import for annotations only
     from repro.engine.mmap import MmapShardStore
 
-__all__ = ["ShardedBackend", "DEFAULT_SHARD_SIZE", "EXECUTION_MODES"]
+__all__ = ["ShardedBackend", "DEFAULT_SHARD_SIZE"]
 
 #: Default transactions per shard — large enough that the per-shard
-#: numpy kernels amortize Python dispatch, small enough that a worker's
-#: scratch stays in cache-friendly territory.
+#: numpy kernels amortize Python dispatch, small enough that a pool
+#: thread's scratch stays in cache-friendly territory.
 DEFAULT_SHARD_SIZE = 65_536
-
-#: Execution modes of :class:`ShardedBackend`.
-EXECUTION_MODES = ("threads", "processes")
 
 _T = TypeVar("_T")
 
 
-class _FileSegment:
-    """Process-plane handle for one on-disk segment (mmap plane).
+# ----------------------------------------------------------------------
+# Per-shard kernels
+# ----------------------------------------------------------------------
+def shard_item_supports(shard: TransactionDatabase) -> np.ndarray:
+    """Single-item supports of one shard."""
+    return shard.item_supports()
 
-    Mirrors the tiny :class:`~repro.engine.shm.ShardSegment` surface
-    (``.spec`` / ``.unlink()``) so dispatch and close stay
-    mode-agnostic.  ``unlink`` is a no-op: segment files are durable
-    store state, owned by the :class:`~repro.engine.mmap
-    .MmapShardStore`, not per-backend OS resources.
+
+def shard_pairwise_supports(
+    shard: TransactionDatabase, pool: Sequence[int]
+) -> Dict[Tuple[int, int], int]:
+    """All pairwise supports over ``pool`` within one shard."""
+    return ItemBitmaps(shard, pool).pairwise_supports()
+
+
+def shard_conjunction_batch(
+    shard: TransactionDatabase, itemsets: Sequence[Sequence[int]]
+) -> List[int]:
+    """Support of every itemset in ``itemsets`` within one shard."""
+    return [shard.support(itemset) for itemset in itemsets]
+
+
+def shard_bin_counts_batch(
+    shard: TransactionDatabase, bases: Sequence[Sequence[int]]
+) -> List[np.ndarray]:
+    """Bin histogram of every basis in ``bases`` within one shard."""
+    return [bin_counts_for_items(shard, basis) for basis in bases]
+
+
+def shard_extension_supports(
+    shard: TransactionDatabase,
+    base: Sequence[int],
+    candidates: Sequence[int],
+) -> np.ndarray:
+    """Supports of ``base ∧ {c}`` for every candidate, one shard.
+
+    One vectorized AND+popcount sweep over a bitmap pool covering the
+    base and the candidates — the same kernel the exact top-k miner
+    uses per heap pop.
     """
-
-    def __init__(self, spec) -> None:
-        self.spec = spec
-
-    def unlink(self) -> None:
-        return None
+    pool = sorted({int(item) for item in base}
+                  | {int(item) for item in candidates})
+    bitmaps = ItemBitmaps(shard, pool)
+    base_row = bitmaps.conjunction_row(sorted({int(i) for i in base}))
+    return bitmaps.extension_supports(base_row, candidates)
 
 
 class ShardedBackend(CountingBackend):
@@ -121,22 +130,11 @@ class ShardedBackend(CountingBackend):
     shard_size:
         Transactions per shard (the last shard may be smaller).
     max_workers:
-        Pool width; defaults to ``min(num_shards, cpu_count)``.
+        Thread-pool width; defaults to ``min(num_shards, cpu_count)``.
         ``1`` degenerates to a sequential scan (useful for debugging).
-    mode:
-        ``"threads"`` (default) or ``"processes"`` — see the module
-        docstring.  Process mode silently falls back to threads when
-        shared memory is unavailable on the platform.
-    start_method:
-        Process-mode start method; default ``"spawn"`` (safe under a
-        threaded service).  ``"fork"``/``"forkserver"`` are accepted
-        where the OS provides them and start workers faster.
-
-    Process mode owns OS resources (worker processes, shared-memory
-    blocks): call :meth:`close` — or use the backend as a context
-    manager — when done.  A worker crash raises a clean
-    :class:`~repro.errors.WorkerPoolError` for that query and discards
-    the pool; the next query builds a fresh one.
+    store:
+        A spilled :class:`~repro.engine.mmap.MmapShardStore` to count
+        over instead of ``database`` (see :meth:`from_store`).
     """
 
     def __init__(
@@ -144,8 +142,6 @@ class ShardedBackend(CountingBackend):
         database: Optional[TransactionDatabase] = None,
         shard_size: int = DEFAULT_SHARD_SIZE,
         max_workers: Optional[int] = None,
-        mode: str = "threads",
-        start_method: Optional[str] = None,
         store: Optional["MmapShardStore"] = None,
     ) -> None:
         if shard_size < 1:
@@ -155,10 +151,6 @@ class ShardedBackend(CountingBackend):
         if max_workers is not None and max_workers < 1:
             raise ValidationError(
                 f"max_workers must be >= 1, got {max_workers}"
-            )
-        if mode not in EXECUTION_MODES:
-            raise ValidationError(
-                f"mode must be one of {EXECUTION_MODES}, got {mode!r}"
             )
         if database is None and store is None:
             raise ValidationError(
@@ -173,37 +165,22 @@ class ShardedBackend(CountingBackend):
             else int(shard_size)
         )
         self._max_workers = max_workers
-        self._mode = mode
-        self._start_method = start_method
         self._shards: Optional[List[TransactionDatabase]] = None
         self._item_supports: Optional[np.ndarray] = None
-        # Process-plane state (None until first process-mode query).
-        self._segments: Optional[List] = None
-        self._pool: Optional[parallel.WorkerPool] = None
-        self._shm_unavailable = False
-        self._closed = False
 
     @classmethod
     def from_store(
         cls,
         store: "MmapShardStore",
         max_workers: Optional[int] = None,
-        mode: str = "threads",
-        start_method: Optional[str] = None,
     ) -> "ShardedBackend":
         """A backend over a spilled shard store (the mmap data plane).
 
         The store's segments *are* the shards; queries open them
-        through its budget-bounded cache (threads) or by path in
-        worker processes.  ``close()`` closes the store too — mapped
-        segments are this backend's OS resources.
+        through its budget-bounded cache.  ``close()`` closes the store
+        too — mapped segments are this backend's OS resources.
         """
-        return cls(
-            max_workers=max_workers,
-            mode=mode,
-            start_method=start_method,
-            store=store,
-        )
+        return cls(max_workers=max_workers, store=store)
 
     @property
     def database(self) -> TransactionDatabase:
@@ -244,42 +221,27 @@ class ShardedBackend(CountingBackend):
         return "mmap" if self._store is not None else "memory"
 
     def data_plane_stats(self) -> Dict[str, object]:
-        """Residency telemetry for ``/healthz`` (mode + store stats)."""
+        """Residency telemetry for ``/healthz`` (plane + store stats)."""
         stats: Dict[str, object] = {
             "plane": self.data_plane,
-            "mode": self.effective_mode,
             "shards": self.num_shards,
         }
         if self._store is not None:
             stats.update(self._store.stats())
         return stats
 
-    @property
-    def mode(self) -> str:
-        """The requested execution mode."""
-        return self._mode
-
-    @property
-    def effective_mode(self) -> str:
-        """The mode queries actually run in (fallback-aware)."""
-        if self._mode == "processes" and not self._shm_unavailable:
-            return "processes"
-        return "threads"
-
     # -- streaming ingestion --------------------------------------------
     def extend(self, delta: TransactionDatabase) -> None:
         """Append ``delta`` by growing the tail shard, not resharding.
 
         Existing full shards are untouched (their warm per-shard
-        indexes — and, in process mode, their published shared-memory
-        segments — stay valid); the last, partially filled shard is
+        indexes stay valid); the last, partially filled shard is
         extended with the new rows (≤ one shard's worth of work, its
         tid-list index merged rather than rebuilt), and any remaining
         delta rows form new tail shards.  Every shard then views the
-        extended database's arrays, so the rows are held once.  In
-        process mode only the rebuilt tail's segment is republished
-        and only the new tails are published; the cached item-support
-        vector is advanced by adding ``delta``'s supports.
+        extended database's arrays, so the rows are held once.  The
+        cached item-support vector is advanced by adding ``delta``'s
+        supports.
         """
         self._validate_delta(delta)
         if self._store is not None:
@@ -287,12 +249,10 @@ class ShardedBackend(CountingBackend):
             return
         extended = self._database.extended(delta)
         if self._shards is not None and delta.num_transactions:
-            first_changed = len(self._shards)
             count = delta.num_transactions
             start = 0
             last = self._shards[-1]
             if last.num_transactions < self._shard_size:
-                first_changed -= 1
                 start = min(self._shard_size - last.num_transactions, count)
                 self._shards[-1] = last.extended(delta.slice(0, start))
             for begin in range(start, count, self._shard_size):
@@ -308,15 +268,6 @@ class ShardedBackend(CountingBackend):
                     self._shards, extended.offsets[:: self._shard_size]
                 )
             ]
-            if self._segments is not None:
-                # Republish only the changed tail: unlink the rebuilt
-                # shard's old segment, publish it and the new shards
-                # under fresh names (workers attach lazily by name, so
-                # nothing needs to be told about the swap).
-                shm.unlink_all(self._segments[first_changed:])
-                self._segments[first_changed:] = shm.publish_all(
-                    self._shards[first_changed:]
-                )
         if self._item_supports is not None:
             self._item_supports = (
                 self._item_supports + delta.item_supports()
@@ -327,20 +278,11 @@ class ShardedBackend(CountingBackend):
         """Mmap-plane extend: append to the spilled segments.
 
         The store rewrites only its partial tail segment (atomically,
-        under a bumped generation) and adds new segments for the rest;
-        here we refresh the process plane's segment list from that
-        first changed index on — workers cache attachments by file
-        name, and the new generation's names are fresh, so stale
-        mappings can never answer.
+        under a bumped generation) and adds new segments for the rest.
         """
         if not delta.num_transactions:
             return
-        first_changed = self._store.extend(delta)
-        if self._segments is not None:
-            self._segments[first_changed:] = [
-                _FileSegment(spec)
-                for spec in self._store.segment_specs[first_changed:]
-            ]
+        self._store.extend(delta)
         if self._item_supports is not None:
             self._item_supports = (
                 self._item_supports + delta.item_supports()
@@ -371,7 +313,7 @@ class ShardedBackend(CountingBackend):
     def _map_shards(
         self, task: Callable[[TransactionDatabase], _T]
     ) -> List[_T]:
-        """Thread-mode fan-out: ``task`` on every shard, merged later.
+        """Fan-out: ``task`` on every shard, merged later.
 
         On the mmap plane shards are fetched per task through the
         store's LRU cache instead of being held in a list, so the
@@ -399,70 +341,16 @@ class ShardedBackend(CountingBackend):
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(task, shards))
 
-    # -- the process plane ----------------------------------------------
-    def _ensure_process_plane(self) -> bool:
-        """Publish segments + start the pool; False → use threads.
-
-        On the mmap plane the "segments" are the store's files — no
-        shared-memory probe, no publication copy: workers attach by
-        path.  An empty store has nothing to fan out, so it answers in
-        thread mode (one empty shard).
-        """
-        if (
-            self._mode != "processes"
-            or self._shm_unavailable
-            or self._closed
-        ):
-            return False
-        if self._store is not None:
-            if self._store.num_segments == 0:
-                return False
-            if self._segments is None:
-                self._segments = [
-                    _FileSegment(spec)
-                    for spec in self._store.segment_specs
-                ]
-        elif self._segments is None:
-            if not shm.shared_memory_available():
-                self._shm_unavailable = True
-                return False
-            self._segments = shm.publish_all(self._ensure_shards())
-        if self._pool is None or self._pool.broken:
-            self._pool = parallel.WorkerPool(
-                self._workers_for(len(self._segments)),
-                start_method=self._start_method,
-            )
-        return True
-
-    def _dispatch(self, kind: str, payload: Tuple) -> List:
-        """Ship ``(kind, payload)`` to every shard's worker and collect.
-
-        One descriptor per shard; the worker attaches the shard's
-        shared segment (cached across queries) and runs the *same*
-        kernel thread mode would.  On a worker crash the broken pool
-        is discarded so the next query starts fresh, and the clean
-        :class:`WorkerPoolError` propagates to the caller.
-        """
-        tasks = [
-            (kind, segment.spec, payload) for segment in self._segments
-        ]
-        try:
-            return self._pool.map_tasks(tasks)
-        except WorkerPoolError:
-            self._pool = None
-            raise
-
-    def _map_kernel(self, kind: str, payload: Tuple) -> List:
-        """Run a named shard kernel in the effective mode."""
-        if self._ensure_process_plane():
-            return self._dispatch(kind, payload)
-        kernel = parallel.KERNELS[kind]
-        return self._map_shards(lambda shard: kernel(shard, *payload))
+    def _map_kernel(
+        self, kernel: Callable[..., _T], *args: object
+    ) -> List[_T]:
+        """Run a per-shard ``kernel(shard, *args)`` on every shard."""
+        return self._map_shards(lambda shard: kernel(shard, *args))
 
     # -- the four primitives --------------------------------------------
     def item_supports(self) -> np.ndarray:
         if self._item_supports is None:
-            parts = self._map_kernel("item_supports", ())
+            parts = self._map_kernel(shard_item_supports)
             self._item_supports = np.sum(parts, axis=0, dtype=np.int64)
         return self._item_supports.copy()
 
@@ -470,7 +358,7 @@ class ShardedBackend(CountingBackend):
         self, items: Sequence[int]
     ) -> Dict[Tuple[int, int], int]:
         pool = canonical_itemset(items)
-        parts = self._map_kernel("pairwise_supports", (pool,))
+        parts = self._map_kernel(shard_pairwise_supports, pool)
         merged: Dict[Tuple[int, int], int] = {}
         for part in parts:
             for pair, count in part.items():
@@ -487,12 +375,12 @@ class ShardedBackend(CountingBackend):
     def conjunction_supports(
         self, itemsets: Sequence[Iterable[int]]
     ) -> List[int]:
-        """One fan-out for the whole batch: each worker answers every
-        itemset over its shard, the parent sums per itemset."""
+        """One fan-out for the whole batch: each shard task answers
+        every itemset over its shard, the caller sums per itemset."""
         canonical = [canonical_itemset(itemset) for itemset in itemsets]
         if not canonical:
             return []
-        parts = self._map_kernel("conjunction_batch", (canonical,))
+        parts = self._map_kernel(shard_conjunction_batch, canonical)
         return [
             int(sum(part[index] for part in parts))
             for index in range(len(canonical))
@@ -507,7 +395,7 @@ class ShardedBackend(CountingBackend):
         ]
         if not bases:
             return []
-        parts = self._map_kernel("bin_counts_batch", (bases,))
+        parts = self._map_kernel(shard_bin_counts_batch, bases)
         return [
             np.sum(
                 [part[index] for part in parts], axis=0, dtype=np.int64
@@ -522,43 +410,25 @@ class ShardedBackend(CountingBackend):
         if not candidates:
             return np.zeros(0, dtype=np.int64)
         parts = self._map_kernel(
-            "extension_supports",
-            (tuple(int(item) for item in base), tuple(candidates)),
+            shard_extension_supports,
+            tuple(int(item) for item in base),
+            tuple(candidates),
         )
         return np.sum(parts, axis=0, dtype=np.int64)
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
-        """Stop the worker pool and release every segment.
+        """Close the spill store, if any (idempotent).
 
-        Idempotent.  Shared-memory segments are unlinked; on the mmap
-        plane the store's cached mappings are dropped and the store is
-        closed (its files stay on disk — reopen with
-        ``MmapShardStore.open``).  After close, only the in-memory
-        thread plane stays queryable — the process plane will not be
-        rebuilt.
+        On the mmap plane the store's cached mappings are dropped and
+        the store is closed (its files stay on disk — reopen with
+        ``MmapShardStore.open``).  An in-memory backend stays
+        queryable.
         """
-        self._closed = True
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-        if self._segments is not None:
-            shm.unlink_all(self._segments)
-            self._segments = None
         if self._store is not None:
             self._store.close()
 
-    def __del__(self) -> None:  # pragma: no cover - best-effort
-        try:
-            if self._pool is not None or self._segments is not None:
-                self.close()
-        except Exception:
-            pass
-
     def __repr__(self) -> str:
-        mode = (
-            f", mode={self._mode!r}" if self._mode != "threads" else ""
-        )
         source = (
             repr(self._store)
             if self._store is not None
@@ -567,5 +437,5 @@ class ShardedBackend(CountingBackend):
         return (
             f"ShardedBackend({source}, "
             f"shard_size={self._shard_size}, "
-            f"max_workers={self._max_workers}{mode})"
+            f"max_workers={self._max_workers})"
         )

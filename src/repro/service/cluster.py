@@ -56,7 +56,7 @@ WORKER_BOOT_TIMEOUT = 60.0
 #: Supervisor poll interval for dead / marked-down workers.
 MONITOR_INTERVAL = 0.25
 
-_PARALLEL_MODES = ("bitmap", "threads", "processes")
+_PARALLEL_MODES = ("bitmap", "threads")
 
 
 def resolve_loader_spec(spec: str):
@@ -116,8 +116,8 @@ class ClusterConfig:
         Per-worker admission bound on concurrent releases.
     parallel, shard_workers, shard_size:
         Per-worker counting plane, as for ``python -m repro.service``
-        (``"bitmap"`` default, or a sharded backend in ``"threads"`` /
-        ``"processes"`` mode).
+        (``"bitmap"`` default, or ``"threads"`` for a sharded backend
+        on a thread pool).
     data_plane, memory_budget_mb:
         ``"memory"`` (default) keeps worker datasets RAM-resident;
         ``"mmap"`` has each worker spill its datasets into
@@ -193,36 +193,11 @@ class ClusterConfig:
         }
 
 
-def _backend_factory_for(config: ClusterConfig):
-    """The worker-side ``database -> CountingBackend`` factory.
-
-    ``data_plane="mmap"`` returns ``None``: the worker's service
-    builds its own out-of-core sharded backend per dataset.
-    """
-    if config.parallel == "bitmap" or config.data_plane == "mmap":
-        return None
-    from repro.engine.sharded import DEFAULT_SHARD_SIZE, ShardedBackend
-
-    mode = config.parallel
-    shard_size = config.shard_size or DEFAULT_SHARD_SIZE
-    shard_workers = config.shard_workers
-
-    def factory(database):
-        return ShardedBackend(
-            database,
-            shard_size=shard_size,
-            max_workers=shard_workers,
-            mode=mode,
-        )
-
-    return factory
-
-
 async def _worker_serve(index: int, config: ClusterConfig, conn) -> None:
     """Build and run one worker service, reporting its port (or a
     startup error) through the pipe before settling into serving."""
     try:
-        from repro.service.app import PrivBasisService
+        from repro.service.app import PrivBasisService, backend_factory_for
         from repro.service.registry import TenantRegistry
 
         registry = TenantRegistry.from_mapping(config.tenants)
@@ -234,17 +209,13 @@ async def _worker_serve(index: int, config: ClusterConfig, conn) -> None:
         service = PrivBasisService(
             registry,
             dataset_loader=loader,
-            backend_factory=_backend_factory_for(config),
+            backend_factory=backend_factory_for(config),
             max_inflight=config.max_inflight,
             state_dir=config.state_dir,
             fsync=config.fsync,
             shared_state=True,
             data_plane=config.data_plane,
             memory_budget_mb=config.memory_budget_mb,
-            data_plane_mode=(
-                "processes" if config.parallel == "processes"
-                else "threads"
-            ),
             shard_size=config.shard_size,
             shard_workers=config.shard_workers,
             reuse=config.reuse,
@@ -344,9 +315,7 @@ class PrivBasisCluster:
             target=_worker_main,
             args=(index, self._config, child_conn),
             name=f"privbasis-worker-{index}",
-            # Workers in 'processes' counting mode spawn their own
-            # pool children, which daemonic processes may not do.
-            daemon=self._config.parallel != "processes",
+            daemon=True,
         )
         process.start()
         child_conn.close()

@@ -4,10 +4,10 @@ Every :class:`~repro.engine.backend.CountingBackend` must return
 *identical exact counts* — the DP mechanisms downstream are then
 backend-independent by construction.  These tests pin
 :class:`BitmapBackend` and :class:`ShardedBackend` (several shard
-sizes and worker counts, in both ``threads`` and ``processes``
-execution modes) against the pure-Python :class:`NaiveBackend` oracle
-on random small databases, plus the edge cases (empty transactions,
-empty pools, the empty itemset).
+sizes and thread-pool widths) against the pure-Python
+:class:`NaiveBackend` oracle on random small databases, plus the edge
+cases (empty transactions, empty pools, the empty itemset) and the
+batched primitives.
 """
 
 from __future__ import annotations
@@ -46,23 +46,13 @@ def random_database(
 
 
 def backends_under_test(database: TransactionDatabase):
-    """The oracle plus every production backend configuration.
-
-    The ``processes`` entry exercises the multi-core plane end to end
-    (shared-memory publication, descriptor dispatch, merge); on
-    platforms without shared memory it transparently answers in
-    thread mode, which keeps the equivalence property meaningful
-    everywhere.
-    """
+    """The oracle plus every production backend configuration."""
     return [
         NaiveBackend(database),
         BitmapBackend(database),
         ShardedBackend(database, shard_size=7, max_workers=1),
         ShardedBackend(database, shard_size=13, max_workers=3),
         ShardedBackend(database, shard_size=10_000),  # single shard
-        ShardedBackend(
-            database, shard_size=13, max_workers=2, mode="processes"
-        ),
         CachedBackend(BitmapBackend(database)),
     ]
 
@@ -228,3 +218,90 @@ class TestBinKernelGuard:
 
         assert core_constant == DEFAULT_MAX_BASIS_LENGTH == 12
         assert MAX_BIN_BASIS_LENGTH >= DEFAULT_MAX_BASIS_LENGTH
+
+
+class TestBatchedPrimitives:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_batched_primitives_match_scalar_loops(self, seed):
+        database = random_database(seed + 20, num_transactions=60,
+                                   num_items=16)
+        rng = np.random.default_rng(seed)
+        itemsets = [
+            tuple(
+                sorted(
+                    int(item)
+                    for item in rng.choice(16, size=size, replace=False)
+                )
+            )
+            for size in (1, 2, 3, 2, 1)
+        ] + [()]
+        bases = [
+            [int(item) for item in rng.choice(16, size=size,
+                                              replace=False)]
+            for size in (1, 3, 5)
+        ]
+        base = [int(item) for item in rng.choice(16, size=2,
+                                                 replace=False)]
+        candidates = [
+            int(item) for item in range(16) if item not in base
+        ]
+        oracle = NaiveBackend(database)
+        expected_conjunctions = [
+            oracle.conjunction_support(itemset) for itemset in itemsets
+        ]
+        expected_bins = [oracle.bin_counts(basis) for basis in bases]
+        expected_extensions = np.array(
+            [
+                oracle.conjunction_support(tuple(base) + (candidate,))
+                for candidate in candidates
+            ],
+            dtype=np.int64,
+        )
+        backends = [
+            oracle,
+            BitmapBackend(database),
+            ShardedBackend(database, shard_size=13, max_workers=2),
+            CachedBackend(BitmapBackend(database)),
+        ]
+        for backend in backends:
+            assert backend.conjunction_supports(itemsets) == (
+                expected_conjunctions
+            ), repr(backend)
+            for got, want in zip(
+                backend.bin_counts_batch(bases), expected_bins
+            ):
+                np.testing.assert_array_equal(
+                    got, want, err_msg=repr(backend)
+                )
+            np.testing.assert_array_equal(
+                backend.extension_supports(base, candidates),
+                expected_extensions,
+                err_msg=repr(backend),
+            )
+            np.testing.assert_array_equal(
+                backend.extension_supports(base, []),
+                np.zeros(0, dtype=np.int64),
+                err_msg=repr(backend),
+            )
+            backend.close()
+
+    def test_cached_batches_only_misses(self):
+        database = random_database(30, num_transactions=60,
+                                   num_items=16)
+        backend = CachedBackend(BitmapBackend(database))
+        bases = [[1, 2], [3, 4]]
+        first = backend.bin_counts_batch(bases)
+        info = backend.cache_info()["bin_counts"]
+        assert info == {"hits": 0, "misses": 2}
+        second = backend.bin_counts_batch(bases + [[1, 2]])
+        info = backend.cache_info()["bin_counts"]
+        assert info == {"hits": 3, "misses": 2}
+        for got, want in zip(second[:2], first):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(second[2], first[0])
+        # Conjunctions: repeats inside one batch count as hits, and the
+        # inner backend only ever sees each distinct key once.
+        supports = backend.conjunction_supports([(1,), (1,), (2, 3)])
+        assert supports[0] == supports[1]
+        info = backend.cache_info()["conjunction_support"]
+        assert info == {"hits": 1, "misses": 2}

@@ -7,9 +7,9 @@ noisy frequencies, ε ledger) — **bit-identically** to the RAM-resident
 :class:`BitmapBackend` and the pure-Python :class:`NaiveBackend`
 oracle.  Counts are exact integers and additive over any partition,
 so this holds by construction; the suite pins it against regressions
-across the chunk → spill → attach → merge path, in ``threads`` and
-``processes`` modes, after O(Δ) ``extend``, and across a full
-close/reopen restart of the shard store.
+across the chunk → spill → attach → merge path, after O(Δ)
+``extend``, and across a full close/reopen restart of the shard
+store.
 
 Randomization is seeded (no hypothesis dependency): each seed drives
 an independent database shape, chunk size, and segment size.
@@ -57,8 +57,7 @@ def write_fimi_gz(path, rows) -> None:
             handle.write(" ".join(str(int(i)) for i in row) + "\n")
 
 
-def spilled_backend(tmp_path, seed: int, *, mode: str = "threads",
-                    memory_budget_bytes=None):
+def spilled_backend(tmp_path, seed: int, *, memory_budget_bytes=None):
     """Disk file → chunked load → mmap spill → sharded backend.
 
     Returns ``(backend, database, directory)`` where ``database`` is
@@ -81,9 +80,7 @@ def spilled_backend(tmp_path, seed: int, *, mode: str = "threads",
         rows_per_segment=rows_per_segment,
         memory_budget_bytes=memory_budget_bytes,
     )
-    backend = ShardedBackend.from_store(
-        store, max_workers=2, mode=mode
-    )
+    backend = ShardedBackend.from_store(store, max_workers=2)
     database = load_chunked(source, num_items=num_items)
     return backend, database, directory
 
@@ -144,17 +141,6 @@ def test_spilled_counts_match_bitmap_and_naive(tmp_path, seed):
         )
         assert_backends_equivalent(
             backend, NaiveBackend(database), seed
-        )
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_spilled_counts_match_in_process_mode(tmp_path, seed):
-    backend, database, _ = spilled_backend(
-        tmp_path, seed, mode="processes"
-    )
-    with backend:
-        assert_backends_equivalent(
-            backend, BitmapBackend(database), seed
         )
 
 
@@ -296,6 +282,17 @@ def test_closed_backend_store_rejects_queries(tmp_path):
         store.shard_database(0)
 
 
+def test_session_close_closes_the_backend_store(tmp_path):
+    from repro.errors import StateStoreError
+
+    backend, _, _ = spilled_backend(tmp_path, 18)
+    with PrivBasisSession(backend) as session:
+        result = session.release(k=5, epsilon=1.0, rng=0)
+        assert len(result.itemsets) == 5
+    with pytest.raises(StateStoreError):
+        backend.store.shard_database(0)
+
+
 # ----------------------------------------------------------------------
 # Zero-copy attach: a segment is viewed, never unpacked
 # ----------------------------------------------------------------------
@@ -310,7 +307,7 @@ def _forbid_row_views(monkeypatch):
 
 
 def _assert_counts_from_views(attached, reference, mapping, monkeypatch):
-    from repro.engine import parallel
+    from repro.engine import sharded
 
     np.testing.assert_array_equal(attached.offsets, reference.offsets)
     np.testing.assert_array_equal(attached.items, reference.items)
@@ -323,14 +320,14 @@ def _assert_counts_from_views(attached, reference, mapping, monkeypatch):
             assert np.shares_memory(tids, mapping)
     bases = [(0, 1, 2), (3,), (1, 4, 5, 6)]
     pool = list(range(reference.num_items))
-    want_bins = parallel.shard_bin_counts_batch(reference, bases)
-    want_pairs = parallel.shard_pairwise_supports(reference, pool)
+    want_bins = sharded.shard_bin_counts_batch(reference, bases)
+    want_pairs = sharded.shard_pairwise_supports(reference, pool)
     _forbid_row_views(monkeypatch)
     for got, want in zip(
-        parallel.shard_bin_counts_batch(attached, bases), want_bins
+        sharded.shard_bin_counts_batch(attached, bases), want_bins
     ):
         np.testing.assert_array_equal(got, want)
-    assert parallel.shard_pairwise_supports(attached, pool) == want_pairs
+    assert sharded.shard_pairwise_supports(attached, pool) == want_pairs
 
 
 def test_file_segment_attaches_zero_copy(tmp_path, monkeypatch):
@@ -341,26 +338,6 @@ def test_file_segment_attaches_zero_copy(tmp_path, monkeypatch):
     spec = write_segment(tmp_path / "seg-000000-g0000.seg", reference)
     mapping, attached = attach_file_segment(spec)
     _assert_counts_from_views(attached, reference, mapping, monkeypatch)
-
-
-def test_shm_segment_attaches_zero_copy(monkeypatch):
-    from repro.engine import shm
-
-    if not shm.shared_memory_available():
-        pytest.skip("platform offers no shared memory")
-    rows, num_items = random_rows(22)
-    reference = TransactionDatabase(rows, num_items=num_items)
-    segment = shm.publish_shard(reference)
-    try:
-        block, attached = shm.attach_segment(segment.spec)
-        words = np.ndarray(
-            segment.spec.num_words, dtype=np.int64, buffer=block.buf
-        )
-        _assert_counts_from_views(attached, reference, words, monkeypatch)
-        del words, attached
-        block.close()
-    finally:
-        segment.unlink()
 
 
 def test_spilled_backend_never_builds_rows(tmp_path, monkeypatch):

@@ -48,20 +48,12 @@ BASE, DELTAS = 37, (11, 5)
 
 
 def incremental_backends(database: TransactionDatabase):
-    """Every production configuration that must track the oracle.
-
-    The ``processes`` entry pins the extend → tail-segment-republish
-    path of the multi-core plane (falling back to threads, and still
-    equivalent, where shared memory is unavailable).
-    """
+    """Every production configuration that must track the oracle."""
     return [
         NaiveBackend(database),
         BitmapBackend(database),
         ShardedBackend(database, shard_size=16, max_workers=1),
         ShardedBackend(database, shard_size=7, max_workers=3),
-        ShardedBackend(
-            database, shard_size=16, max_workers=2, mode="processes"
-        ),
         CachedBackend(BitmapBackend(database)),
         CachedBackend(ShardedBackend(database, shard_size=16)),
     ]

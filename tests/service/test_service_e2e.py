@@ -590,3 +590,56 @@ class TestWireContract:
         client = ServiceClient("127.0.0.1", 1)
         with pytest.raises(ValidationError):
             asyncio.run(client.release(k=5, epsilon=0.1))
+
+
+class TestCountingPlaneFlags:
+    CLUSTER = {
+        "tenants": {"alice": {"dataset": DATASET, "epsilon_limit": 1.0}},
+        "state_dir": "unused",
+    }
+
+    def test_cli_and_cluster_build_the_same_sharded_backend(self):
+        from repro.engine import ShardedBackend
+        from repro.service import ClusterConfig
+        from repro.service.__main__ import build_parser
+        from repro.service.app import backend_factory_for
+
+        arguments = build_parser().parse_args(
+            ["--parallel", "threads", "--shard-size", "7",
+             "--shard-workers", "2"]
+        )
+        config = ClusterConfig(
+            **self.CLUSTER, parallel="threads", shard_size=7,
+            shard_workers=2,
+        )
+        database = small_database()
+        built = [
+            backend_factory_for(settings)(database)
+            for settings in (arguments, config)
+        ]
+        for backend in built:
+            assert isinstance(backend, ShardedBackend)
+        assert repr(built[0]) == repr(built[1])
+        assert built[0].num_shards == -(-database.num_transactions // 7)
+
+    def test_bitmap_and_mmap_planes_need_no_factory(self):
+        from repro.service.__main__ import build_parser
+        from repro.service.app import backend_factory_for
+
+        parser = build_parser()
+        assert backend_factory_for(parser.parse_args([])) is None
+        assert backend_factory_for(
+            parser.parse_args(["--parallel", "threads",
+                               "--data-plane", "mmap"])
+        ) is None
+
+    def test_removed_processes_mode_fails_loudly(self, capsys):
+        from repro.service import ClusterConfig
+        from repro.service.__main__ import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["--parallel", "processes"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'processes'" in capsys.readouterr().err
+        with pytest.raises(ValidationError):
+            ClusterConfig(**self.CLUSTER, parallel="processes").validate()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -141,7 +142,7 @@ def _fork_debitor(directory, count, label):
 
 
 @pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
+    not hasattr(os, "fork"),
     reason="fork start method unavailable",
 )
 class TestCrossProcessDebits:
