@@ -643,3 +643,8 @@ class TestCountingPlaneFlags:
         assert "invalid choice: 'processes'" in capsys.readouterr().err
         with pytest.raises(ValidationError):
             ClusterConfig(**self.CLUSTER, parallel="processes").validate()
+
+    def test_service_takes_no_data_plane_mode(self):
+        registry = TenantRegistry.from_mapping(self.CLUSTER["tenants"])
+        with pytest.raises(TypeError):
+            PrivBasisService(registry, data_plane_mode="processes")
