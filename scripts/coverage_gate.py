@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Coverage regression gate for the data-plane packages.
+"""Coverage regression gate for the data-plane and store packages.
 
 CI runs the tier-1 suite under ``coverage.py`` and then calls this
 script with the JSON report::
@@ -10,7 +10,8 @@ script with the JSON report::
 
 The gate aggregates per-package line rates for the packages named in
 ``scripts/coverage_baseline.json`` (the chunked loaders and the
-engine — the out-of-core plane's trust boundary) and **fails the
+engine — the out-of-core plane's trust boundary — and the store, the
+ε ledger's durability trust boundary) and **fails the
 build** if any package drops below its committed baseline.  The
 baseline records the seed floor, not the current high-water mark:
 raising it is a deliberate commit, dropping below it is a regression.

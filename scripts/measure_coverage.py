@@ -30,6 +30,7 @@ PACKAGES = (
     "repro/engine",
     "repro/pipeline",
     "repro/service",
+    "repro/store",
 )
 SRC = REPO_ROOT / "src"
 

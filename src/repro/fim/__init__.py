@@ -10,7 +10,6 @@ from repro.fim.counting import (
     naive_superset_sum,
     superset_sum_transform,
 )
-from repro.fim.eclat import eclat
 from repro.fim.fpgrowth import fpgrowth
 from repro.fim.fptree import FPNode, FPTree
 from repro.fim.itemsets import (
@@ -46,7 +45,6 @@ __all__ = [
     "bin_counts_for_items",
     "canonical_itemset",
     "database_of",
-    "eclat",
     "exact_topk_itemset_set",
     "format_itemset",
     "fpgrowth",

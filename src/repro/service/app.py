@@ -48,16 +48,18 @@ One :class:`PrivBasisService` fronts one
   ``/metrics`` counts hits, misses, and ε saved; ``--no-reuse``
   (``reuse=False``) opts a deployment out entirely.
 
-* **State is durable when ``state_dir`` is set.**  Every ε debit is
-  journaled write-ahead (durable *before* the noisy answer leaves the
-  process), every ingest batch is logged with its snapshot version,
-  and every released payload is stored under
-  ``(tenant, dataset, snapshot_version)``.  A restart with the same
-  ``state_dir`` restores the tenants' spent budgets, replays each
-  dataset to its pre-crash version, rehydrates serving counters and
-  the released-result history (``GET /v1/results``), and reports what
-  it recovered on ``/healthz``.  Without ``state_dir`` the service
-  runs fully in-memory, as before.  See ``docs/operations.md``.
+* **One persistence path.**  Every ingest batch is logged with its
+  snapshot version and every released payload is stored under
+  ``(tenant, dataset, snapshot_version)`` in a
+  :class:`~repro.store.state.StateStore`, whose result store is also
+  the one owner of the per-tenant reuse indexes.  With ``state_dir``
+  the store is durable: every ε debit is also journaled write-ahead
+  (durable *before* the noisy answer leaves the process), and a
+  restart restores the tenants' spent budgets, replays each dataset to
+  its pre-crash version, rehydrates serving counters and the
+  released-result history (``GET /v1/results``), and reports what it
+  recovered on ``/healthz``.  Without ``state_dir`` the same store
+  runs in memory and writes nothing.  See ``docs/operations.md``.
 
 Endpoints: ``POST /v1/release``, ``POST /v1/release_batch``,
 ``POST /v1/ingest``, ``GET /v1/plan?tenant=…&k=…&epsilon=…``,
@@ -69,11 +71,15 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import os
+import shutil
 import time
 import traceback
 from contextlib import asynccontextmanager
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro.datasets.transactions import TransactionDatabase
 from repro.engine.session import PrivBasisSession
 from repro.errors import (
     BudgetExceededError,
@@ -87,7 +93,7 @@ from repro.errors import (
 )
 from repro.pipeline.plan import build_plan
 from repro.pipeline.planner import AutoPlanner, TraceHistory
-from repro.pipeline.reuse import ReuseDecision, ReuseIndex, top_k_truncate
+from repro.pipeline.reuse import ReuseDecision, top_k_truncate
 from repro.service import http
 from repro.service.coalesce import Coalescer
 from repro.service.metrics import (
@@ -103,6 +109,7 @@ from repro.service.protocol import (
     result_to_wire,
 )
 from repro.service.registry import Tenant, TenantRegistry
+from repro.store.state import StateStore
 
 __all__ = ["PrivBasisService", "DEFAULT_MAX_INFLIGHT", "backend_factory_for"]
 
@@ -193,13 +200,13 @@ class PrivBasisService:
         Admission bound on concurrent releases; excess requests get
         HTTP 429 without queueing.
     state_dir:
-        Optional durable state directory.  When set, the service
-        opens a :class:`~repro.store.state.StateStore` there, restores
-        every tenant's journaled ε debits into its ledger (installing
-        the write-ahead hook for future spends), replays each
-        dataset's ingest log when its session is built, and persists
-        debits / ingests / released results as it serves.  ``None``
-        (default) keeps all state in memory.
+        Optional durable state directory.  When set, the service's
+        :class:`~repro.store.state.StateStore` lives there: it
+        restores every tenant's journaled ε debits into its ledger
+        (installing the write-ahead hook for future spends), replays
+        each dataset's ingest log when its session is built, and
+        persists debits / ingests / released results as it serves.
+        ``None`` (default) runs the same store in memory.
     fsync:
         WAL fsync policy for the state store (ignored without
         ``state_dir``): ``"batch"`` (default; debits buffer and one
@@ -229,9 +236,9 @@ class PrivBasisService:
         ``True`` (default) serves dominated plain requests from the
         tenant's stored releases at ε = 0 (see the module docstring's
         reuse bullet); ``False`` (``--no-reuse``) runs every release
-        fresh.  With ``state_dir`` set, reuse sources survive restarts
-        (the result store rebuilds its per-tenant indexes from the
-        WAL); without it the indexes live in memory.
+        fresh.  The result store owns the per-tenant indexes; with
+        ``state_dir`` set they survive restarts (rebuilt from the
+        WAL).
     """
 
     def __init__(
@@ -299,24 +306,19 @@ class PrivBasisService:
         self._backend_factory = backend_factory
         self._max_inflight = int(max_inflight)
         self._in_flight = 0
-        self._store = None
-        self._dataset_stores: Dict[str, Any] = {}
         if shared_state and state_dir is None:
             raise ValidationError(
                 "shared_state requires a state_dir: cluster workers "
                 "coordinate through the durable ledger"
             )
-        if state_dir is not None:
-            from repro.store.state import StateStore
-
-            # Opening the store replays the ledger journal; attaching
+        self._store = StateStore(state_dir, fsync=fsync, shared=shared_state)
+        if self._store.durable:
+            # Opening the store replayed the ledger journal; attaching
             # it restores each tenant's spent history and makes every
             # future spend write-ahead.  This happens before any
             # request can be served, so there is no window where a
-            # recovered tenant could overspend.
-            self._store = StateStore(
-                state_dir, fsync=fsync, shared=shared_state
-            )
+            # recovered tenant could overspend.  In memory each tenant
+            # keeps its own PrivacyBudget ledger.
             registry.attach_journal(self._store.ledger)
         self._coalescer = Coalescer()
         self._sessions: Dict[str, PrivBasisSession] = {}
@@ -325,10 +327,8 @@ class PrivBasisService:
         self._stage_metrics = StageMetrics()
         self._reuse_enabled = bool(reuse)
         self._reuse_metrics = ReuseMetrics(enabled=self._reuse_enabled)
-        #: In-memory per-tenant reuse indexes — only used without a
-        #: state store (with one, the result store owns the indexes
-        #: and rebuilds them from the WAL on restart).
-        self._reuse_indexes: Dict[str, ReuseIndex] = {}
+        #: mmap spill directories this process built; removed at stop.
+        self._spill_dirs: List[Path] = []
         #: Per-dataset release-trace history feeding AutoPlanner.
         self._trace_histories: Dict[str, TraceHistory] = {}
         self._server: Optional[asyncio.base_events.Server] = None
@@ -350,9 +350,9 @@ class PrivBasisService:
         return self._sessions.get(dataset)
 
     @property
-    def store(self):
-        """The :class:`~repro.store.state.StateStore`, or ``None``
-        when the service runs in-memory."""
+    def store(self) -> StateStore:
+        """The service's :class:`~repro.store.state.StateStore`
+        (durable with ``state_dir``, in memory without)."""
         return self._store
 
     # -- out-of-core data plane ------------------------------------------
@@ -366,25 +366,26 @@ class PrivBasisService:
         through ``session.restore`` → ``backend.extend``, so reusing a
         previous build's segments would double-apply them; and cluster
         workers each build their own session, so a shared directory
-        would race.  Restart durability of the *format* is exercised
-        directly at the engine layer (``MmapShardStore.open``).
+        would race.  Nothing ever reopens a leaf, so :meth:`stop`
+        removes the ones this process built; only a killed process
+        leaves its leaf behind.  Restart durability of the *format* is
+        exercised directly at the engine layer (``MmapShardStore.open``).
         """
-        import os
         import re
         import secrets
         import tempfile
-        from pathlib import Path
 
         from repro.engine.mmap import MmapShardStore
         from repro.engine.sharded import ShardedBackend
 
         safe = re.sub(r"[^A-Za-z0-9._-]+", "_", dataset) or "dataset"
         root = (
-            Path(self._store.root) / "shards"
-            if self._store is not None
+            self._store.root / "shards"
+            if self._store.durable
             else Path(tempfile.gettempdir()) / "repro-shards"
         )
         directory = root / safe / f"{os.getpid()}-{secrets.token_hex(4)}"
+        self._spill_dirs.append(directory)
         budget = (
             self._memory_budget_mb * 1024 * 1024
             if self._memory_budget_mb is not None
@@ -418,14 +419,9 @@ class PrivBasisService:
         # the result store's aggregates are mutated loop-side by
         # _persist_release, and reading them from the executor while
         # another dataset's release records could race the dicts.
-        restore_releases = restore_epsilon = None
-        if self._store is not None:
-            restore_releases = self._store.results.release_counts().get(
-                dataset, 0
-            )
-            restore_epsilon = self._store.results.epsilon_by_dataset().get(
-                dataset, 0.0
-            )
+        results = self._store.results
+        restore_releases = results.release_counts().get(dataset, 0)
+        restore_epsilon = results.epsilon_by_dataset().get(dataset, 0.0)
 
         def build() -> PrivBasisSession:
             database = self._loader(dataset)
@@ -445,24 +441,20 @@ class PrivBasisService:
                 )
                 session = PrivBasisSession(database, backend=backend)
             session.warm_up()
-            if self._store is not None:
-                # Warm restore: replay every ingested batch recorded
-                # for this dataset through the warm backend's O(Δ)
-                # extend path and restore the pre-crash snapshot
-                # version, then rehydrate the serving counters from
-                # the released-result store — the session comes back
-                # exactly where the crash left it, without recounting
-                # or respending.
-                log_store = self._store.dataset_log(dataset)
-                version, rows = log_store.replay()
-                session.restore(
-                    delta=rows if rows else None,
-                    snapshot_version=version,
-                    num_releases=restore_releases,
-                    epsilon_spent=restore_epsilon,
-                )
-                self._dataset_stores[dataset] = log_store
-                self._store.recovery.note_dataset(dataset, version)
+            # Warm restore: replay the dataset's ingested batches
+            # through the backend's O(Δ) extend path at their recorded
+            # version and rehydrate the serving counters from the
+            # result store — the session comes back where the crash
+            # left it, without recounting or respending.  An in-memory
+            # store replays nothing: a fresh session stays as it is.
+            version, rows = self._store.dataset_log(dataset).replay()
+            session.restore(
+                delta=rows if rows else None,
+                snapshot_version=version,
+                num_releases=restore_releases,
+                epsilon_spent=restore_epsilon,
+            )
+            self._store.recovery.note_dataset(dataset, version)
             return session
 
         session = await loop.run_in_executor(None, build)
@@ -522,50 +514,10 @@ class PrivBasisService:
         self, tenant: Tenant, snapshot_version: int, k: int,
         epsilon: float,
     ) -> ReuseDecision:
-        """Per-tenant reuse decision (store-backed or in-memory)."""
-        if self._store is not None:
-            return self._store.results.reuse_lookup(
-                tenant.tenant_id, tenant.dataset, snapshot_version,
-                k, epsilon,
-            )
-        index = self._reuse_indexes.get(tenant.tenant_id)
-        if index is None:
-            return ReuseDecision(
-                hit=False,
-                reason=(
-                    f"no stored release for dataset "
-                    f"{tenant.dataset!r} at snapshot "
-                    f"{int(snapshot_version)}"
-                ),
-            )
-        return index.lookup(tenant.dataset, snapshot_version, k, epsilon)
-
-    def _remember_reuse(self, tenant: Tenant, result: Any) -> None:
-        """Index one fresh release as a future reuse source.
-
-        Only the in-memory path does work: with a state store,
-        :meth:`_persist_release` already feeds the result store's
-        per-tenant index as a side effect of recording the payload.
-        """
-        if not self._reuse_enabled or self._store is not None:
-            return
-        index = self._reuse_indexes.get(tenant.tenant_id)
-        if index is None:
-            index = self._reuse_indexes[tenant.tenant_id] = ReuseIndex()
-        index.add(
-            tenant.dataset, result.snapshot_version or 0,
-            result_to_wire(result),
+        """Per-tenant reuse decision from the result store."""
+        return self._store.results.reuse_lookup(
+            tenant.tenant_id, tenant.dataset, snapshot_version, k, epsilon
         )
-
-    def _invalidate_reuse(self, dataset: str, version: int) -> None:
-        """Drop reuse sources made stale by an ingest to ``dataset``."""
-        if not self._reuse_enabled:
-            return
-        if self._store is not None:
-            self._store.results.invalidate_reuse(dataset, version)
-            return
-        for index in self._reuse_indexes.values():
-            index.invalidate_before(dataset, version)
 
     # -- release serving -------------------------------------------------
     def _tenant_for(self, body: Mapping[str, Any]) -> Tenant:
@@ -588,7 +540,8 @@ class PrivBasisService:
             return await loop.run_in_executor(None, call)
 
     def _persist_release(self, tenant: Tenant, result: Any) -> None:
-        """Append one released payload to the result WAL (no fsync).
+        """Record one released payload: the result WAL (no fsync), the
+        bounded history window, and the tenant's reuse index.
 
         Runs on the event loop thread, like the ε-debit append inside
         :meth:`Tenant.charge` — keeping all appends loop-side is what
@@ -596,8 +549,6 @@ class PrivBasisService:
         them (the WAL's durability watermark only ever advances to
         appends observed before the fsync).
         """
-        if self._store is None:
-            return
         self._store.results.record(
             tenant.tenant_id,
             tenant.dataset,
@@ -612,10 +563,9 @@ class PrivBasisService:
         time) and the stored result payload.  It runs in the executor
         so a slow disk stalls only this response, not the event loop;
         overlapping releases whose records an earlier barrier already
-        covered skip theirs entirely (group commit).
+        covered skip theirs entirely (group commit).  An in-memory
+        store's barrier is a no-op.
         """
-        if self._store is None:
-            return
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self._store.barrier)
 
@@ -668,9 +618,9 @@ class PrivBasisService:
             # Charge on the event loop thread *before* any noise is
             # drawn: spends are serialized (no budget race) and a
             # failed release after the charge errs on the safe side —
-            # budget is forfeited, never refunded.  With a state
-            # store attached the charge is write-ahead (the debit hits
-            # the WAL before the in-memory ledger).
+            # budget is forfeited, never refunded.  With a durable
+            # store the charge is write-ahead (the debit hits the WAL
+            # before the in-memory ledger).
             tenant.charge(
                 request["epsilon"],
                 label=f"release k={request['k']}",
@@ -685,7 +635,6 @@ class PrivBasisService:
             self._release_slot()
         self._stage_metrics.record(result.trace)
         self._history_for(tenant.dataset).observe(result.trace)
-        self._remember_reuse(tenant, result)
         self._persist_release(tenant, result)
         await self._barrier()
         response = {
@@ -735,7 +684,6 @@ class PrivBasisService:
         for result in results:
             self._stage_metrics.record(result.trace)
             self._history_for(tenant.dataset).observe(result.trace)
-            self._remember_reuse(tenant, result)
             self._persist_release(tenant, result)
         await self._barrier()
         return {
@@ -769,33 +717,24 @@ class PrivBasisService:
             session = await self.get_session(tenant.dataset)
 
             def append() -> Tuple[int, int]:
-                log_store = self._dataset_stores.get(tenant.dataset)
-                if log_store is None:
-                    version = session.ingest(transactions)
-                else:
-                    # Journal-before-apply, under the dataset's
-                    # release lock (this closure runs inside it).
-                    # The batch is fully validated first — building
-                    # the delta checks vocabulary bounds — so a bad
-                    # batch answers 400 with neither store nor
-                    # session touched; after that, journal and apply
-                    # cannot diverge: if the WAL append fails the
-                    # session was never advanced, and a crash before
-                    # the sync barrier loses only an unacknowledged
-                    # batch from both sides at once.
-                    from repro.datasets.transactions import (
-                        TransactionDatabase,
-                    )
-
-                    delta = TransactionDatabase(
-                        transactions,
-                        num_items=session.backend.num_items,
-                    )
-                    log_store.record_append(
-                        session.snapshot_version + 1, transactions
-                    )
-                    version = session.ingest(delta)
-                    log_store.sync()
+                # Journal-before-apply, under the dataset's release
+                # lock (this closure runs inside it).  The batch is
+                # fully validated first — building the delta checks
+                # vocabulary bounds — so a bad batch answers 400 with
+                # neither store nor session touched; after that,
+                # journal and apply cannot diverge: if the WAL append
+                # fails the session was never advanced, and a crash
+                # before the sync barrier loses only an
+                # unacknowledged batch from both sides at once.
+                log_store = self._store.dataset_log(tenant.dataset)
+                delta = TransactionDatabase(
+                    transactions, num_items=session.backend.num_items
+                )
+                log_store.record_append(
+                    session.snapshot_version + 1, transactions
+                )
+                version = session.ingest(delta)
+                log_store.sync()
                 return version, session.backend.num_transactions
 
             version, total = await self._run_locked(
@@ -807,7 +746,8 @@ class PrivBasisService:
         # the moment the data moves; correctness never depends on this
         # (lookups key on the live snapshot version, which the ingest
         # just advanced), it only frees the stale entries.
-        self._invalidate_reuse(tenant.dataset, version)
+        if self._reuse_enabled:
+            self._store.results.invalidate_reuse(tenant.dataset, version)
         return {
             "tenant": tenant.tenant_id,
             "dataset": tenant.dataset,
@@ -922,7 +862,7 @@ class PrivBasisService:
         free post-processing under DP, so no budget is touched.
         Serves the store's bounded most-recent window (the full
         history stays in the WAL); ``limit`` further trims to the
-        newest N.  Only meaningful with persistence: without a state
+        newest N.  Only meaningful with persistence: with an in-memory
         store the endpoint answers 400 rather than pretending an
         empty history is a durable one.
         """
@@ -932,7 +872,7 @@ class PrivBasisService:
                 "results queries need a ?tenant=<id> parameter"
             )
         tenant = self._registry.get(tenant_id)
-        if self._store is None:
+        if not self._store.durable:
             raise ValidationError(
                 "the service runs without --state-dir; released "
                 "results are not persisted"
@@ -958,9 +898,9 @@ class PrivBasisService:
 
     def handle_healthz(self) -> Dict[str, Any]:
         """``GET /healthz`` — liveness, warm sessions, and (with a
-        state store) what the last restart recovered."""
-        persistence: Dict[str, Any] = {"enabled": self._store is not None}
-        if self._store is not None:
+        durable store) what the last restart recovered."""
+        persistence: Dict[str, Any] = {"enabled": self._store.durable}
+        if self._store.durable:
             persistence["state_dir"] = str(self._store.root)
             persistence["recovery"] = self._store.recovery.to_wire()
         data_plane: Dict[str, Any] = {"plane": self._data_plane}
@@ -996,7 +936,7 @@ class PrivBasisService:
     def handle_metrics(self) -> Dict[str, Any]:
         """``GET /metrics`` — HTTP, pipeline, coalescer, and cache
         telemetry."""
-        snapshot = {
+        return {
             "http": self._metrics.snapshot(),
             "in_flight": self._in_flight,
             "max_inflight": self._max_inflight,
@@ -1007,13 +947,11 @@ class PrivBasisService:
                 name: session.stats()
                 for name, session in sorted(self._sessions.items())
             },
-        }
-        if self._store is not None:
-            snapshot["store"] = {
+            "store": {
                 "ledger": self._store.ledger.stats(),
                 "results": self._store.results.stats(),
-            }
-        return snapshot
+            },
+        }
 
     # -- HTTP plumbing ---------------------------------------------------
     async def dispatch(
@@ -1149,7 +1087,8 @@ class PrivBasisService:
         Open keep-alive connections are cancelled and awaited so no
         half-closed sockets or orphan tasks outlive the service, and
         every warm session is closed — which closes the spill store
-        (and drops its mapped segments) of every mmap-plane dataset.
+        (and drops its mapped segments) of every mmap-plane dataset —
+        before the spill directories this process built are removed.
         """
         if self._server is not None:
             self._server.close()
@@ -1164,12 +1103,14 @@ class PrivBasisService:
         self._connections.clear()
         for session in self._sessions.values():
             session.close()
-        if self._store is not None:
-            # Barrier + close every WAL handle.  Purely tidy-up: the
-            # durability contract never depends on a clean shutdown
-            # (that is the whole point), and the store reopens handles
-            # lazily if the service is started again.
-            self._store.close()
+        for directory in self._spill_dirs:
+            shutil.rmtree(directory, ignore_errors=True)
+        self._spill_dirs.clear()
+        # Barrier + close every WAL handle.  Purely tidy-up: the
+        # durability contract never depends on a clean shutdown (that
+        # is the whole point), and the store reopens handles lazily if
+        # the service is started again.
+        self._store.close()
 
     @asynccontextmanager
     async def serving(self, host: str = "127.0.0.1", port: int = 0):

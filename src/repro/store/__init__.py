@@ -15,7 +15,8 @@ is not.
 * :mod:`repro.store.results` — released results keyed by
   ``(tenant, dataset, snapshot_version)`` for warm restarts/audits.
 * :mod:`repro.store.state` — the :class:`StateStore` facade owning
-  the ``--state-dir`` layout and the recovery report.
+  the ``--state-dir`` layout (or running in memory without one) and
+  the recovery report.
 
 See ``docs/operations.md`` for the deployment and crash-recovery
 runbook, and ``docs/privacy-accounting.md`` for why durability is

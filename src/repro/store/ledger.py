@@ -45,12 +45,7 @@ from repro.errors import (
     StateStoreError,
     ValidationError,
 )
-from repro.store.wal import (
-    FileLock,
-    WriteAheadLog,
-    _unframe,
-    fsync_directory,
-)
+from repro.store.wal import FileLock, _unframe, fsync_directory, open_log
 
 __all__ = [
     "LedgerJournal",
@@ -79,7 +74,8 @@ class LedgerJournal:
     ----------
     directory:
         The state directory; the journal owns ``ledger.wal`` and
-        ``ledger.snapshot.json`` inside it.
+        ``ledger.snapshot.json`` inside it.  ``None`` keeps the
+        journal in memory only (see :class:`~repro.store.wal.NullLog`).
     fsync:
         Passed to the underlying :class:`~repro.store.wal.WriteAheadLog`
         (``"batch"`` by default: debits buffer, the pre-release
@@ -92,11 +88,11 @@ class LedgerJournal:
     """
 
     def __init__(self, directory, fsync: str = "batch") -> None:
-        self._directory = Path(directory)
-        self._snapshot_path = self._directory / LEDGER_SNAPSHOT
-        self._wal = WriteAheadLog(
-            self._directory / LEDGER_WAL, fsync=fsync
+        self._directory = None if directory is None else Path(directory)
+        self._snapshot_path = (
+            None if directory is None else self._directory / LEDGER_SNAPSHOT
         )
+        self._wal = open_log(directory, LEDGER_WAL, fsync=fsync)
         self._entries: Dict[str, List[Tuple[str, float]]] = {}
         #: Running per-tenant totals, kept in lockstep with
         #: ``_entries`` so admission checks are O(1) instead of
@@ -109,7 +105,7 @@ class LedgerJournal:
     # Recovery
     # ------------------------------------------------------------------
     def _load(self) -> None:
-        if self._snapshot_path.exists():
+        if self._snapshot_path is not None and self._snapshot_path.exists():
             try:
                 with open(
                     self._snapshot_path, "r", encoding="utf-8"

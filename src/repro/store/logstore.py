@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import StateStoreError, ValidationError
-from repro.store.wal import WriteAheadLog, fsync_directory
+from repro.store.wal import WriteAheadLog, fsync_directory, open_log
 
 __all__ = [
     "DatasetLogStore",
@@ -102,6 +102,8 @@ class DatasetLogStore:
     directory:
         The state root; this store owns
         ``logs/<dataset>.wal`` and ``logs/<dataset>.checkpoint.json``.
+        ``None`` keeps only the version watermark: appends are checked
+        and counted, nothing is written and nothing replays.
     dataset:
         The dataset name (sanitized for the filesystem).
     fsync:
@@ -136,12 +138,15 @@ class DatasetLogStore:
             )
         self.dataset = dataset
         stem = sanitize_dataset_name(dataset)
-        logs_dir = Path(directory) / LOGS_SUBDIR
-        self._wal = WriteAheadLog(
-            logs_dir / f"{stem}.wal", fsync=fsync, lock=lock
+        self._wal = open_log(
+            directory, f"{LOGS_SUBDIR}/{stem}.wal", fsync=fsync, lock=lock
         )
-        self._checkpoint_path = logs_dir / f"{stem}.checkpoint.json"
-        self._checkpoint_interval = checkpoint_interval
+        self._checkpoint_path = self._checkpoint_interval = None
+        if directory is not None:
+            self._checkpoint_path = (
+                Path(directory) / LOGS_SUBDIR / f"{stem}.checkpoint.json"
+            )
+            self._checkpoint_interval = checkpoint_interval
         self._version = 0
         self._wal_appends = 0
         self._torn_records = 0
@@ -153,17 +158,15 @@ class DatasetLogStore:
     def _read_checkpoint(self) -> Tuple[int, List[List[int]]]:
         """``(version, rows)`` from the checkpoint file (0, [] if
         absent)."""
-        if not self._checkpoint_path.exists():
+        path = self._checkpoint_path
+        if path is None or not path.exists():
             return 0, []
         try:
-            with open(
-                self._checkpoint_path, "r", encoding="utf-8"
-            ) as handle:
+            with open(path, "r", encoding="utf-8") as handle:
                 checkpoint = json.load(handle)
         except (OSError, json.JSONDecodeError) as error:
             raise StateStoreError(
-                f"unreadable dataset checkpoint "
-                f"{str(self._checkpoint_path)!r}: {error}"
+                f"unreadable dataset checkpoint {str(path)!r}: {error}"
             )
         return (
             int(checkpoint.get("version", 0)),

@@ -1,5 +1,5 @@
-"""Durable store of released results, keyed by (tenant, dataset,
-snapshot_version).
+"""Store of released results, keyed by (tenant, dataset,
+snapshot_version); durable over a WAL, or in memory.
 
 Everything the service has already released is public: a noisy result
 was paid for with ε at release time, and *re-reading* it is free
@@ -47,12 +47,11 @@ window, which is how stored answers stay reusable across restarts.
 from __future__ import annotations
 
 from collections import deque
-from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional
 
 from repro.errors import ValidationError
 from repro.pipeline.reuse import ReuseDecision, ReuseIndex
-from repro.store.wal import WriteAheadLog
+from repro.store.wal import open_log
 
 __all__ = ["ResultStore", "RESULT_RETENTION"]
 
@@ -72,6 +71,8 @@ class ResultStore:
     ----------
     directory:
         The state root; the store owns ``results.wal`` inside it.
+        ``None`` keeps only the in-memory window, aggregates and
+        reuse indexes (the service without ``--state-dir``).
     fsync:
         WAL fsync policy.  Results ride the same pre-release barrier
         as ε debits (one fsync covers both), so ``"batch"`` is right.
@@ -92,9 +93,7 @@ class ResultStore:
             raise ValidationError(
                 f"retention must be >= 1, got {retention}"
             )
-        self._wal = WriteAheadLog(
-            Path(directory) / RESULTS_WAL, fsync=fsync, lock=lock
-        )
+        self._wal = open_log(directory, RESULTS_WAL, fsync=fsync, lock=lock)
         self._retention = retention
         #: Per-tenant most-recent entries, oldest first, bounded.
         self._by_tenant: Dict[str, Deque[Dict[str, Any]]] = {}

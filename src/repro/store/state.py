@@ -1,7 +1,8 @@
-"""The durable state store: one directory, three write-ahead stores.
+"""The state store: one directory, three write-ahead stores.
 
 :class:`StateStore` is the facade the service (and the ``store`` CLI)
-talks to.  It owns a ``--state-dir`` with this layout::
+talks to, and the service's one persistence path.  Durable, it owns a
+``--state-dir`` with this layout::
 
     <state-dir>/
     ├── ledger.wal                    ε debits (write-ahead)
@@ -16,6 +17,12 @@ snapshot/checkpoint files only bound replay time.  The directory can
 be copied while the service runs (files are append-only between
 compactions) and inspected offline with
 ``python -m repro.experiments.cli store inspect --state-dir DIR``.
+
+Without a directory (``StateStore(None)``, the service without
+``--state-dir``) the same three stores run over
+:class:`~repro.store.wal.NullLog`: nothing is written or replayed, the
+result store keeps its bounded window, aggregates and per-tenant
+reuse indexes, and dataset logs only check and advance versions.
 
 Why the ledger is the load-bearing piece: the DP guarantee is
 sequential composition over *spent* ε, so the one invariant recovery
@@ -86,12 +93,13 @@ class RecoveryReport:
 
 
 class StateStore:
-    """All durable state for one service instance (see module docs).
+    """All state for one service instance (see module docs).
 
     Parameters
     ----------
     root:
-        The state directory (created if missing; must not be a file).
+        The state directory (created if missing; must not be a file),
+        or ``None`` for an in-memory store that creates no file.
     fsync:
         WAL fsync policy for every store —
         one of :data:`~repro.store.wal.FSYNC_POLICIES`.  ``"batch"``
@@ -119,7 +127,9 @@ class StateStore:
         checkpoint_interval=_UNSET,
         shared: bool = False,
     ) -> None:
-        self.root = require_directory(root)
+        self.root = None if root is None else require_directory(root)
+        #: ``False`` for the in-memory store: nothing survives a restart.
+        self.durable = self.root is not None
         self._fsync = fsync
         self._checkpoint_interval = checkpoint_interval
         self.shared = bool(shared)
@@ -151,12 +161,13 @@ class StateStore:
         Filename stems are sanitized, which is not injective — two
         datasets colliding on one stem would interleave version
         records in a single WAL and serve each other's data after a
-        restart, so a collision is refused as a config error.
+        restart, so a collision is refused as a config error (an
+        in-memory store has no files to share and allows it).
         """
         store = self._dataset_logs.get(dataset)
         if store is None:
             stem = sanitize_dataset_name(dataset)
-            claimed = self._stems.get(stem)
+            claimed = self._stems.get(stem) if self.durable else None
             if claimed is not None and claimed != dataset:
                 raise StateStoreError(
                     f"datasets {claimed!r} and {dataset!r} both "
@@ -194,8 +205,11 @@ class StateStore:
         that no session has touched yet, so an offline ``store
         compact`` covers the whole directory.  Refused on a shared
         store: compaction renames WALs out from under other workers'
-        append handles — stop the cluster and compact offline.
+        append handles — stop the cluster and compact offline.  Refused
+        on an in-memory store too: it has no WAL to fold.
         """
+        if not self.durable:
+            raise StateStoreError("an in-memory state store has no WALs")
         if self.shared:
             raise StateStoreError(
                 "cannot compact a cluster-shared state directory "
@@ -275,4 +289,5 @@ class StateStore:
         self.close()
 
     def __repr__(self) -> str:
-        return f"StateStore({str(self.root)!r}, fsync={self._fsync!r})"
+        root = str(self.root) if self.durable else None
+        return f"StateStore({root!r}, fsync={self._fsync!r})"

@@ -63,7 +63,9 @@ try:  # POSIX only; cluster mode refuses to start without it
 except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None  # type: ignore[assignment]
 
-__all__ = ["FileLock", "WriteAheadLog", "ReplayResult", "FSYNC_POLICIES"]
+__all__ = [
+    "FileLock", "WriteAheadLog", "NullLog", "ReplayResult", "FSYNC_POLICIES",
+]
 
 #: The fsync policies :class:`WriteAheadLog` accepts.
 FSYNC_POLICIES = ("batch", "always", "never")
@@ -399,6 +401,40 @@ class WriteAheadLog:
             f"WriteAheadLog({str(self._path)!r}, fsync={self._fsync!r}, "
             f"next_seq={self._next_seq})"
         )
+
+
+class NullLog:
+    """A log with nowhere to write: the in-memory store's WAL.
+
+    Same surface as :class:`WriteAheadLog` for the stores built over
+    it.  Appends are dropped, barriers and ``close`` are no-ops, and
+    a replay recovers nothing, so a store over a ``NullLog`` keeps
+    only its in-memory state and touches no file.
+    """
+
+    syncs = 0
+
+    def append(self, payload: Dict[str, Any]) -> int:
+        return 0
+
+    def sync(self) -> None:
+        """No-op: nothing is ever pending, and there is no handle."""
+
+    close = sync
+
+    def replay(self) -> ReplayResult:
+        return ReplayResult([], 0, 0)
+
+    def size_bytes(self) -> int:
+        return 0
+
+
+def open_log(directory, name: str, fsync: str = "batch", lock=None):
+    """The WAL ``directory/name``, or a :class:`NullLog` when
+    ``directory`` is ``None`` (an in-memory store)."""
+    if directory is None:
+        return NullLog()
+    return WriteAheadLog(Path(directory) / name, fsync=fsync, lock=lock)
 
 
 def fsync_directory(directory) -> None:

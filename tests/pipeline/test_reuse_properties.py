@@ -507,10 +507,16 @@ def _service(tmp_path=None, reuse=True, tenants=None):
     )
 
 
+@pytest.fixture(params=["memory", "durable"])
+def state_dir(request, tmp_path):
+    """Both persistence modes: the in-memory store and a state dir."""
+    return None if request.param == "memory" else tmp_path
+
+
 class TestServiceReuse:
-    def test_reuse_never_crosses_the_tenant_boundary(self):
+    def test_reuse_never_crosses_the_tenant_boundary(self, state_dir):
         async def scenario():
-            service = _service()
+            service = _service(state_dir)
             await service.handle_release(
                 {"tenant": "alice", "k": 10, "epsilon": 1.0}
             )
@@ -532,9 +538,9 @@ class TestServiceReuse:
             "k": 10, "epsilon": 1.0, "snapshot_version": 0,
         }
 
-    def test_journaled_ledger_debits_zero_on_hits(self, tmp_path):
+    def test_ledger_debits_zero_on_hits(self, state_dir):
         async def scenario():
-            service = _service(tmp_path)
+            service = _service(state_dir)
             await service.handle_release(
                 {"tenant": "alice", "k": 10, "epsilon": 1.0}
             )
@@ -555,10 +561,12 @@ class TestServiceReuse:
         assert metrics["reuse"]["hits"] == 1
         assert metrics["reuse"]["misses"] == 1
         assert metrics["reuse"]["epsilon_saved"] == 0.25
+        # The result store owns the reuse index in both modes.
+        assert metrics["store"]["results"]["reuse"]["entries"] == 1
 
-    def test_hit_payload_is_the_truncated_stored_release(self, tmp_path):
+    def test_hit_payload_is_the_truncated_stored_release(self, state_dir):
         async def scenario():
-            service = _service(tmp_path)
+            service = _service(state_dir)
             cold = await service.handle_release(
                 {"tenant": "alice", "k": 8, "epsilon": 2.0}
             )
@@ -584,9 +592,9 @@ class TestServiceReuse:
         }
         assert served == expected
 
-    def test_plan_prices_a_hit_at_zero_epsilon(self):
+    def test_plan_prices_a_hit_at_zero_epsilon(self, state_dir):
         async def scenario():
-            service = _service()
+            service = _service(state_dir)
             cold_plan = service.handle_plan(
                 {"tenant": "alice", "k": "5", "epsilon": "0.5"}
             )
@@ -608,9 +616,9 @@ class TestServiceReuse:
         assert warm_plan["reuse"]["epsilon"] == 0.0
         assert uncovered["reuse"]["available"] is False
 
-    def test_ingest_invalidates_service_reuse(self):
+    def test_ingest_invalidates_service_reuse(self, state_dir):
         async def scenario():
-            service = _service()
+            service = _service(state_dir)
             await service.handle_release(
                 {"tenant": "alice", "k": 10, "epsilon": 1.0}
             )
@@ -627,14 +635,14 @@ class TestServiceReuse:
         assert stale["reuse"]["hit"] is False
         assert stale["snapshot_version"] == 1
 
-    def test_reuse_sources_survive_a_restart(self, tmp_path):
+    def test_reuse_sources_survive_only_a_durable_restart(self, state_dir):
         async def scenario():
-            service = _service(tmp_path)
+            service = _service(state_dir)
             await service.handle_release(
                 {"tenant": "alice", "k": 10, "epsilon": 1.0}
             )
             await service.stop()
-            reborn = _service(tmp_path)
+            reborn = _service(state_dir)
             hit = await reborn.handle_release(
                 {"tenant": "alice", "k": 5, "epsilon": 0.5}
             )
@@ -642,12 +650,16 @@ class TestServiceReuse:
             return hit
 
         hit = asyncio.run(scenario())
+        if state_dir is None:
+            # The in-memory store keeps nothing across a restart.
+            assert hit["reuse"]["hit"] is False
+            return
         assert hit["reuse"]["hit"] is True
         assert hit["reuse"]["source"]["k"] == 10
 
-    def test_no_reuse_opts_out_entirely(self):
+    def test_no_reuse_opts_out_entirely(self, state_dir):
         async def scenario():
-            service = _service(reuse=False)
+            service = _service(state_dir, reuse=False)
             await service.handle_release(
                 {"tenant": "alice", "k": 10, "epsilon": 1.0}
             )
@@ -678,9 +690,9 @@ class TestServiceReuse:
         assert arguments.no_reuse is True
         assert build_parser().parse_args([]).no_reuse is False
 
-    def test_planner_and_noise_overrides_bypass_reuse(self):
+    def test_planner_and_noise_overrides_bypass_reuse(self, state_dir):
         async def scenario():
-            service = _service()
+            service = _service(state_dir)
             await service.handle_release(
                 {"tenant": "alice", "k": 10, "epsilon": 1.0}
             )

@@ -343,3 +343,44 @@ class TestRestartRecovery:
         assert health["persistence"]["recovery"]["torn_records"] == 1
         # The intact prefix survived untouched.
         assert budget["ledger"]["spent"] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
+def test_clean_stop_removes_the_mmap_spill_leaf(
+    tmp_path, monkeypatch, durable
+):
+    """Nothing reopens a per-build spill directory, so a clean stop
+    removes it; a state dir keeps its WALs."""
+    import tempfile
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    state_dir = tmp_path / "state" if durable else None
+    rows = [list(row) for row in small_database().rows] * 15
+    service = PrivBasisService(
+        TenantRegistry.from_mapping(
+            {"alice": {"dataset": DATASET, "epsilon_limit": 3.0}}
+        ),
+        dataset_loader=lambda name: TransactionDatabase(rows, num_items=15),
+        state_dir=None if state_dir is None else str(state_dir),
+        data_plane="mmap",
+        shard_size=1000,
+    )
+    spill_root = (
+        state_dir / "shards" if durable else tmp_path / "tmp" / "repro-shards"
+    )
+
+    async def scenario():
+        async with service.serving() as (host, port):
+            async with ServiceClient(host, port, tenant="alice") as client:
+                await client.release(k=5, epsilon=0.5)
+            (leaf,) = (spill_root / DATASET).iterdir()
+            assert (leaf / "manifest.json").exists()
+            assert len(list(leaf.glob("*.seg"))) == 3
+        return leaf
+
+    leaf = asyncio.run(scenario())
+    assert not leaf.exists()
+    if durable:
+        assert (state_dir / "ledger.wal").stat().st_size > 0
+        assert (state_dir / "results.wal").stat().st_size > 0

@@ -345,3 +345,69 @@ class TestStateStoreFacade:
         target.write_text("I am a file")
         with pytest.raises(StateStoreError):
             StateStore(target)
+
+
+class TestInMemoryStateStore:
+    """``StateStore(None)``: the service's store without a state dir."""
+
+    def test_is_not_durable(self):
+        store = StateStore(None)
+        assert store.durable is False
+        assert store.root is None
+
+    def test_creates_no_file(self, tmp_path, monkeypatch):
+        import tempfile
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        with StateStore(None) as store:
+            store.ledger.debit("alice", 0.5, "r")
+            store.results.record("alice", "d", 0, {"epsilon": 0.5})
+            store.dataset_log("d").record_append(1, [[1]])
+            store.barrier()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_dataset_log_checks_versions_and_holds_no_rows(self):
+        log = StateStore(None).dataset_log("d")
+        # Past the default checkpoint interval: nothing to fold.
+        for version in range(1, 71):
+            log.record_append(version, [[1, 2], [3]])
+        assert log.version == 70
+        assert log.replay() == (0, [])
+        with pytest.raises(StateStoreError):
+            log.record_append(72, [[5]])
+
+    def test_results_keep_window_aggregates_and_reuse(self):
+        results = StateStore(None).results
+        payload = {"k": 2, "epsilon": 1.0, "itemsets": [[[1], 5.0]]}
+        results.record("alice", "d", 0, payload)
+        assert [e["payload"] for e in results.results_for("alice")] == [
+            payload
+        ]
+        assert results.release_counts() == {"d": 1}
+        assert results.epsilon_by_dataset() == {"d": 1.0}
+        assert results.reuse_stats()["entries"] == 1
+
+    def test_compact_is_refused(self):
+        with pytest.raises(StateStoreError):
+            StateStore(None).compact()
+
+    def test_barrier_is_a_no_op(self, monkeypatch):
+        import os
+
+        def no_fsync(_fd):
+            raise AssertionError("an in-memory barrier must not fsync")
+
+        monkeypatch.setattr(os, "fsync", no_fsync)
+        store = StateStore(None)
+        store.results.record("alice", "d", 0, {"epsilon": 0.5})
+        store.dataset_log("d").record_append(1, [[1]])
+        store.barrier()
+        store.dataset_log("d").sync()
+        assert store.ledger.stats()["fsyncs"] == 0
+
+    def test_colliding_dataset_stems_are_allowed(self):
+        store = StateStore(None)
+        store.dataset_log("retail/a").record_append(1, [[1]])
+        assert store.dataset_log("retail_a").version == 0
