@@ -15,13 +15,22 @@ pairs in ``P``:
 4. greedily dissolve bases of ``B2``, moving their items into the
    smallest existing bases, while that reduces EV.
 
-A hard cap on basis length (default 12, paper Section 4.2) bounds the
-``2^ℓ`` bin blow-up regardless of what the greedy search would like.
+A cap on basis length (default 12, paper Section 4.2) bounds the
+``2^ℓ`` bin blow-up the greedy search can cause: merges and dissolves
+that would exceed it are vetoed.  It does not split cliques — a maximal
+clique longer than the cap stays one basis.
+
+The greedy phases score each candidate move from the rows it changes
+(:class:`_EVScorer`), not by a from-scratch ``average_case_ev``; the
+scores are the same floats, so the chosen bases are the paper greedy's.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Set, Tuple
+import math
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.core.basis import (
     DEFAULT_MAX_BASIS_LENGTH,
@@ -36,6 +45,10 @@ from repro.graph.bron_kerbosch import maximal_cliques
 #: EV improvements smaller than this are treated as "no reduction" so
 #: the greedy loops terminate cleanly despite float noise.
 _EV_TOLERANCE = 1e-12
+
+#: Candidate × query cells a merge step scores per array (16 MiB of
+#: int64), so hundreds of cliques cannot allocate gigabytes.
+_BLOCK_CELLS = 1 << 21
 
 
 def construct_basis_set(
@@ -54,8 +67,9 @@ def construct_basis_set(
         ``P`` — the (privately selected) frequent pairs; every pair
         must consist of items of ``F``.
     max_basis_length:
-        Hard cap ℓ on any basis produced (merges violating it are
-        vetoed).
+        Cap ℓ on the bases the greedy phases build: a merge or
+        dissolve that would exceed it is vetoed.  Maximal cliques
+        longer than ℓ are kept whole, not split.
     greedy_optimize:
         When False, skip the greedy merge/dissolve phases (Algorithm 2
         lines 4–5) and return the raw cliques + leftover triples.
@@ -98,122 +112,177 @@ def construct_basis_set(
         for start in range(0, len(leftovers), 3)
     ]
 
+    bases: Sequence[Iterable[int]] = group_one + group_two
     if greedy_optimize:
-        group_one = _greedy_merge(
-            group_one, group_two, queries, max_basis_length
+        # The scale must bound every length, cliques beyond the cap too.
+        longest = max([max_basis_length] + [len(c) for c in group_one])
+        scorer = _EVScorer(items, queries, scale=longest)
+        members, clique_count = _greedy_merge(
+            scorer, scorer.membership(bases), len(group_one), max_basis_length
         )
-        group_one, group_two = _greedy_dissolve(
-            group_one, group_two, queries, max_basis_length
-        )
-    return BasisSet(
-        [tuple(sorted(basis)) for basis in group_one + group_two]
-    ).simplified()
+        bases = scorer.bases(_greedy_dissolve(
+            scorer, members, clique_count, max_basis_length
+        ))
+    return BasisSet([tuple(sorted(basis)) for basis in bases]).simplified()
+
+
+class _EVScorer:
+    """:func:`average_case_ev` of many candidate configurations at once.
+
+    A configuration is a bases × items membership matrix over ``F``.
+    Basis ``b`` adds ``2^{-(|b|-|q|)}`` to the inverse-variance sum of
+    each query ``q ⊆ b``: an exact int64 once scaled by ``2^scale``
+    (``scale`` bounds every basis length), so a candidate's sums are
+    the current ones minus the rows it drops plus the rows it adds.
+    :meth:`evs` repeats ``average_case_ev``'s float steps, exactly while
+    ``width · 2^scale < 2^53`` (bases of up to ~40 items).
+    """
+
+    def __init__(
+        self, items: Itemset, queries: Sequence[Itemset], scale: int
+    ) -> None:
+        self.items, self.queries = items, queries
+        self._column = {item: column for column, item in enumerate(items)}
+        self._first = np.array([self._column[q[0]] for q in queries])
+        self._last = np.array([self._column[q[-1]] for q in queries])
+        self._shift = scale + np.array([len(query) for query in queries])
+        self._unit = 2.0 ** -scale
+
+    def membership(self, bases: Sequence[Iterable[int]]) -> np.ndarray:
+        members = np.zeros((len(bases), len(self.items)), dtype=bool)
+        for row, basis in enumerate(bases):
+            members[row, [self._column[item] for item in basis]] = True
+        return members
+
+    def bases(self, members: np.ndarray) -> List[List[int]]:
+        return [[self.items[column] for column in np.flatnonzero(row)]
+                for row in members]
+
+    def contributions(self, members: np.ndarray) -> np.ndarray:
+        """Bases × queries, scaled ``2^{-(|b|-|q|)}`` or 0 if q ⊄ b."""
+        covered = members[:, self._first] & members[:, self._last]
+        shift = self._shift - members.sum(axis=1, keepdims=True)
+        return np.where(covered, np.left_shift(1, shift), 0)
+
+    def evs(self, inverse: np.ndarray, width: int) -> np.ndarray:
+        """EV per row of per-query inverse sums: ``inf`` if a sum is 0;
+        a sequential ``cumsum`` (not pairwise ``np.sum``) totals in
+        query order as ``average_case_ev`` does."""
+        with np.errstate(divide="ignore"):
+            reciprocal = 1.0 / (inverse * self._unit)
+        total = np.cumsum(reciprocal, axis=-1)[..., -1]
+        return (width * width) * total / len(self.queries)
+
+
+def _best_candidate(improvements: np.ndarray) -> int | None:
+    """The candidate a scan in order keeps: each later one must beat
+    the best so far by more than :data:`_EV_TOLERANCE`."""
+    best, best_improvement = None, 0.0
+    for index in np.flatnonzero(improvements > _EV_TOLERANCE).tolist():
+        if improvements[index] > best_improvement + _EV_TOLERANCE:
+            best, best_improvement = index, improvements[index]
+    return best
 
 
 def _greedy_merge(
-    group_one: List[Set[int]],
-    group_two: List[Set[int]],
-    queries: Sequence[Itemset],
+    scorer: _EVScorer,
+    members: np.ndarray,
+    clique_count: int,
     max_basis_length: int,
-) -> List[Set[int]]:
-    """Algorithm 2 line 4: merge clique-bases while EV decreases."""
-    current = average_case_ev(group_one + group_two, queries)
-    while len(group_one) >= 2:
-        best_improvement = 0.0
-        best_pair: Tuple[int, int] | None = None
-        best_ev = current
-        for i in range(len(group_one)):
-            for j in range(i + 1, len(group_one)):
-                merged = group_one[i] | group_one[j]
-                if len(merged) > max_basis_length:
-                    continue
-                candidate = (
-                    [
-                        basis
-                        for index, basis in enumerate(group_one)
-                        if index not in (i, j)
-                    ]
-                    + [merged]
-                    + group_two
-                )
-                candidate_ev = average_case_ev(candidate, queries)
-                improvement = current - candidate_ev
-                if improvement > best_improvement + _EV_TOLERANCE:
-                    best_improvement = improvement
-                    best_pair = (i, j)
-                    best_ev = candidate_ev
-        if best_pair is None:
+) -> Tuple[np.ndarray, int]:
+    """Algorithm 2 line 4: merge clique-bases while EV decreases.
+
+    The clique-bases are the first rows of ``members``; each step
+    scores every ``(i, j)`` merge, in lexicographic order, in arrays of
+    at most :data:`_BLOCK_CELLS` candidate × query cells.
+    """
+    current = average_case_ev(scorer.bases(members), scorer.queries)
+    while clique_count >= 2:
+        first, second = np.triu_indices(clique_count, 1)
+        contributions = scorer.contributions(members)
+        total = contributions.sum(axis=0)
+        evs = np.empty(len(first))
+        step = max(1, _BLOCK_CELLS // len(scorer.queries))
+        for start in range(0, len(first), step):
+            i, j = first[start:start + step], second[start:start + step]
+            merged = members[i] | members[j]
+            inverse = total - contributions[i] - contributions[j]
+            inverse += scorer.contributions(merged)
+            evs[start:start + step] = np.where(  # vetoed merges score inf
+                merged.sum(axis=1) <= max_basis_length,
+                scorer.evs(inverse, len(members) - 1), math.inf,
+            )
+        best = _best_candidate(current - evs)
+        if best is None:
             break
-        i, j = best_pair
-        merged = group_one[i] | group_one[j]
-        group_one = [
-            basis
-            for index, basis in enumerate(group_one)
-            if index not in (i, j)
-        ] + [merged]
-        current = best_ev
-    return group_one
+        i, j = first[best], second[best]
+        kept = [row for row in range(clique_count) if row not in (i, j)]
+        members = np.vstack(
+            [members[kept], members[i] | members[j], members[clique_count:]]
+        )
+        clique_count, current = clique_count - 1, evs[best]
+    return members, clique_count
 
 
 def _greedy_dissolve(
-    group_one: List[Set[int]],
-    group_two: List[Set[int]],
-    queries: Sequence[Itemset],
+    scorer: _EVScorer,
+    members: np.ndarray,
+    clique_count: int,
     max_basis_length: int,
-) -> Tuple[List[Set[int]], List[Set[int]]]:
-    """Algorithm 2 line 5: dissolve B2 bases into the smallest bases."""
-    current = average_case_ev(group_one + group_two, queries)
-    while group_two:
-        best_improvement = 0.0
-        best_candidate: Tuple[
-            int, List[Set[int]], List[Set[int]], float
-        ] | None = None
-        for index in range(len(group_two)):
-            candidate = _dissolve_one(
-                group_one, group_two, index, max_basis_length
-            )
-            if candidate is None:
-                continue
-            candidate_one, candidate_two = candidate
-            candidate_ev = average_case_ev(
-                candidate_one + candidate_two, queries
-            )
-            improvement = current - candidate_ev
-            if improvement > best_improvement + _EV_TOLERANCE:
-                best_improvement = improvement
-                best_candidate = (
-                    index, candidate_one, candidate_two, candidate_ev
-                )
-        if best_candidate is None:
-            break
-        _, group_one, group_two, current = best_candidate
-    return group_one, group_two
+) -> np.ndarray:
+    """Algorithm 2 line 5: dissolve B2 bases into the smallest bases.
 
-
-def _dissolve_one(
-    group_one: List[Set[int]],
-    group_two: List[Set[int]],
-    index: int,
-    max_basis_length: int,
-) -> Tuple[List[Set[int]], List[Set[int]]] | None:
-    """Remove ``group_two[index]``, placing each of its items into the
-    currently smallest basis with room (re-evaluated per item).
-
-    Returns None when some item cannot be placed without violating the
-    length cap.
+    The B2 bases are the rows after the cliques.  A candidate moves
+    each item of its basis into the then-smallest other basis, so it
+    changes only its own row and at most three home rows.
     """
-    candidate_one = [set(basis) for basis in group_one]
-    candidate_two = [
-        set(basis)
-        for position, basis in enumerate(group_two)
-        if position != index
-    ]
-    homes = candidate_one + candidate_two
-    if not homes:
-        return None
-    for item in sorted(group_two[index]):
-        target = min(homes, key=len)
-        if len(target) >= max_basis_length:
+    current = average_case_ev(scorer.bases(members), scorer.queries)
+    while len(members) > clique_count:
+        lengths = members.sum(axis=1).tolist()
+        removed, owners, homes, grown = [], [], [], []
+        for index in range(clique_count, len(members)):
+            columns = np.flatnonzero(members[index])
+            placement = _placement(lengths, index, columns, max_basis_length)
+            if placement is None:
+                continue
+            for home, columns in placement.items():
+                owners.append(len(removed))
+                homes.append(home)
+                grown.append(members[home].copy())
+                grown[-1][columns] = True
+            removed.append(index)
+        if not removed:
+            break
+        rows = np.array(grown)
+        contributions = scorer.contributions(members)
+        inverse = contributions.sum(axis=0) - contributions[removed]
+        np.add.at(
+            inverse, owners, scorer.contributions(rows) - contributions[homes]
+        )
+        evs = scorer.evs(inverse, len(members) - 1)
+        best = _best_candidate(current - evs)
+        if best is None:
+            break
+        chosen = np.equal(owners, best)
+        members[np.array(homes)[chosen]] = rows[chosen]
+        members = np.delete(members, removed[best], axis=0)
+        current = evs[best]
+    return members
+
+
+def _placement(
+    lengths: List[int], index: int, columns: Sequence[int], cap: int
+) -> Dict[int, List[int]] | None:
+    """``{home: item columns}`` for dissolving basis ``index``: each
+    item in turn joins the then-smallest other basis (first on ties).
+    None when some item finds no basis shorter than the cap."""
+    sizes: List[float] = list(lengths)
+    sizes[index] = math.inf
+    placement: Dict[int, List[int]] = {}
+    for column in columns:
+        home = min(range(len(sizes)), key=sizes.__getitem__)
+        if sizes[home] >= cap:
             return None
-        target.add(item)
-    return candidate_one, candidate_two
+        sizes[home] += 1
+        placement.setdefault(home, []).append(column)
+    return placement

@@ -99,7 +99,15 @@ def validate_alphas(
     inside ``privbasis()``; planners call it at construction so a bad
     split fails before any plan is priced or data touched.
     """
-    alphas = tuple(float(alpha) for alpha in alphas)
+    converted = []
+    for index, alpha in enumerate(alphas):
+        try:
+            converted.append(float(alpha))
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(
+                f"alphas[{index}] must be a number, got {alpha!r}"
+            ) from None
+    alphas = tuple(converted)
     if len(alphas) != 3:
         raise ValidationError(
             f"alphas must have 3 entries, got {alphas!r}"

@@ -13,6 +13,7 @@ keys are rejected with ``validation_error`` rather than ignored.
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Dict, List, Mapping
 
 from repro.core.result import PrivateFIMResult
@@ -102,12 +103,13 @@ def parse_release_request(body: Any) -> Dict[str, Any]:
         raise ValidationError(
             f"epsilon must be a number, got {epsilon!r}"
         )
-    epsilon = float(epsilon)
-    if not 0 < epsilon < float("inf"):
+    # Compared before float(): an integer past the float range would
+    # overflow there instead of failing validation.
+    if not 0 < epsilon <= sys.float_info.max:
         raise ValidationError(
-            f"epsilon must be positive and finite, got {body['epsilon']!r}"
+            f"epsilon must be positive and finite, got {epsilon!r}"
         )
-    request: Dict[str, Any] = {"k": k, "epsilon": epsilon}
+    request: Dict[str, Any] = {"k": k, "epsilon": float(epsilon)}
     if "noise" in body:
         noise = body["noise"]
         if noise not in ALLOWED_NOISE:

@@ -1,12 +1,27 @@
 """Tests for ConstructBasisSet (paper Algorithm 2)."""
 
+import math
+from itertools import combinations
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import construct_basis
 from repro.core.basis import BasisSet
-from repro.core.construct_basis import construct_basis_set
+from repro.core.construct_basis import (
+    _EV_TOLERANCE,
+    _best_candidate,
+    _EVScorer,
+    construct_basis_set,
+)
 from repro.core.error_variance import average_case_ev
 from repro.errors import ValidationError
+from tests.core.construct_basis_reference import reference_basis_set
+from tests.pipeline.strategies import PROFILE
+
+#: Oracle-property examples per profile (``REPRO_PROPERTY_PROFILE``).
+ORACLE_EXAMPLES = {"default": 150, "nightly": 1500}[PROFILE]
 
 
 class TestValidation:
@@ -70,6 +85,20 @@ class TestStructure:
         ]
         basis_set = construct_basis_set(items, pairs, max_basis_length=8)
         assert basis_set.length <= 8
+
+    def test_cap_does_not_split_cliques(self):
+        # The cap vetoes greedy merges and dissolves only: a maximal
+        # clique longer than it is kept whole, and the leftovers find
+        # no home beside it.
+        basis_set = construct_basis_set(
+            range(5), combinations(range(4), 2), max_basis_length=3
+        )
+        assert basis_set == BasisSet([(0, 1, 2, 3), (4,)])
+        thirteen = construct_basis_set(
+            range(15), combinations(range(13), 2)
+        )
+        assert thirteen == BasisSet([tuple(range(13)), (13, 14)])
+        assert thirteen.length == 13
 
     def test_no_subsumed_bases_in_output(self):
         items = list(range(6))
@@ -150,3 +179,111 @@ class TestEVReasoning:
         for pair in pairs:
             assert basis_set.covers(pair)
         assert basis_set.length <= 12
+
+
+@st.composite
+def basis_inputs(draw):
+    """Random ``(F, P, ℓ)``; half the time P holds a clique longer
+    than the cap ℓ, which the greedy keeps whole."""
+    items = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=200),
+            min_size=1, max_size=40, unique=True,
+        )
+    )
+    cap = draw(st.integers(min_value=3, max_value=12))
+    candidates = list(combinations(sorted(items), 2))
+    pairs = set()
+    if candidates:
+        pairs.update(
+            draw(st.lists(st.sampled_from(candidates), max_size=15))
+        )
+    if len(items) > cap and draw(st.booleans()):
+        clique = draw(
+            st.lists(
+                st.sampled_from(items),
+                min_size=cap + 1,
+                max_size=min(len(items), cap + 3),
+                unique=True,
+            )
+        )
+        pairs.update(combinations(sorted(clique), 2))
+    return items, sorted(pairs), cap
+
+
+class TestMatchesReferenceGreedy:
+    """The incremental scorer must choose exactly the bases the
+    from-scratch greedy (``construct_basis_reference``) chooses."""
+
+    @staticmethod
+    def assert_same_choice(items, pairs, cap):
+        chosen = construct_basis_set(items, pairs, max_basis_length=cap)
+        expected = reference_basis_set(items, pairs, max_basis_length=cap)
+        assert chosen == expected
+        queries = [(item,) for item in sorted(items)] + pairs
+        assert average_case_ev(list(chosen), queries) == average_case_ev(
+            list(expected), queries
+        )
+
+    @given(basis_inputs())
+    @settings(max_examples=ORACLE_EXAMPLES, deadline=None)
+    def test_random_inputs(self, case):
+        self.assert_same_choice(*case)
+
+    def test_tier_large_shaped_input(self):
+        # λ = 102 items and |P| = 18 pairs: a hub item paired with 17
+        # others plus one more edge, the shape tier-large releases at
+        # k = 100 select.
+        hub = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 16, 18, 21]
+        pairs = [(0, other) for other in hub] + [(1, 2)]
+        self.assert_same_choice(list(range(102)), pairs, 12)
+
+    def test_merge_candidates_scored_in_blocks(self, monkeypatch):
+        # One candidate per block: the blocked scan must pick the same
+        # merges as the single-array one.
+        monkeypatch.setattr(construct_basis, "_BLOCK_CELLS", 1)
+        self.test_tier_large_shaped_input()
+        self.assert_same_choice(
+            list(range(12)), [(0, 1), (1, 2), (0, 2), (2, 3), (4, 5)], 6
+        )
+
+    def test_greedy_off_returns_the_raw_cliques_and_triples(self):
+        basis_set = construct_basis_set(
+            range(8), [(0, 1), (0, 2), (1, 2)], greedy_optimize=False
+        )
+        assert basis_set == BasisSet([(0, 1, 2), (3, 4, 5), (6, 7)])
+
+
+class TestScorerPins:
+    """White-box pins of the two rules the identical choices rest on."""
+
+    @given(basis_inputs(), st.randoms(use_true_random=False))
+    @settings(max_examples=ORACLE_EXAMPLES, deadline=None)
+    def test_scorer_floats_equal_average_case_ev(self, case, random):
+        items, pairs, cap = case
+        queries = [(item,) for item in sorted(items)] + pairs
+        bases = [
+            random.sample(items, random.randint(1, min(len(items), cap)))
+            for _ in range(random.randint(1, 12))
+        ]
+        scorer = _EVScorer(tuple(sorted(items)), queries, scale=cap)
+        inverse = scorer.contributions(scorer.membership(bases)).sum(axis=0)
+        assert scorer.evs(inverse, len(bases)) == average_case_ev(
+            bases, queries
+        )
+
+    @given(
+        st.lists(
+            st.sampled_from(
+                [-math.inf, -1.0, 0.0, 5e-13, 1.0, 1.0 + 5e-13,
+                 1.0 + 1.5e-12, 1.0 + 3e-12, 2.0]
+            ),
+            max_size=12,
+        )
+    )
+    def test_best_candidate_is_the_in_order_scan(self, improvements):
+        best, best_improvement = None, 0.0
+        for index, improvement in enumerate(improvements):
+            if improvement > best_improvement + _EV_TOLERANCE:
+                best, best_improvement = index, improvement
+        assert _best_candidate(np.array(improvements, dtype=float)) == best

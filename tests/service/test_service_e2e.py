@@ -414,6 +414,47 @@ class TestStreamingIngest:
 
 
 class TestWireContract:
+    def test_unconvertible_numbers_are_400_before_any_charge(self):
+        # float() overflows on the first body and raises TypeError on
+        # the second; both must answer a typed 400, not a 500.
+        bodies = [
+            {"tenant": "alice", "k": 5, "epsilon": 10 ** 400},
+            {
+                "tenant": "alice",
+                "k": 5,
+                "epsilon": 1,
+                "planner": {"name": "custom", "alphas": [None, 0.5, 0.5]},
+            },
+        ]
+
+        async def scenario():
+            service, _ = make_service()
+            async with service.serving() as (host, port):
+                from repro.service import http
+
+                async with ServiceClient(host, port) as client:
+                    before = await client.budget(tenant="alice")
+                replies = []
+                for body in bodies:
+                    reader, writer = await asyncio.open_connection(
+                        host, port
+                    )
+                    http.write_request(writer, "POST", "/v1/release", body)
+                    await writer.drain()
+                    replies.append(await http.read_response(reader))
+                    writer.close()
+                async with ServiceClient(host, port) as client:
+                    after = await client.budget(tenant="alice")
+            return before, replies, after
+
+        before, replies, after = asyncio.run(scenario())
+        for status, payload in replies:
+            assert status == 400
+            assert payload["error"] == "validation_error"
+        assert "alphas[0]" in replies[1][1]["message"]
+        assert after == before
+        assert after["ledger"]["spent"] == 0
+
     def test_seedful_requests_rejected_over_the_wire(self):
         async def scenario():
             service, _ = make_service()
