@@ -245,11 +245,11 @@ def _greedy_dissolve(
             placement = _placement(lengths, index, columns, max_basis_length)
             if placement is None:
                 continue
-            for home, columns in placement.items():
+            for home, added in placement.items():
                 owners.append(len(removed))
                 homes.append(home)
                 grown.append(members[home].copy())
-                grown[-1][columns] = True
+                grown[-1][added] = True
             removed.append(index)
         if not removed:
             break

@@ -183,8 +183,8 @@ class TestEVReasoning:
 
 @st.composite
 def basis_inputs(draw):
-    """Random ``(F, P, ℓ)``; half the time P holds a clique longer
-    than the cap ℓ, which the greedy keeps whole."""
+    """Random ``(F, P, ℓ)``; when ``|F| > ℓ``, P often holds a clique
+    longer than the cap ℓ, which the greedy keeps whole."""
     items = draw(
         st.lists(
             st.integers(min_value=0, max_value=200),
