@@ -2,7 +2,7 @@
 
 Unlike the table/figure benches (one pedantic round each), these are
 true pytest-benchmark timings with repeated rounds: the counting
-kernel, the subset-sum reconstruction transform, the exact miners, the
+kernel, the subset-sum reconstruction transform, the exact miner, the
 clique enumerator, and the two end-to-end private methods.
 
 The paper's complexity claims anchored here:
@@ -24,7 +24,6 @@ from repro.core.basis_freq import basis_freq
 from repro.core.privbasis import privbasis
 from repro.baselines.tf import clear_explicit_mining_cache, tf_method
 from repro.datasets.registry import load_dataset
-from repro.fim.apriori import apriori
 from repro.fim.counting import (
     ItemBitmaps,
     bin_counts_for_items,
@@ -71,13 +70,6 @@ def bench_superset_sum_transform_4096_bins(benchmark):
 def bench_fpgrowth_mushroom(benchmark, mushroom):
     floor = int(0.4 * mushroom.num_transactions)
     result = benchmark(fpgrowth, mushroom, floor)
-    assert len(result) > 50
-
-
-@pytest.mark.benchmark(group="mining")
-def bench_apriori_mushroom(benchmark, mushroom):
-    floor = int(0.4 * mushroom.num_transactions)
-    result = benchmark(apriori, mushroom, floor)
     assert len(result) > 50
 
 

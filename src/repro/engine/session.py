@@ -98,7 +98,6 @@ class PrivBasisSession:
         reuse: bool = False,
     ) -> None:
         from repro.dp.rng import ensure_rng
-        from repro.pipeline.planner import TraceHistory
         from repro.pipeline.reuse import ReuseIndex
 
         self._log: Optional[TransactionLog] = None
@@ -125,8 +124,6 @@ class PrivBasisSession:
         self._reuse_index = ReuseIndex() if reuse else None
         self._reuse_hits = 0
         self._reuse_epsilon_saved = 0.0
-        #: Which branch served past releases; feeds bound AutoPlanners.
-        self._trace_history = TraceHistory()
 
     # -- introspection --------------------------------------------------
     @property
@@ -170,11 +167,6 @@ class PrivBasisSession:
     def reuse_hits(self) -> int:
         """Releases served by post-processing a stored release."""
         return self._reuse_hits
-
-    @property
-    def trace_history(self):
-        """Branch telemetry of past releases (AutoPlanner input)."""
-        return self._trace_history
 
     # -- streaming ingestion --------------------------------------------
     def ingest(self, transactions) -> int:
@@ -375,19 +367,6 @@ class PrivBasisSession:
                 _REUSE_SCOPE, self._snapshot_version
             )
 
-    def _bind_planner(self, planner):
-        """Resolve ``planner`` and bind unbound AutoPlanners to this
-        session's trace history (the per-dataset telemetry the auto
-        policy conditions on)."""
-        if planner is None:
-            return None
-        from repro.pipeline.planner import AutoPlanner, resolve_planner
-
-        planner = resolve_planner(planner)
-        if isinstance(planner, AutoPlanner) and planner.history is None:
-            planner.bind(self._trace_history)
-        return planner
-
     def _serve_reused(self, k, epsilon):
         """A reuse-plane answer for ``(k, ε)``, or ``None`` on a miss.
 
@@ -466,9 +445,12 @@ class PrivBasisSession:
         and the ledger debits nothing (see
         :mod:`repro.pipeline.reuse`).
         """
+        from repro.pipeline.planner import resolve_planner
         from repro.pipeline.run import planned_release
 
-        planner = self._bind_planner(planner)
+        if planner is not None:
+            # Resolve before charging: an unknown planner spends nothing.
+            planner = resolve_planner(planner)
         if self._reuse_index is not None and planner is None and not kwargs:
             reused = self._serve_reused(k, epsilon)
             if reused is not None:
@@ -487,7 +469,6 @@ class PrivBasisSession:
         result.snapshot_version = pinned_version
         self._epsilon_spent += epsilon
         self._num_releases += 1
-        self._trace_history.observe(result.trace)
         if self._reuse_index is not None:
             from repro.pipeline.reuse import payload_from_result
 

@@ -1,6 +1,5 @@
 """Exact (non-private) frequent itemset mining substrate."""
 
-from repro.fim.apriori import apriori, frequent_itemsets_sorted
 from repro.fim.counting import (
     DEFAULT_MAX_BASIS_LENGTH,
     MAX_BIN_BASIS_LENGTH,
@@ -15,14 +14,12 @@ from repro.fim.fptree import FPNode, FPTree
 from repro.fim.itemsets import (
     Itemset,
     all_nonempty_subsets,
-    apriori_join,
     canonical_itemset,
     format_itemset,
     itemset_to_mask,
     mask_to_itemset,
     subsets_of_size,
 )
-from repro.fim.maximal import is_basis_for, maximal_itemsets, mine_maximal
 from repro.fim.topk import (
     exact_topk_itemset_set,
     kth_frequency,
@@ -40,21 +37,15 @@ __all__ = [
     "MAX_BIN_BASIS_LENGTH",
     "Itemset",
     "all_nonempty_subsets",
-    "apriori",
-    "apriori_join",
     "bin_counts_for_items",
     "canonical_itemset",
     "database_of",
     "exact_topk_itemset_set",
     "format_itemset",
     "fpgrowth",
-    "frequent_itemsets_sorted",
-    "is_basis_for",
     "itemset_to_mask",
     "kth_frequency",
     "mask_to_itemset",
-    "maximal_itemsets",
-    "mine_maximal",
     "naive_superset_sum",
     "pairs_in_topk",
     "size_n_in_topk",

@@ -1,9 +1,9 @@
 """FP-Growth: frequent-itemset mining without candidate generation.
 
 Recursive pattern-growth over the FP-tree (Han, Pei, Yin & Mao, 2004;
-cited as [22] in the paper).  Equivalent output to :func:`repro.fim.
-apriori.apriori`; asymptotically faster on dense data because shared
-prefixes are counted once.
+cited as [22] in the paper).  This is the library's one exact
+threshold miner: shared prefixes are counted once, so it stays fast on
+dense data.
 """
 
 from __future__ import annotations
@@ -30,9 +30,13 @@ def fpgrowth(
 ) -> MiningResult:
     """Mine all itemsets with support ≥ ``min_support`` via FP-Growth.
 
-    Same contract as :func:`repro.fim.apriori.apriori`, including the
-    optional counting ``backend`` (item frequencies route through it;
-    tree construction streams the unified database).
+    Returns a mapping itemset (sorted tuple) → support count.
+    ``min_support`` is an absolute count and must be at least 1 (a
+    threshold of 0 would enumerate the powerset).  ``max_length``, when
+    given, keeps only itemsets of at most that many items.  The optional
+    counting ``backend`` (or a backend passed in the ``database`` slot)
+    supplies the item frequencies; tree construction streams the
+    unified database.
     """
     if min_support < 1:
         raise ValidationError(

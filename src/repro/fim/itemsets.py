@@ -3,14 +3,13 @@
 An *itemset* is canonically represented as a sorted tuple of int item
 ids (see :func:`repro.datasets.transactions.canonical_itemset`).  This
 module adds the combinatorial helpers the paper's algorithms need:
-subset enumeration, bitmask encoding of subsets of a basis, and the
-Apriori join step.
+subset enumeration and bitmask encoding of subsets of a basis.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Sequence
 
 from repro.datasets.transactions import Itemset, canonical_itemset
 from repro.errors import ValidationError
@@ -22,8 +21,6 @@ __all__ = [
     "subsets_of_size",
     "itemset_to_mask",
     "mask_to_itemset",
-    "apriori_join",
-    "has_all_subsets",
     "format_itemset",
 ]
 
@@ -79,42 +76,6 @@ def mask_to_itemset(mask: int, basis: Sequence[int]) -> Itemset:
             for position in range(len(basis))
             if mask & (1 << position)
         )
-    )
-
-
-def apriori_join(frequent: Sequence[Itemset]) -> List[Itemset]:
-    """Apriori candidate generation: join ``L_{n-1}`` with itself.
-
-    Two (n−1)-itemsets sharing their first n−2 items join into an
-    n-candidate; candidates with an infrequent (n−1)-subset are pruned
-    (the Apriori property, paper Section 2.2).
-    """
-    if not frequent:
-        return []
-    size = len(frequent[0])
-    if any(len(itemset) != size for itemset in frequent):
-        raise ValidationError("all itemsets in a level must share a size")
-    frequent_set = set(frequent)
-    ordered = sorted(frequent_set)
-    candidates: List[Itemset] = []
-    for index, left in enumerate(ordered):
-        for right in ordered[index + 1:]:
-            if left[:-1] != right[:-1]:
-                break
-            candidate = left + (right[-1],)
-            if has_all_subsets(candidate, frequent_set):
-                candidates.append(candidate)
-    return candidates
-
-
-def has_all_subsets(candidate: Itemset, frequent: set) -> bool:
-    """True iff every (n−1)-subset of ``candidate`` is in ``frequent``."""
-    size = len(candidate)
-    if size <= 1:
-        return True
-    return all(
-        candidate[:index] + candidate[index + 1:] in frequent
-        for index in range(size)
     )
 
 

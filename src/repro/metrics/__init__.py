@@ -1,12 +1,5 @@
-"""Utility metrics (paper Section 5) plus ranking-quality extensions."""
+"""Utility metrics (paper Section 5)."""
 
-from repro.metrics.ranking import (
-    jaccard_similarity,
-    kendall_tau,
-    precision_at,
-    precision_curve,
-    ranking_report,
-)
 from repro.metrics.utility import (
     evaluate_release,
     false_negative_rate,
@@ -16,10 +9,5 @@ from repro.metrics.utility import (
 __all__ = [
     "evaluate_release",
     "false_negative_rate",
-    "jaccard_similarity",
-    "kendall_tau",
-    "precision_at",
-    "precision_curve",
-    "ranking_report",
     "relative_error",
 ]

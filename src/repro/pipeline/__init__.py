@@ -25,12 +25,10 @@ from repro.pipeline.planner import (
     DEFAULT_ALPHAS,
     SINGLE_BASIS_LAMBDA,
     AdaptivePlanner,
-    AutoPlanner,
     BudgetPlanner,
     CustomPlanner,
     PaperPlanner,
     SelectionAllocation,
-    TraceHistory,
     default_eta,
     pair_budget_size,
     planner_for,
@@ -66,7 +64,6 @@ from repro.pipeline.trace import (
 
 __all__ = [
     "AdaptivePlanner",
-    "AutoPlanner",
     "BasisFreqStage",
     "BudgetPlanner",
     "ConstructBasis",
@@ -89,7 +86,6 @@ __all__ = [
     "StageContext",
     "StageTrace",
     "StoredRelease",
-    "TraceHistory",
     "build_plan",
     "default_eta",
     "execute_plan",

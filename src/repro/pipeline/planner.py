@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import abc
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from repro.errors import UnknownPlannerError, ValidationError
 
@@ -42,12 +41,10 @@ __all__ = [
     "DEFAULT_ALPHAS",
     "SINGLE_BASIS_LAMBDA",
     "AdaptivePlanner",
-    "AutoPlanner",
     "BudgetPlanner",
     "CustomPlanner",
     "PaperPlanner",
     "SelectionAllocation",
-    "TraceHistory",
     "default_eta",
     "pair_budget_size",
     "planner_for",
@@ -341,130 +338,6 @@ class AdaptivePlanner(BudgetPlanner):
         }
 
 
-class TraceHistory:
-    """A bounded record of which pipeline branch served releases.
-
-    Fed one :class:`~repro.pipeline.trace.ReleaseTrace` per release
-    (``observe``); only the branch — ``"single_basis"`` or
-    ``"pairs"`` — is retained, and only the most recent
-    ``maxlen`` observations, so a long-lived dataset's history tracks
-    the data it serves *now*.  The branch is itself a published DP
-    output (λ crossed the threshold or it did not), so conditioning a
-    later release's planner on it is post-processing.
-    """
-
-    def __init__(self, maxlen: int = 256) -> None:
-        if maxlen < 1:
-            raise ValidationError(
-                f"maxlen must be >= 1, got {maxlen}"
-            )
-        self._branches: Deque[str] = deque(maxlen=maxlen)
-
-    def observe(self, trace) -> None:
-        """Fold one release trace (or ``None``) into the history."""
-        branch = getattr(trace, "branch", "")
-        if branch:
-            self._branches.append(str(branch))
-
-    def __len__(self) -> int:
-        return len(self._branches)
-
-    def counts(self) -> Dict[str, int]:
-        """Observed branch tallies, e.g. ``{"single_basis": 12}``."""
-        tally: Dict[str, int] = {}
-        for branch in self._branches:
-            tally[branch] = tally.get(branch, 0) + 1
-        return tally
-
-    def suggest(self) -> str:
-        """The policy the accumulated telemetry argues for.
-
-        ``"paper"`` with no history (the pinned cold-start fallback:
-        an :class:`AutoPlanner` over an empty history is bit-identical
-        to :class:`PaperPlanner`).  Once a strict majority of observed
-        releases took the single-basis branch, ``"adaptive"`` — its
-        single-basis reallocation moves the over-funded selection
-        budget into counting, which is exactly where this workload
-        spends its ε.  Otherwise ``"paper"``: in the pairs regime the
-        paper split is the tuned, equivalence-pinned default.
-        """
-        if not self._branches:
-            return "paper"
-        single = sum(
-            1 for branch in self._branches if branch == "single_basis"
-        )
-        if 2 * single > len(self._branches):
-            return "adaptive"
-        return "paper"
-
-
-class AutoPlanner(BudgetPlanner):
-    """Pick paper vs adaptive from accumulated release telemetry.
-
-    Bound to a per-dataset :class:`TraceHistory` by the serving layer
-    (:meth:`bind`); each pricing decision delegates to the planner
-    :meth:`TraceHistory.suggest` names at that moment.  Unbound — or
-    bound to an empty history — it *is* the paper planner: the golden
-    equivalence suite pins cold-start bit-identity.
-
-    The α fractions are fixed at the paper split (both delegates use
-    it); policies that want custom fractions are spelled explicitly
-    via ``custom`` / ``adaptive``.
-    """
-
-    name = "auto"
-
-    def __init__(self, history: Optional[TraceHistory] = None) -> None:
-        super().__init__(DEFAULT_ALPHAS)
-        self._history = history
-
-    @property
-    def history(self) -> Optional[TraceHistory]:
-        """The bound telemetry source, if any."""
-        return self._history
-
-    def bind(self, history: TraceHistory) -> "AutoPlanner":
-        """Attach the per-dataset history; returns ``self``."""
-        self._history = history
-        return self
-
-    def chosen(self) -> str:
-        """The delegate the current history selects."""
-        if self._history is None:
-            return "paper"
-        return self._history.suggest()
-
-    def _delegate(self) -> BudgetPlanner:
-        return (
-            AdaptivePlanner()
-            if self.chosen() == "adaptive"
-            else PaperPlanner()
-        )
-
-    def selection_allocation(
-        self,
-        lam: int,
-        k: int,
-        eta: float,
-        alpha2_epsilon: float,
-        single_basis_lambda: int,
-    ) -> SelectionAllocation:
-        return self._delegate().selection_allocation(
-            lam, k, eta, alpha2_epsilon, single_basis_lambda
-        )
-
-    def stage_notes(self) -> Dict[str, str]:
-        return self._delegate().stage_notes()
-
-    def describe(self) -> Dict[str, object]:
-        description = super().describe()
-        description["policy"] = self.chosen()
-        description["observed"] = (
-            self._history.counts() if self._history is not None else {}
-        )
-        return description
-
-
 #: Planner names resolvable on the wire / CLI.  ``custom`` needs an
 #: explicit ``alphas`` argument, so a bare ``"custom"`` string is
 #: rejected with guidance.
@@ -472,7 +345,6 @@ _PLANNERS = {
     "paper": PaperPlanner,
     "custom": CustomPlanner,
     "adaptive": AdaptivePlanner,
-    "auto": AutoPlanner,
 }
 
 PlannerSpec = Union[None, str, Mapping[str, object], BudgetPlanner]
@@ -541,14 +413,6 @@ def _resolve_named(
                 f"{DEFAULT_ALPHAS}; use 'custom' to choose your own"
             )
         return PaperPlanner()
-    if factory is AutoPlanner:
-        if alphas is not None and tuple(alphas) != DEFAULT_ALPHAS:
-            raise ValidationError(
-                "the auto planner keeps the paper alphas and only "
-                "picks between paper and adaptive; use 'custom' or "
-                "'adaptive' to choose your own fractions"
-            )
-        return AutoPlanner()
     if factory is CustomPlanner and alphas is None:
         raise ValidationError(
             "the custom planner needs explicit alphas, e.g. "

@@ -92,7 +92,6 @@ from repro.errors import (
     error_to_wire,
 )
 from repro.pipeline.plan import build_plan
-from repro.pipeline.planner import AutoPlanner, TraceHistory
 from repro.pipeline.reuse import ReuseDecision, top_k_truncate
 from repro.service import http
 from repro.service.coalesce import Coalescer
@@ -329,8 +328,6 @@ class PrivBasisService:
         self._reuse_metrics = ReuseMetrics(enabled=self._reuse_enabled)
         #: mmap spill directories this process built; removed at stop.
         self._spill_dirs: List[Path] = []
-        #: Per-dataset release-trace history feeding AutoPlanner.
-        self._trace_histories: Dict[str, TraceHistory] = {}
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: set = set()
         self._started_at = time.monotonic()
@@ -497,19 +494,6 @@ class PrivBasisService:
         return lock
 
     # -- reuse plane ------------------------------------------------------
-    def _history_for(self, dataset: str) -> TraceHistory:
-        """The dataset's accumulated release-branch history."""
-        history = self._trace_histories.get(dataset)
-        if history is None:
-            history = self._trace_histories[dataset] = TraceHistory()
-        return history
-
-    def _bind_auto(self, request: Dict[str, Any], dataset: str) -> None:
-        """Give an unbound AutoPlanner this dataset's trace history."""
-        planner = request.get("planner")
-        if isinstance(planner, AutoPlanner) and planner.history is None:
-            planner.bind(self._history_for(dataset))
-
     def _reuse_lookup(
         self, tenant: Tenant, snapshot_version: int, k: int,
         epsilon: float,
@@ -579,7 +563,6 @@ class PrivBasisService:
         self._admit()
         try:
             session = await self.get_session(tenant.dataset)
-            self._bind_auto(request, tenant.dataset)
             reuse_block: Optional[Dict[str, Any]] = None
             if (
                 self._reuse_enabled
@@ -634,7 +617,6 @@ class PrivBasisService:
         finally:
             self._release_slot()
         self._stage_metrics.record(result.trace)
-        self._history_for(tenant.dataset).observe(result.trace)
         self._persist_release(tenant, result)
         await self._barrier()
         response = {
@@ -659,8 +641,6 @@ class PrivBasisService:
         self._admit(weight=len(requests))
         try:
             session = await self.get_session(tenant.dataset)
-            for request in requests:
-                self._bind_auto(request, tenant.dataset)
             # All-or-nothing admission against the journaled spent
             # value (tenant.remaining), so a freshly recovered ledger
             # and a long-running one refuse an oversized batch through
@@ -683,7 +663,6 @@ class PrivBasisService:
             self._release_slot(weight=len(requests))
         for result in results:
             self._stage_metrics.record(result.trace)
-            self._history_for(tenant.dataset).observe(result.trace)
             self._persist_release(tenant, result)
         await self._barrier()
         return {
@@ -799,11 +778,8 @@ class PrivBasisService:
             )
         tenant = self._registry.get(tenant_id)
         params = parse_plan_query(query)
-        planner = params["planner"]
-        if isinstance(planner, AutoPlanner) and planner.history is None:
-            planner.bind(self._history_for(tenant.dataset))
         plan = build_plan(
-            params["k"], params["epsilon"], planner=planner
+            params["k"], params["epsilon"], planner=params["planner"]
         )
         remaining = tenant.remaining
         response = {

@@ -368,13 +368,19 @@ class PrivBasisCluster:
         """``SIGKILL`` worker ``index`` — fault injection.
 
         No cleanup runs in the worker (that is the point): in-flight
-        requests on it fail per the router's retry/503 semantics, and
-        the monitor respawns a fresh process that recovers from the
-        shared store.
+        requests on it fail per the router's retry/503 semantics.  The
+        process is reaped and its slot leaves routing before this
+        returns, so :meth:`ClusterRouter.healthy_count` drops at once
+        and no request is routed to the dead port; the monitor then
+        respawns a fresh process that recovers from the shared store.
         """
         process = self._processes.get(index)
-        if process is not None and process.is_alive():
+        if process is None:
+            return
+        if process.is_alive():
             process.kill()
+            process.join(timeout=5)
+        self._router.mark_down(index)
 
     async def _monitor(self) -> None:
         """Restart dead or marked-down workers until :meth:`stop`."""

@@ -112,7 +112,10 @@ async def read_request(
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise ProtocolError(400, f"malformed request line: {parts!r}")
     method, target, _version = parts
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError as error:  # e.g. an unclosed "[" IPv6 host
+        raise ProtocolError(400, f"malformed request target: {error}")
     query = {
         key: values[-1]
         for key, values in parse_qs(split.query).items()
@@ -132,11 +135,15 @@ async def read_request(
         headers[name.strip().lower()] = value.strip()
     body = b""
     if "content-length" in headers:
-        try:
-            length = int(headers["content-length"])
-        except ValueError:
+        raw_length = headers["content-length"]
+        # ASCII digits only: int() alone also takes "+10" and "1_0".
+        if not (raw_length.isascii() and raw_length.isdigit()):
             raise ProtocolError(400, "invalid Content-Length")
-        if length < 0 or length > MAX_BODY_BYTES:
+        try:
+            length = int(raw_length)
+        except ValueError:  # past int()'s digit limit
+            raise ProtocolError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
+        if length > MAX_BODY_BYTES:
             raise ProtocolError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
         if length:
             try:

@@ -6,10 +6,8 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ValidationError
 from repro.fim.itemsets import (
     all_nonempty_subsets,
-    apriori_join,
     canonical_itemset,
     format_itemset,
-    has_all_subsets,
     itemset_to_mask,
     mask_to_itemset,
     subsets_of_size,
@@ -69,33 +67,6 @@ class TestMaskEncoding:
         basis = tuple(sorted(basis_items))
         mask %= 1 << len(basis)
         assert itemset_to_mask(mask_to_itemset(mask, basis), basis) == mask
-
-
-class TestAprioriJoin:
-    def test_joins_shared_prefix(self):
-        level = [(1, 2), (1, 3), (2, 3)]
-        assert apriori_join(level) == [(1, 2, 3)]
-
-    def test_prunes_missing_subset(self):
-        # (1,2,3) needs (2,3) to be frequent; it is not.
-        level = [(1, 2), (1, 3)]
-        assert apriori_join(level) == []
-
-    def test_singleton_level(self):
-        level = [(1,), (2,), (5,)]
-        assert apriori_join(level) == [(1, 2), (1, 5), (2, 5)]
-
-    def test_empty_level(self):
-        assert apriori_join([]) == []
-
-    def test_mixed_sizes_rejected(self):
-        with pytest.raises(ValidationError):
-            apriori_join([(1,), (1, 2)])
-
-    def test_has_all_subsets(self):
-        frequent = {(1, 2), (1, 3), (2, 3)}
-        assert has_all_subsets((1, 2, 3), frequent)
-        assert not has_all_subsets((1, 2, 4), frequent)
 
 
 class TestFormatting:

@@ -1,8 +1,9 @@
-"""Cross-validation of the three exact miners.
+"""Cross-validation of the exact miners.
 
-Apriori, FP-Growth, and the best-first top-k miner must agree with each
-other and with brute-force counting on every database — this is the
-load-bearing guarantee behind all ground-truth metrics.
+FP-Growth and the best-first top-k miner must agree with brute-force
+counting on every database — this is the load-bearing guarantee behind
+all ground-truth metrics.  FP-Growth is also checked against Apriori
+(``apriori_reference``), an independent test-only oracle.
 """
 
 import pytest
@@ -10,11 +11,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datasets.transactions import TransactionDatabase
 from repro.errors import ValidationError
-from repro.fim.apriori import apriori, frequent_itemsets_sorted
 from repro.fim.fpgrowth import fpgrowth
 from repro.fim.topk import top_k_itemsets
 
 from tests.conftest import brute_force_supports, brute_force_topk
+from tests.fim.apriori_reference import (
+    apriori,
+    apriori_join,
+    frequent_itemsets_sorted,
+    has_all_subsets,
+)
 
 transactions_strategy = st.lists(
     st.lists(st.integers(min_value=0, max_value=9), max_size=6),
@@ -46,6 +52,33 @@ class TestAprioriBasics:
         assert ranked[0] == ((0,), 6)
         supports = [support for _, support in ranked]
         assert supports == sorted(supports, reverse=True)
+
+
+class TestAprioriJoin:
+    def test_joins_shared_prefix(self):
+        level = [(1, 2), (1, 3), (2, 3)]
+        assert apriori_join(level) == [(1, 2, 3)]
+
+    def test_prunes_missing_subset(self):
+        # (1,2,3) needs (2,3) to be frequent; it is not.
+        level = [(1, 2), (1, 3)]
+        assert apriori_join(level) == []
+
+    def test_singleton_level(self):
+        level = [(1,), (2,), (5,)]
+        assert apriori_join(level) == [(1, 2), (1, 5), (2, 5)]
+
+    def test_empty_level(self):
+        assert apriori_join([]) == []
+
+    def test_mixed_sizes_rejected(self):
+        with pytest.raises(ValidationError):
+            apriori_join([(1,), (1, 2)])
+
+    def test_has_all_subsets(self):
+        frequent = {(1, 2), (1, 3), (2, 3)}
+        assert has_all_subsets((1, 2, 3), frequent)
+        assert not has_all_subsets((1, 2, 4), frequent)
 
 
 class TestFPGrowthBasics:

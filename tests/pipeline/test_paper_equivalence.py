@@ -32,7 +32,7 @@ from repro.engine.cache import CachedBackend
 from repro.engine.naive import NaiveBackend
 from repro.engine.session import PrivBasisSession
 from repro.engine.sharded import ShardedBackend
-from repro.pipeline import DEFAULT_ALPHAS, pair_budget_size, planned_release
+from repro.pipeline import DEFAULT_ALPHAS, pair_budget_size
 
 
 def _legacy_privbasis(
@@ -221,53 +221,6 @@ class TestGoldenEquivalence:
             backend.database, k=6, epsilon=1.5, rng=9, backend=backend
         )
         assert _fingerprint(staged) == legacy
-
-    def test_auto_planner_cold_start_bit_identical_to_paper(
-        self, dense_db
-    ):
-        """AutoPlanner with no history is the PaperPlanner, bit for
-        bit — the cold-start fallback is an identity, not merely an
-        approximation."""
-        from repro.pipeline import AutoPlanner, TraceHistory
-
-        auto = planned_release(
-            dense_db,
-            k=12,
-            epsilon=0.9,
-            planner=AutoPlanner().bind(TraceHistory()),
-            rng=4,
-        )
-        legacy = _legacy_privbasis(dense_db, k=12, epsilon=0.9, rng=4)
-        assert _fingerprint(auto) == legacy
-        assert auto.trace.planner == "auto"
-
-    def test_auto_planner_adaptive_pick_bit_identical(self, dense_db):
-        """Once the history's majority branch is single-basis, the
-        AutoPlanner is the AdaptivePlanner, bit for bit."""
-        from repro.pipeline import AdaptivePlanner, AutoPlanner, TraceHistory
-
-        class _Trace:
-            def __init__(self, branch):
-                self.branch = branch
-
-        history = TraceHistory()
-        for _ in range(3):
-            history.observe(_Trace("single_basis"))
-        auto = planned_release(
-            dense_db,
-            k=12,
-            epsilon=0.9,
-            planner=AutoPlanner().bind(history),
-            rng=4,
-        )
-        adaptive = planned_release(
-            dense_db,
-            k=12,
-            epsilon=0.9,
-            planner=AdaptivePlanner(),
-            rng=4,
-        )
-        assert _fingerprint(auto) == _fingerprint(adaptive)
 
     def test_streaming_session_snapshot_path(self):
         """The snapshot-aware session over a live log stays equivalent

@@ -20,7 +20,7 @@ example budget widens under ``REPRO_PROPERTY_PROFILE=nightly``):
 
 Plus golden rows pinning :func:`top_k_truncate` outputs — including
 that a reuse-served ``(k', ε')`` equals the truncation of the stored
-release — and cold-start coverage for :class:`AutoPlanner`.
+release.
 """
 
 from __future__ import annotations
@@ -38,14 +38,9 @@ from repro.engine.cache import CachedBackend
 from repro.engine.session import PrivBasisSession
 from repro.errors import ValidationError
 from repro.pipeline import (
-    AutoPlanner,
-    PaperPlanner,
     QueryCountingBackend,
     ReuseIndex,
-    TraceHistory,
     payload_from_result,
-    planner_names,
-    resolve_planner,
     reuse_covers,
     top_k_truncate,
 )
@@ -716,85 +711,3 @@ class TestServiceReuse:
         # lookup is never consulted for them).
         assert "reuse" not in planned
         assert "reuse" not in noised
-
-
-# ---------------------------------------------------------------------------
-# AutoPlanner cold start
-# ---------------------------------------------------------------------------
-
-
-class _FakeTrace:
-    def __init__(self, branch):
-        self.branch = branch
-
-
-class TestAutoPlannerColdStart:
-    def test_auto_is_a_registered_planner_name(self):
-        assert "auto" in planner_names()
-        assert isinstance(resolve_planner("auto"), AutoPlanner)
-
-    def test_cold_history_falls_back_to_paper(self):
-        history = TraceHistory()
-        assert len(history) == 0
-        assert history.suggest() == "paper"
-        planner = AutoPlanner().bind(history)
-        assert planner.chosen() == "paper"
-        assert isinstance(planner._delegate(), PaperPlanner)
-
-    def test_unbound_auto_planner_defaults_to_paper(self):
-        planner = AutoPlanner()
-        assert planner.history is None
-        assert planner.chosen() == "paper"
-        paper = PaperPlanner()
-        args = dict(
-            lam=8, k=10, eta=1.2, alpha2_epsilon=0.4,
-            single_basis_lambda=12,
-        )
-        assert (
-            planner.selection_allocation(**args).__dict__
-            == paper.selection_allocation(**args).__dict__
-        )
-
-    def test_majority_single_basis_switches_to_adaptive(self):
-        history = TraceHistory()
-        for _ in range(3):
-            history.observe(_FakeTrace("single_basis"))
-        history.observe(_FakeTrace("multi_basis"))
-        planner = AutoPlanner().bind(history)
-        assert history.suggest() == "adaptive"
-        assert planner.chosen() == "adaptive"
-
-    def test_tie_or_minority_stays_paper(self):
-        history = TraceHistory()
-        history.observe(_FakeTrace("single_basis"))
-        history.observe(_FakeTrace("multi_basis"))
-        assert history.suggest() == "paper"
-
-    def test_describe_reports_policy_and_observations(self):
-        history = TraceHistory()
-        history.observe(_FakeTrace("single_basis"))
-        planner = AutoPlanner().bind(history)
-        description = planner.describe()
-        assert description["policy"] in ("paper", "adaptive")
-        assert description["observed"] == {"single_basis": 1}
-
-    def test_auto_rejects_custom_alphas(self):
-        with pytest.raises(ValidationError):
-            resolve_planner(
-                {"name": "auto", "alphas": [0.5, 0.25, 0.25]}
-            )
-
-    def test_cold_service_session_serves_auto_via_paper_path(self):
-        async def scenario():
-            service = _service()
-            result = await service.handle_release(
-                {
-                    "tenant": "alice", "k": 6, "epsilon": 1.0,
-                    "planner": "auto", "trace": True,
-                }
-            )
-            await service.stop()
-            return result
-
-        result = asyncio.run(scenario())
-        assert result["trace"]["planner"] == "auto"

@@ -133,6 +133,44 @@ class TestKillMidRelease:
         totals = read_spent_totals(str(tmp_path / "state"))
         assert totals.get("t-rel", 0.0) >= acked - 1e-9
 
+    def test_kill_of_idle_owner_leaves_routing_at_once(self, tmp_path):
+        # With no request in flight nothing else can mark the slot
+        # down, so only kill_worker itself can make the health count
+        # (and with it wait_for_recovery) see the death.
+        tenants = {
+            "t-idle": {"dataset": "faults/idle", "epsilon_limit": 1e6}
+        }
+        config = make_config(tmp_path / "state", tenants)
+        cluster = PrivBasisCluster(config)
+        epsilon = 0.25
+
+        async def scenario():
+            async with cluster.serving() as (host, port):
+                async with ServiceClient(
+                    host, port, tenant="t-idle"
+                ) as client:
+                    await client.release(k=4, epsilon=epsilon)
+                owner = cluster.router.owner_for("faults/idle")
+                cluster.kill_worker(owner.index)
+                assert (
+                    cluster.router.healthy_count()
+                    == config.num_workers - 1
+                )
+                assert owner.index in cluster.router.down_indexes()
+
+                await wait_for_recovery(cluster, config.num_workers)
+                assert cluster.restarts == 1
+                async with ServiceClient(
+                    host, port, tenant="t-idle"
+                ) as client:
+                    await client.release(k=4, epsilon=epsilon)
+                    budget = await client.budget()
+                assert budget["ledger"]["spent"] >= 2 * epsilon - 1e-9
+                totals = read_spent_totals(config.state_dir)
+                assert totals.get("t-idle", 0.0) >= 2 * epsilon - 1e-9
+
+        run_scenario(scenario())
+
     def test_get_fails_over_to_survivor(self, tmp_path):
         tenants = {
             "t-get": {"dataset": "faults/get", "epsilon_limit": 1e6}

@@ -89,6 +89,34 @@ class TestRequestParsing:
             )
         assert info.value.status == 413
 
+    @pytest.mark.parametrize(
+        "value", ["1_0", "+10", "-0", "0x10", "1e1", "\xb2", "", "10;x"]
+    )
+    def test_content_length_must_be_ascii_digits(self, value):
+        with pytest.raises(http.ProtocolError) as info:
+            parse_bytes(
+                b"POST /v1/release HTTP/1.1\r\n"
+                + f"Content-Length: {value}\r\n\r\n".encode("latin-1")
+                + b"x" * 10
+            )
+        assert info.value.status == 400
+
+    def test_content_length_past_int_digit_limit(self):
+        with pytest.raises(http.ProtocolError) as info:
+            parse_bytes(
+                b"POST /v1/release HTTP/1.1\r\n"
+                + b"Content-Length: " + b"9" * 5000 + b"\r\n\r\n"
+            )
+        assert info.value.status == 413
+
+    @pytest.mark.parametrize(
+        "target", ["//[x/v1/budget", "http://[::1/healthz", "//]x["]
+    )
+    def test_unparseable_target(self, target):
+        with pytest.raises(http.ProtocolError) as info:
+            parse_bytes(f"GET {target} HTTP/1.1\r\n\r\n".encode())
+        assert info.value.status == 400
+
     def test_invalid_json_body(self):
         request = parse_bytes(
             b"POST /v1/release HTTP/1.1\r\n"

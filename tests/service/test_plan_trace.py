@@ -164,6 +164,45 @@ class TestPlanEndpoint:
 
         run(scenario())
 
+    def test_auto_is_an_unknown_planner_on_the_wire(self):
+        async def scenario():
+            from repro.service import http
+
+            service, loader = make_service()
+            async with service.serving() as (host, port):
+                reader, writer = await asyncio.open_connection(host, port)
+                http.write_request(writer, "GET", "/v1/budget?tenant=alice")
+                await writer.drain()
+                before = await http.read_response(reader)
+                http.write_request(
+                    writer, "POST", "/v1/release",
+                    {"tenant": "alice", "k": 5, "epsilon": 0.5,
+                     "planner": "auto"},
+                )
+                await writer.drain()
+                release = await http.read_response(reader)
+                http.write_request(
+                    writer, "GET",
+                    "/v1/plan?tenant=alice&k=5&epsilon=0.5&planner=auto",
+                )
+                await writer.drain()
+                plan = await http.read_response(reader)
+                http.write_request(writer, "GET", "/v1/budget?tenant=alice")
+                await writer.drain()
+                after = await http.read_response(reader)
+                writer.close()
+            return loader, before, release, plan, after
+
+        loader, before, release, plan, after = run(scenario())
+        for status, payload in (release, plan):
+            assert status == 400
+            assert payload["error"] == "unknown_planner"
+            assert payload["planner"] == "auto"
+            assert payload["known"] == ["adaptive", "custom", "paper"]
+        assert before[0] == after[0] == 200
+        assert after[1] == before[1]
+        assert loader.calls == 0
+
     def test_plan_validates_query(self):
         async def scenario():
             service, _ = make_service()
