@@ -5,7 +5,7 @@ Sweeps the disk-backed synthetic tiers
 ``memory`` (chunked load materialized into a RAM-resident
 :class:`~repro.engine.bitmap.BitmapBackend`) and ``mmap`` (chunked
 load spilled straight into :class:`~repro.engine.mmap.MmapShardStore`
-segments and served by ``ShardedBackend.from_store``) — running one
+segments and served by ``ShardedBackend(store)``) — running one
 release's worth of counting primitives on each.  Every tier × plane
 runs in its **own subprocess** so ``ru_maxrss`` (a process-lifetime
 high-water mark) isolates that configuration's true peak, and both
@@ -154,7 +154,7 @@ def child_main(arguments) -> int:
             num_items=spec.num_items,
             memory_budget_bytes=budget,
         )
-        backend = ShardedBackend.from_store(store)
+        backend = ShardedBackend(store)
         record["spilled_bytes"] = store.spilled_bytes()
         record["budget_mb"] = arguments.budget_mb
     else:

@@ -325,22 +325,6 @@ class TransactionDatabase:
             item_labels=self._item_labels,
         )
 
-    def moved_to(self, items: np.ndarray) -> "TransactionDatabase":
-        """This database over ``items``, an equal array held elsewhere.
-
-        Offsets, vocabulary, labels and whatever is already derived
-        (tid-list index, item supports) carry over; only the buffer
-        behind the items changes.  A holder of views into a buffer that
-        :meth:`extended` copied moves them onto the copy with this, so
-        the old buffer can be freed.
-        """
-        moved = TransactionDatabase.from_csr(
-            self._offsets, items, self._num_items,
-            index=self._index, item_labels=self._item_labels,
-        )
-        moved._item_support_cache = self._item_support_cache
-        return moved
-
     def __repr__(self) -> str:
         return (
             f"TransactionDatabase(N={self.num_transactions}, "

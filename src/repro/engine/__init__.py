@@ -9,9 +9,10 @@ This package is the data-access seam of the library.  Layering:
    backend, which keeps the DP accounting auditable (one inspectable
    surface) and the physical counting strategy swappable.
 2. Concrete backends — :class:`BitmapBackend` (default, single
-   process, pooled packed bitmaps), :class:`ShardedBackend` (fixed-size
-   shards counted on a thread pool with bounded per-shard memory, in
-   RAM or spilled to :mod:`repro.engine.mmap` segment files), and
+   process, pooled packed bitmaps, the dataset in RAM),
+   :class:`ShardedBackend` (a dataset spilled to
+   :mod:`repro.engine.mmap` segment files, its shards counted on a
+   thread pool through a budget-bounded cache), and
    :class:`NaiveBackend` (pure-Python oracle for the equivalence
    tests).
 3. :class:`CachedBackend` — memoizes every exact query result.
@@ -28,10 +29,11 @@ concatenated database.  Sessions ride on it via
 release; the append-only source of truth is
 :class:`repro.datasets.stream.TransactionLog`.
 
-Choosing a backend: :class:`BitmapBackend` for anything that fits one
-core comfortably; :class:`ShardedBackend` when ``N`` reaches millions
-and sweeps dominate latency; always a :class:`PrivBasisSession` when
-more than one release will hit the same database.
+Choosing a backend: :class:`BitmapBackend` whenever the dataset fits
+in RAM; :class:`ShardedBackend` over an :class:`~repro.engine.mmap
+.MmapShardStore` when it should not stay resident (bounded memory,
+bit-identical counts); always a :class:`PrivBasisSession` when more
+than one release will hit the same database.
 """
 
 from repro.engine.backend import (
@@ -42,7 +44,8 @@ from repro.engine.backend import (
 from repro.engine.bitmap import BitmapBackend
 from repro.engine.cache import CachedBackend
 from repro.engine.naive import NaiveBackend
-from repro.engine.sharded import DEFAULT_SHARD_SIZE, ShardedBackend
+from repro.engine.mmap import DEFAULT_SHARD_SIZE
+from repro.engine.sharded import ShardedBackend
 from repro.engine.session import PrivBasisSession, ReleaseRequest
 
 __all__ = [

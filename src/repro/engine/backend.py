@@ -5,7 +5,7 @@ primitives: single-item supports, pairwise supports over a small pool,
 conjunction (itemset) support, and the ``2^ℓ`` bin histogram of paper
 Algorithm 1.  :class:`CountingBackend` names those primitives as an
 abstract interface so that the physical counting strategy — one
-in-process bitmap scan, a sharded parallel scan, a remote store — can
+in-process bitmap scan, a sharded scan over spilled segments, a remote store — can
 vary without touching the algorithm layer, and so that the DP
 accounting stays auditable: the mechanisms in :mod:`repro.core` only
 ever see counts that came through this surface.
@@ -14,20 +14,21 @@ Implementations in this package:
 
 * :class:`repro.engine.bitmap.BitmapBackend` — the default; wraps the
   packed-bitmap / tid-list kernels of :mod:`repro.fim.counting`.
-* :class:`repro.engine.sharded.ShardedBackend` — partitions the
-  transactions into fixed-size shards and counts them on a thread pool
-  (GIL-releasing numpy kernels) with bounded per-shard memory, the
-  shards held in RAM or in memory-mapped segment files.
+* :class:`repro.engine.sharded.ShardedBackend` — counts the
+  fixed-size shards of a spilled :class:`~repro.engine.mmap
+  .MmapShardStore` on a thread pool (GIL-releasing numpy kernels),
+  with resident memory bounded by the store's budget.
 * :class:`repro.engine.naive.NaiveBackend` — a pure-Python oracle used
   by the equivalence test-suite.
 * :class:`repro.engine.cache.CachedBackend` — a memoizing wrapper used
   by :class:`repro.engine.session.PrivBasisSession`.
 
-Backend selection guidance: stay with :class:`BitmapBackend` unless
-the database is large enough (millions of transactions) that a single
-bin/bitmap sweep dominates latency — then
-:class:`~repro.engine.sharded.ShardedBackend` trades a little merge
-overhead for parallel sweeps and bounded memory.  For repeated
+Backend selection guidance: stay with :class:`BitmapBackend` while
+the database fits in RAM — it was as fast as or faster than sharding
+on every measured workload.  Use
+:class:`~repro.engine.sharded.ShardedBackend` when the database should
+not stay resident: it spills to segment files and trades a little
+merge overhead for bounded memory.  For repeated
 releases over one database, wrap either in a
 :class:`~repro.engine.session.PrivBasisSession`, which adds the
 memoization layer.

@@ -1,11 +1,11 @@
 """Memory-mapped shard segments: the out-of-core counting plane.
 
-:class:`~repro.engine.sharded.ShardedBackend` normally holds every
-shard database in RAM.  This module gives it a disk-backed
-alternative: each shard's CSR arrays live in one **segment file** under
-the state dir, and queries open them through ``np.memmap`` — the OS
-page cache decides which pages are resident, so a dataset far larger
-than RAM can be counted with a bounded working set.
+This module is the shard source of
+:class:`~repro.engine.sharded.ShardedBackend`: each shard's CSR arrays
+live in one **segment file** under the state dir, and queries open
+them through ``np.memmap`` — the OS page cache decides which pages are
+resident, so a dataset far larger than RAM can be counted with a
+bounded working set.
 
 Segment file layout, format version 2 (all little-endian int64 after
 the header)::
@@ -70,6 +70,7 @@ from repro.errors import (
 )
 
 __all__ = [
+    "DEFAULT_SHARD_SIZE",
     "FileSegmentSpec",
     "MmapShardStore",
     "attach_file_segment",
@@ -89,6 +90,11 @@ _HEADER_FORMAT = "<8sqqqqq"  # magic, version, rows, size, items, crc
 _FORMAT_VERSION = 2
 _MANIFEST_NAME = "manifest.json"
 _MANIFEST_VERSION = 1
+
+#: Default rows per segment (one segment is one shard) — large enough
+#: that the per-shard numpy kernels amortize Python dispatch, small
+#: enough that a pool thread's scratch stays in cache-friendly territory.
+DEFAULT_SHARD_SIZE = 65_536
 
 #: Default per-store memory budget when none is configured: enough to
 #: keep a handful of default-sized segments warm.
@@ -380,22 +386,22 @@ class MmapShardStore:
         directory are removed first — a store directory belongs to
         exactly one build at a time.
         """
-        from repro.engine.sharded import DEFAULT_SHARD_SIZE
-
         if num_items < 1:
             raise ValidationError(
                 f"num_items must be >= 1, got {num_items}"
+            )
+        if rows_per_segment is None:
+            rows_per_segment = DEFAULT_SHARD_SIZE
+        rows_per_segment = int(rows_per_segment)
+        if rows_per_segment < 1:
+            raise ValidationError(
+                f"rows_per_segment must be >= 1, got {rows_per_segment}"
             )
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         for stale in directory.glob("seg-*.seg*"):
             stale.unlink(missing_ok=True)
         (directory / _MANIFEST_NAME).unlink(missing_ok=True)
-        rows_per_segment = int(rows_per_segment or DEFAULT_SHARD_SIZE)
-        if rows_per_segment < 1:
-            raise ValidationError(
-                f"rows_per_segment must be >= 1, got {rows_per_segment}"
-            )
         store = cls(
             directory,
             num_items,

@@ -1,11 +1,11 @@
-"""Sharded parallel counting with bounded per-shard memory.
+"""Sharded parallel counting over a spilled, memory-mapped shard store.
 
-:class:`ShardedBackend` partitions the ``N`` transactions into
-fixed-size contiguous shards, materializes each shard as its own
-:class:`~repro.datasets.transactions.TransactionDatabase` (sharing the
-row arrays — no transaction data is copied), and answers every
-counting primitive by running a per-shard kernel (the ``shard_*``
-functions below) on a thread pool and merging in the caller:
+:class:`ShardedBackend` counts over a
+:class:`~repro.engine.mmap.MmapShardStore`: the ``N`` transactions
+live in fixed-size segment files, each segment one shard, fetched
+through the store's budget-bounded LRU cache.  Every counting
+primitive runs a per-shard kernel (the ``shard_*`` functions below) on
+a thread pool and merges in the caller:
 
 * item-support vectors and bin histograms add elementwise (the bins of
   a basis partition each shard exactly as they partition ``D``);
@@ -16,22 +16,14 @@ merged answers equal the single-scan answers exactly — the
 equivalence test-suite pins this against both
 :class:`~repro.engine.bitmap.BitmapBackend` and the naive oracle.
 
-The numpy kernels release the GIL in their hot loops and the shard
-databases live in process memory, so dispatch is free; the
+The numpy kernels release the GIL in their hot loops; the
 Python-level per-shard work (bitmap row packing, dict merges)
 serializes on the GIL, which caps the speedup below the core count.
 Per-query working memory is one shard's scratch per pool thread
-instead of one full-database scratch, which is what makes long bases
-feasible on large ``N``.
-
-**Out-of-core (mmap) plane.**  Instead of an in-memory database, the
-backend can be built over a :class:`~repro.engine.mmap.MmapShardStore`
-(``ShardedBackend.from_store`` or the ``store=`` kwarg): shards then
-live in memory-mapped segment files under the state dir, fetched
-through the store's budget-bounded LRU cache.  Counts are
-bit-identical to the in-memory plane (same kernels, same additive
-merges, exact integers); only residency changes.  The full
-:attr:`database` is copied into RAM only if something asks for it.
+instead of one full-database scratch, and the resident set stays
+inside the store's memory budget even while a query sweeps every
+shard.  The full :attr:`database` is copied into RAM only if
+something asks for it.
 """
 
 from __future__ import annotations
@@ -39,7 +31,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -57,18 +48,11 @@ from repro.datasets.transactions import (
     canonical_itemset,
 )
 from repro.engine.backend import CountingBackend
+from repro.engine.mmap import MmapShardStore
 from repro.errors import ValidationError
 from repro.fim.counting import ItemBitmaps, bin_counts_for_items
 
-if TYPE_CHECKING:  # pragma: no cover - import for annotations only
-    from repro.engine.mmap import MmapShardStore
-
-__all__ = ["ShardedBackend", "DEFAULT_SHARD_SIZE"]
-
-#: Default transactions per shard — large enough that the per-shard
-#: numpy kernels amortize Python dispatch, small enough that a pool
-#: thread's scratch stays in cache-friendly territory.
-DEFAULT_SHARD_SIZE = 65_536
+__all__ = ["ShardedBackend"]
 
 _T = TypeVar("_T")
 
@@ -121,165 +105,84 @@ def shard_extension_supports(
 
 
 class ShardedBackend(CountingBackend):
-    """Partitioned parallel counting over fixed-size transaction shards.
+    """Parallel counting over the shards of a spilled store.
 
     Parameters
     ----------
-    database:
-        The transactions to count over.
-    shard_size:
-        Transactions per shard (the last shard may be smaller).
+    store:
+        The :class:`~repro.engine.mmap.MmapShardStore` to count over;
+        its segments *are* the shards.  ``close()`` closes the store
+        too — mapped segments are this backend's OS resources.
     max_workers:
         Thread-pool width; defaults to ``min(num_shards, cpu_count)``.
         ``1`` degenerates to a sequential scan (useful for debugging).
-    store:
-        A spilled :class:`~repro.engine.mmap.MmapShardStore` to count
-        over instead of ``database`` (see :meth:`from_store`).
     """
 
     def __init__(
         self,
-        database: Optional[TransactionDatabase] = None,
-        shard_size: int = DEFAULT_SHARD_SIZE,
+        store: MmapShardStore,
         max_workers: Optional[int] = None,
-        store: Optional["MmapShardStore"] = None,
     ) -> None:
-        if shard_size < 1:
-            raise ValidationError(
-                f"shard_size must be >= 1, got {shard_size}"
+        if not isinstance(store, MmapShardStore):
+            raise TypeError(
+                f"ShardedBackend counts over an MmapShardStore, got "
+                f"{type(store).__name__}; spill the database with "
+                f"MmapShardStore.create first, or use BitmapBackend"
             )
         if max_workers is not None and max_workers < 1:
             raise ValidationError(
                 f"max_workers must be >= 1, got {max_workers}"
             )
-        if database is None and store is None:
-            raise ValidationError(
-                "ShardedBackend needs a database or an mmap shard store"
-            )
         self._store = store
-        self._database = database
-        # The store's segmentation is the sharding; a conflicting
-        # shard_size would silently change shard boundaries.
-        self._shard_size = (
-            store.rows_per_segment if store is not None
-            else int(shard_size)
-        )
         self._max_workers = max_workers
-        self._shards: Optional[List[TransactionDatabase]] = None
+        self._database: Optional[TransactionDatabase] = None
         self._item_supports: Optional[np.ndarray] = None
-
-    @classmethod
-    def from_store(
-        cls,
-        store: "MmapShardStore",
-        max_workers: Optional[int] = None,
-    ) -> "ShardedBackend":
-        """A backend over a spilled shard store (the mmap data plane).
-
-        The store's segments *are* the shards; queries open them
-        through its budget-bounded cache.  ``close()`` closes the store
-        too — mapped segments are this backend's OS resources.
-        """
-        return cls(max_workers=max_workers, store=store)
 
     @property
     def database(self) -> TransactionDatabase:
-        """The full database.  On the mmap plane it is copied out of
-        the segments into RAM on first use and then kept — avoid it on
-        hot paths; queries never need it, and :attr:`num_items` /
-        :attr:`num_transactions` answer without it."""
+        """The full database, copied out of the segments into RAM on
+        first use and then kept — avoid it on hot paths; queries never
+        need it, and :attr:`num_items` / :attr:`num_transactions`
+        answer without it."""
         if self._database is None:
             self._database = self._store.database()
         return self._database
 
     @property
-    def store(self) -> Optional["MmapShardStore"]:
-        """The spill store, or ``None`` on the in-memory plane."""
+    def store(self) -> MmapShardStore:
+        """The spill store the shards live in."""
         return self._store
 
     @property
     def num_items(self) -> int:
-        if self._store is not None:
-            return self._store.num_items
-        return self.database.num_items
+        return self._store.num_items
 
     @property
     def num_transactions(self) -> int:
-        if self._store is not None:
-            return self._store.num_rows
-        return self.database.num_transactions
+        return self._store.num_rows
 
     @property
     def num_shards(self) -> int:
-        if self._store is not None:
-            return max(self._store.num_segments, 1)
-        return len(self._ensure_shards())
-
-    @property
-    def data_plane(self) -> str:
-        """``"mmap"`` when spilled to segment files, else ``"memory"``."""
-        return "mmap" if self._store is not None else "memory"
+        return max(self._store.num_segments, 1)
 
     def data_plane_stats(self) -> Dict[str, object]:
         """Residency telemetry for ``/healthz`` (plane + store stats)."""
-        stats: Dict[str, object] = {
-            "plane": self.data_plane,
+        return {
+            "plane": "mmap",
             "shards": self.num_shards,
+            **self._store.stats(),
         }
-        if self._store is not None:
-            stats.update(self._store.stats())
-        return stats
 
     # -- streaming ingestion --------------------------------------------
     def extend(self, delta: TransactionDatabase) -> None:
-        """Append ``delta`` by growing the tail shard, not resharding.
-
-        Existing full shards are untouched (their warm per-shard
-        indexes stay valid); the last, partially filled shard is
-        extended with the new rows (≤ one shard's worth of work, its
-        tid-list index merged rather than rebuilt), and any remaining
-        delta rows form new tail shards.  Every shard then views the
-        extended database's arrays, so the rows are held once.  The
-        cached item-support vector is advanced by adding ``delta``'s
-        supports.
-        """
-        self._validate_delta(delta)
-        if self._store is not None:
-            self._extend_store(delta)
-            return
-        extended = self._database.extended(delta)
-        if self._shards is not None and delta.num_transactions:
-            count = delta.num_transactions
-            start = 0
-            last = self._shards[-1]
-            if last.num_transactions < self._shard_size:
-                start = min(self._shard_size - last.num_transactions, count)
-                self._shards[-1] = last.extended(delta.slice(0, start))
-            for begin in range(start, count, self._shard_size):
-                self._shards.append(
-                    delta.slice(begin, begin + self._shard_size)
-                )
-            # Move every shard onto the extended arrays, warm indexes
-            # and all: the old database's and delta's arrays can then
-            # be freed, so the rows are held once, not twice.
-            self._shards = [
-                shard.moved_to(extended.items[base: base + shard.total_size])
-                for shard, base in zip(
-                    self._shards, extended.offsets[:: self._shard_size]
-                )
-            ]
-        if self._item_supports is not None:
-            self._item_supports = (
-                self._item_supports + delta.item_supports()
-            )
-        self._database = extended
-
-    def _extend_store(self, delta: TransactionDatabase) -> None:
-        """Mmap-plane extend: append to the spilled segments.
+        """Append ``delta`` to the spilled segments, not resharding.
 
         The store rewrites only its partial tail segment (atomically,
-        under a bumped generation) and adds new segments for the rest.
+        under a bumped generation) and adds new segments for the rest;
+        full segments are untouched.  The cached item-support vector is
+        advanced by adding ``delta``'s supports.
         """
+        self._validate_delta(delta)
         if not delta.num_transactions:
             return
         self._store.extend(delta)
@@ -292,54 +195,28 @@ class ShardedBackend(CountingBackend):
         self._database = None
 
     # -- shard plumbing -------------------------------------------------
-    def _ensure_shards(self) -> List[TransactionDatabase]:
-        """Build the shard databases lazily (items are shared, not
-        copied — each shard is one slice of the CSR arrays)."""
-        if self._shards is None:
-            n = self._database.num_transactions
-            # An empty database is its own single (empty) shard.
-            self._shards = [
-                self._database.slice(start, start + self._shard_size)
-                for start in range(0, n, self._shard_size)
-            ] or [self._database]
-        return self._shards
-
-    def _workers_for(self, num_shards: int) -> int:
-        workers = self._max_workers
-        if workers is None:
-            workers = min(num_shards, os.cpu_count() or 1)
-        return max(1, workers)
-
     def _map_shards(
         self, task: Callable[[TransactionDatabase], _T]
     ) -> List[_T]:
         """Fan-out: ``task`` on every shard, merged later.
 
-        On the mmap plane shards are fetched per task through the
-        store's LRU cache instead of being held in a list, so the
-        resident set stays inside the store's memory budget even while
-        a query sweeps every shard.
+        Shards are fetched per task through the store's LRU cache
+        instead of being held in a list, so the resident set stays
+        inside the store's memory budget even while a query sweeps
+        every shard.  An empty store is one empty shard.
         """
-        if self._store is not None:
-            count = self._store.num_segments
-            if count == 0:
-                return [task(self._store.database())]
-            indices = range(count)
+        count = self._store.num_segments
+        if count == 0:
+            return [task(self._store.database())]
 
-            def run(index: int) -> _T:
-                return task(self._store.shard_database(index))
+        def run(index: int) -> _T:
+            return task(self._store.shard_database(index))
 
-            workers = self._workers_for(count)
-            if workers <= 1 or count <= 1:
-                return [run(index) for index in indices]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(run, indices))
-        shards = self._ensure_shards()
-        workers = self._workers_for(len(shards))
-        if workers <= 1 or len(shards) <= 1:
-            return [task(shard) for shard in shards]
+        workers = self._max_workers or min(count, os.cpu_count() or 1)
+        if workers <= 1 or count <= 1:
+            return [run(index) for index in range(count)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(task, shards))
+            return list(pool.map(run, range(count)))
 
     def _map_kernel(
         self, kernel: Callable[..., _T], *args: object
@@ -418,24 +295,15 @@ class ShardedBackend(CountingBackend):
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
-        """Close the spill store, if any (idempotent).
+        """Close the spill store (idempotent).
 
-        On the mmap plane the store's cached mappings are dropped and
-        the store is closed (its files stay on disk — reopen with
-        ``MmapShardStore.open``).  An in-memory backend stays
-        queryable.
+        The store's cached mappings are dropped and the store is closed
+        (its files stay on disk — reopen with ``MmapShardStore.open``).
         """
-        if self._store is not None:
-            self._store.close()
+        self._store.close()
 
     def __repr__(self) -> str:
-        source = (
-            repr(self._store)
-            if self._store is not None
-            else repr(self._database)
-        )
         return (
-            f"ShardedBackend({source}, "
-            f"shard_size={self._shard_size}, "
+            f"ShardedBackend({self._store!r}, "
             f"max_workers={self._max_workers})"
         )

@@ -18,11 +18,12 @@ import asyncio
 import sys
 from typing import List, Optional
 
-from repro.engine.sharded import DEFAULT_SHARD_SIZE
+from repro.engine.mmap import DEFAULT_SHARD_SIZE
+from repro.errors import ValidationError
 from repro.service.app import (
     DEFAULT_MAX_INFLIGHT,
     PrivBasisService,
-    backend_factory_for,
+    validate_data_plane,
 )
 from repro.service.registry import TenantRegistry
 
@@ -72,34 +73,26 @@ def build_parser() -> argparse.ArgumentParser:
              "barrier per release; 'never' is for benchmarks only)",
     )
     parser.add_argument(
-        "--parallel", choices=["bitmap", "threads"],
-        default="bitmap",
-        help="counting plane: 'bitmap' (default single-process "
-             "backend), or 'threads': a sharded backend that counts "
-             "its shards on a thread pool",
-    )
-    parser.add_argument(
-        "--shard-workers", type=int, default=None, metavar="N",
-        help="thread-pool width of the sharded backend, for "
-             "--parallel threads and --data-plane mmap "
-             "(default: min(shard count, cpu count))",
-    )
-    parser.add_argument(
-        "--shard-size", type=int, default=None, metavar="ROWS",
-        help="transactions per shard, for --parallel threads and "
-             f"--data-plane mmap (default: {DEFAULT_SHARD_SIZE})",
-    )
-    parser.add_argument(
         "--data-plane", choices=["memory", "mmap"], default="memory",
-        help="where shard data lives: 'memory' (default) keeps every "
-             "dataset RAM-resident; 'mmap' spills transactions to "
-             "memory-mapped segment files and serves queries through "
-             "an out-of-core sharded backend (bit-identical releases, "
+        help="where datasets live: 'memory' (default) keeps every "
+             "dataset RAM-resident behind the bitmap backend; 'mmap' "
+             "spills transactions to memory-mapped shard segments and "
+             "counts them on a thread pool (bit-identical releases, "
              "bounded resident memory)",
     )
     parser.add_argument(
+        "--shard-size", type=int, default=None, metavar="ROWS",
+        help="transactions per shard segment; needs --data-plane mmap "
+             f"(default: {DEFAULT_SHARD_SIZE})",
+    )
+    parser.add_argument(
+        "--shard-workers", type=int, default=None, metavar="N",
+        help="thread-pool width for counting the shards; needs "
+             "--data-plane mmap (default: min(shard count, cpu count))",
+    )
+    parser.add_argument(
         "--memory-budget-mb", type=int, default=None, metavar="MB",
-        help="resident shard-cache budget for --data-plane mmap "
+        help="resident shard-cache budget; needs --data-plane mmap "
              "(default: engine default, 256 MiB per dataset)",
     )
     parser.add_argument(
@@ -132,7 +125,6 @@ async def _run_cluster(arguments: argparse.Namespace) -> int:
         num_workers=arguments.workers,
         fsync=arguments.fsync,
         max_inflight=arguments.max_inflight,
-        parallel=arguments.parallel,
         shard_workers=arguments.shard_workers,
         shard_size=arguments.shard_size,
         data_plane=arguments.data_plane,
@@ -172,7 +164,6 @@ async def _run(arguments: argparse.Namespace) -> int:
     )
     service = PrivBasisService(
         registry,
-        backend_factory=backend_factory_for(arguments),
         max_inflight=arguments.max_inflight,
         state_dir=arguments.state_dir,
         fsync=arguments.fsync,
@@ -193,15 +184,6 @@ async def _run(arguments: argparse.Namespace) -> int:
                 else ""
             )
             + ")"
-        )
-    if arguments.parallel != "bitmap":
-        print(
-            f"counting plane: sharded/{arguments.parallel}"
-            + (
-                f" ({arguments.shard_workers} workers)"
-                if arguments.shard_workers
-                else ""
-            )
         )
     if arguments.state_dir:
         recovered = service.store.recovery
@@ -238,7 +220,18 @@ async def _run(arguments: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Parse arguments and serve until interrupted."""
-    arguments = build_parser().parse_args(argv)
+    parser = build_parser()
+    arguments = parser.parse_args(argv)
+    try:
+        validate_data_plane(
+            arguments.data_plane,
+            memory_budget_mb=arguments.memory_budget_mb,
+            shard_size=arguments.shard_size,
+            shard_workers=arguments.shard_workers,
+        )
+    except ValidationError as error:
+        # Exits 2, like every other usage error.
+        parser.error(str(error))
     try:
         return asyncio.run(_run(arguments))
     except KeyboardInterrupt:

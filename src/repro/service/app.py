@@ -110,7 +110,11 @@ from repro.service.protocol import (
 from repro.service.registry import Tenant, TenantRegistry
 from repro.store.state import StateStore
 
-__all__ = ["PrivBasisService", "DEFAULT_MAX_INFLIGHT", "backend_factory_for"]
+__all__ = [
+    "PrivBasisService",
+    "DEFAULT_MAX_INFLIGHT",
+    "validate_data_plane",
+]
 
 #: Default bound on concurrently admitted releases.
 DEFAULT_MAX_INFLIGHT = 8
@@ -124,33 +128,37 @@ ROUTES = frozenset(
 )
 
 
-def backend_factory_for(settings: Any):
-    """``database -> CountingBackend`` factory for a counting plane.
+def validate_data_plane(
+    data_plane: str,
+    memory_budget_mb: Optional[int] = None,
+    shard_size: Optional[int] = None,
+    shard_workers: Optional[int] = None,
+) -> None:
+    """Fail fast on data-plane settings no dataset could be served with.
 
-    ``settings`` carries the ``parallel``, ``shard_size``,
-    ``shard_workers`` and ``data_plane`` values of the
-    ``python -m repro.service`` flags (the parsed CLI arguments, or a
-    :class:`~repro.service.cluster.ClusterConfig`).  Returns ``None``
-    for the default bitmap plane (the service then builds its usual
-    :class:`~repro.engine.bitmap.BitmapBackend`) and for
-    ``data_plane="mmap"``, where the service builds its own
-    out-of-core sharded backend per dataset; otherwise each dataset
-    gets its own in-memory :class:`~repro.engine.sharded
-    .ShardedBackend`.
+    ``data_plane`` is ``"memory"`` or ``"mmap"``; the shard settings
+    are read only by the mmap plane, so they must be ``>= 1`` there
+    and unset on the memory plane — never silently ignored.  Shared by
+    :class:`PrivBasisService`, the cluster config and the CLI.
     """
-    if settings.parallel == "bitmap" or settings.data_plane == "mmap":
-        return None
-    from repro.engine.sharded import DEFAULT_SHARD_SIZE, ShardedBackend
-
-    shard_size = settings.shard_size or DEFAULT_SHARD_SIZE
-    shard_workers = settings.shard_workers
-
-    def factory(database):
-        return ShardedBackend(
-            database, shard_size=shard_size, max_workers=shard_workers
+    if data_plane not in ("memory", "mmap"):
+        raise ValidationError(
+            f"data_plane must be 'memory' or 'mmap', got {data_plane!r}"
         )
-
-    return factory
+    settings = {
+        "memory_budget_mb": memory_budget_mb,
+        "shard_size": shard_size,
+        "shard_workers": shard_workers,
+    }
+    for name, value in settings.items():
+        if value is None:
+            continue
+        if data_plane != "mmap":
+            raise ValidationError(
+                f"{name} applies only to data_plane='mmap'"
+            )
+        if value < 1:
+            raise ValidationError(f"{name} must be >= 1, got {value}")
 
 
 def _fresh_rng():
@@ -191,10 +199,6 @@ class PrivBasisService:
         ``name -> TransactionDatabase``; defaults to
         :func:`repro.datasets.registry.load_dataset`.  Tests inject
         small synthetic databases here.
-    backend_factory:
-        Optional ``database -> CountingBackend`` override (e.g. a
-        :class:`~repro.engine.sharded.ShardedBackend` for huge
-        datasets); the session wraps it in its caching layer.
     max_inflight:
         Admission bound on concurrent releases; excess requests get
         HTTP 429 without queueing.
@@ -217,20 +221,24 @@ class PrivBasisService:
         ledger in flock-serialized shared mode so ε admission is
         atomic cluster-wide.  Requires ``state_dir``.
     data_plane:
-        ``"memory"`` (default) keeps every dataset's shards in RAM;
-        ``"mmap"`` spills each dataset to memory-mapped segment files
-        (under ``<state_dir>/shards/…``, or the system temp dir
-        without a state dir) and serves queries through a
+        ``"memory"`` (default) keeps every dataset RAM-resident behind
+        a :class:`~repro.engine.bitmap.BitmapBackend`; ``"mmap"``
+        spills each dataset to memory-mapped segment files (under
+        ``<state_dir>/shards/…``, or the system temp dir without a
+        state dir) and serves queries through a
+        :class:`~repro.engine.sharded.ShardedBackend` over a
         budget-bounded shard cache — the out-of-core plane.  Counting
-        results are bit-identical either way.  Mutually exclusive
-        with ``backend_factory``.
+        results are bit-identical either way.
     memory_budget_mb:
         Resident-shard budget per dataset for ``data_plane="mmap"``
         (default: the engine's
         :data:`~repro.engine.mmap.DEFAULT_MEMORY_BUDGET_BYTES`).
     shard_size, shard_workers:
-        Shard rows / worker count for the mmap plane (same meaning as
-        the ``--shard-size`` / ``--shard-workers`` flags).
+        Rows per shard segment / counting thread-pool width for
+        ``data_plane="mmap"`` (same meaning as the ``--shard-size`` /
+        ``--shard-workers`` flags); each must be ``>= 1``.  These and
+        ``memory_budget_mb`` are rejected on the memory plane, where
+        nothing would read them.
     reuse:
         ``True`` (default) serves dominated plain requests from the
         tenant's stored releases at ε = 0 (see the module docstring's
@@ -244,7 +252,6 @@ class PrivBasisService:
         self,
         registry: TenantRegistry,
         dataset_loader: Optional[Callable[[str], Any]] = None,
-        backend_factory: Optional[Callable[[Any], Any]] = None,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         state_dir: Optional[str] = None,
         fsync: str = "batch",
@@ -259,20 +266,12 @@ class PrivBasisService:
             raise ValidationError(
                 f"max_inflight must be >= 1, got {max_inflight}"
             )
-        if data_plane not in ("memory", "mmap"):
-            raise ValidationError(
-                f"data_plane must be 'memory' or 'mmap', "
-                f"got {data_plane!r}"
-            )
-        if data_plane == "mmap" and backend_factory is not None:
-            raise ValidationError(
-                "data_plane='mmap' builds its own sharded backend per "
-                "dataset; drop backend_factory"
-            )
-        if memory_budget_mb is not None and memory_budget_mb < 1:
-            raise ValidationError(
-                f"memory_budget_mb must be >= 1, got {memory_budget_mb}"
-            )
+        validate_data_plane(
+            data_plane,
+            memory_budget_mb=memory_budget_mb,
+            shard_size=shard_size,
+            shard_workers=shard_workers,
+        )
         self._data_plane = data_plane
         self._memory_budget_mb = memory_budget_mb
         self._shard_size = shard_size
@@ -302,7 +301,6 @@ class PrivBasisService:
             dataset_loader = load_dataset
         self._registry = registry
         self._loader = dataset_loader
-        self._backend_factory = backend_factory
         self._max_inflight = int(max_inflight)
         self._in_flight = 0
         if shared_state and state_dir is None:
@@ -405,9 +403,7 @@ class PrivBasisService:
         except BaseException:
             store.close()
             raise
-        return ShardedBackend.from_store(
-            store, max_workers=self._shard_workers
-        )
+        return ShardedBackend(store, max_workers=self._shard_workers)
 
     # -- session lifecycle (coalesced cold starts) -----------------------
     async def _build_session(self, dataset: str) -> PrivBasisSession:
@@ -431,12 +427,7 @@ class PrivBasisService:
                 del database
                 session = PrivBasisSession(backend)
             else:
-                backend = (
-                    self._backend_factory(database)
-                    if self._backend_factory is not None
-                    else None
-                )
-                session = PrivBasisSession(database, backend=backend)
+                session = PrivBasisSession(database)
             session.warm_up()
             # Warm restore: replay the dataset's ingested batches
             # through the backend's O(Δ) extend path at their recorded

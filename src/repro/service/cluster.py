@@ -41,6 +41,7 @@ from repro.errors import (
     ValidationError,
     WorkerUnavailableError,
 )
+from repro.service.app import validate_data_plane
 from repro.service.router import ClusterRouter
 
 __all__ = [
@@ -56,7 +57,6 @@ WORKER_BOOT_TIMEOUT = 60.0
 #: Supervisor poll interval for dead / marked-down workers.
 MONITOR_INTERVAL = 0.25
 
-_PARALLEL_MODES = ("bitmap", "threads")
 
 
 def resolve_loader_spec(spec: str):
@@ -114,16 +114,14 @@ class ClusterConfig:
         dataset registry.
     max_inflight:
         Per-worker admission bound on concurrent releases.
-    parallel, shard_workers, shard_size:
-        Per-worker counting plane, as for ``python -m repro.service``
-        (``"bitmap"`` default, or ``"threads"`` for a sharded backend
-        on a thread pool).
-    data_plane, memory_budget_mb:
+    data_plane, memory_budget_mb, shard_size, shard_workers:
         ``"memory"`` (default) keeps worker datasets RAM-resident;
         ``"mmap"`` has each worker spill its datasets into
         memory-mapped shard segments under the shared state dir
         (unique per-build directories, so workers never race) and
-        serve out-of-core with the given resident-cache budget.
+        serve out-of-core with the given resident-cache budget, shard
+        rows and counting pool width.  The last three are mmap-only,
+        as for ``python -m repro.service``.
     reuse:
         Per-worker reuse plane toggle (``--no-reuse`` sets this
         ``False``).  Each worker looks up reuse sources in the shared
@@ -138,7 +136,6 @@ class ClusterConfig:
     fsync: str = "batch"
     loader_spec: Optional[str] = None
     max_inflight: int = 8
-    parallel: str = "bitmap"
     shard_workers: Optional[int] = None
     shard_size: Optional[int] = None
     data_plane: str = "memory"
@@ -156,21 +153,12 @@ class ClusterConfig:
             raise ValidationError(
                 f"num_workers must be >= 1, got {self.num_workers}"
             )
-        if self.parallel not in _PARALLEL_MODES:
-            raise ValidationError(
-                f"parallel must be one of {_PARALLEL_MODES}, "
-                f"got {self.parallel!r}"
-            )
-        if self.data_plane not in ("memory", "mmap"):
-            raise ValidationError(
-                f"data_plane must be 'memory' or 'mmap', "
-                f"got {self.data_plane!r}"
-            )
-        if self.memory_budget_mb is not None and self.memory_budget_mb < 1:
-            raise ValidationError(
-                f"memory_budget_mb must be >= 1, "
-                f"got {self.memory_budget_mb}"
-            )
+        validate_data_plane(
+            self.data_plane,
+            memory_budget_mb=self.memory_budget_mb,
+            shard_size=self.shard_size,
+            shard_workers=self.shard_workers,
+        )
         if not isinstance(self.tenants, Mapping) or not self.tenants:
             raise ValidationError(
                 "cluster config needs a non-empty tenants mapping"
@@ -197,7 +185,7 @@ async def _worker_serve(index: int, config: ClusterConfig, conn) -> None:
     """Build and run one worker service, reporting its port (or a
     startup error) through the pipe before settling into serving."""
     try:
-        from repro.service.app import PrivBasisService, backend_factory_for
+        from repro.service.app import PrivBasisService
         from repro.service.registry import TenantRegistry
 
         registry = TenantRegistry.from_mapping(config.tenants)
@@ -209,7 +197,6 @@ async def _worker_serve(index: int, config: ClusterConfig, conn) -> None:
         service = PrivBasisService(
             registry,
             dataset_loader=loader,
-            backend_factory=backend_factory_for(config),
             max_inflight=config.max_inflight,
             state_dir=config.state_dir,
             fsync=config.fsync,

@@ -70,7 +70,7 @@ class TestChunkGeometry:
         assert database.num_items == 4
 
     def test_default_chunk_size_matches_shard_default(self):
-        from repro.engine.sharded import DEFAULT_SHARD_SIZE
+        from repro.engine.mmap import DEFAULT_SHARD_SIZE
 
         assert DEFAULT_CHUNK_SIZE == DEFAULT_SHARD_SIZE
 

@@ -3,8 +3,8 @@
 Every :class:`~repro.engine.backend.CountingBackend` must return
 *identical exact counts* — the DP mechanisms downstream are then
 backend-independent by construction.  These tests pin
-:class:`BitmapBackend` and :class:`ShardedBackend` (several shard
-sizes and thread-pool widths) against the pure-Python
+:class:`BitmapBackend` and :class:`ShardedBackend` (spilled stores of
+several shard sizes, several thread-pool widths) against the pure-Python
 :class:`NaiveBackend` oracle on random small databases, plus the edge
 cases (empty transactions, empty pools, the empty itemset) and the
 batched primitives.
@@ -20,7 +20,6 @@ from repro.engine import (
     BitmapBackend,
     CachedBackend,
     NaiveBackend,
-    ShardedBackend,
     as_backend,
     resolve_backend,
 )
@@ -31,6 +30,7 @@ from repro.fim.counting import (
     bin_counts_for_items,
     database_of,
 )
+from tests.engine.spill import spilled
 
 
 def random_database(
@@ -50,9 +50,9 @@ def backends_under_test(database: TransactionDatabase):
     return [
         NaiveBackend(database),
         BitmapBackend(database),
-        ShardedBackend(database, shard_size=7, max_workers=1),
-        ShardedBackend(database, shard_size=13, max_workers=3),
-        ShardedBackend(database, shard_size=10_000),  # single shard
+        spilled(database, rows_per_segment=7, max_workers=1),
+        spilled(database, rows_per_segment=13, max_workers=3),
+        spilled(database, rows_per_segment=10_000),  # single shard
         CachedBackend(BitmapBackend(database)),
     ]
 
@@ -155,16 +155,16 @@ class TestEdgeCases:
 
     def test_sharded_shard_partitioning(self):
         database = random_database(2, num_transactions=25)
-        backend = ShardedBackend(database, shard_size=10)
+        backend = spilled(database, rows_per_segment=10)
         assert backend.num_shards == 3
         assert backend.num_transactions == 25
 
     def test_sharded_rejects_bad_params(self):
         database = random_database(3)
         with pytest.raises(ValidationError):
-            ShardedBackend(database, shard_size=0)
+            spilled(database, rows_per_segment=0)
         with pytest.raises(ValidationError):
-            ShardedBackend(database, max_workers=0)
+            spilled(database, max_workers=0)
 
 
 class TestResolution:
@@ -260,7 +260,7 @@ class TestBatchedPrimitives:
         backends = [
             oracle,
             BitmapBackend(database),
-            ShardedBackend(database, shard_size=13, max_workers=2),
+            spilled(database, rows_per_segment=13, max_workers=2),
             CachedBackend(BitmapBackend(database)),
         ]
         for backend in backends:

@@ -80,7 +80,7 @@ def spilled_backend(tmp_path, seed: int, *, memory_budget_bytes=None):
         rows_per_segment=rows_per_segment,
         memory_budget_bytes=memory_budget_bytes,
     )
-    backend = ShardedBackend.from_store(store, max_workers=2)
+    backend = ShardedBackend(store, max_workers=2)
     database = load_chunked(source, num_items=num_items)
     return backend, database, directory
 
@@ -179,7 +179,7 @@ def test_extend_then_reopen_matches_reference(tmp_path, seed):
     # Restart: reopen the spilled segments read-only (CRC-verified)
     # in a "fresh process" and answer identically again.
     reopened = MmapShardStore.open(directory, verify="crc")
-    with ShardedBackend.from_store(reopened) as revived:
+    with ShardedBackend(reopened) as revived:
         assert_backends_equivalent(revived, reference, seed)
 
 
@@ -188,8 +188,8 @@ def test_reopened_store_serves_multiple_backends(tmp_path):
     same directory answer identically and independently."""
     backend, database, directory = spilled_backend(tmp_path, 7)
     backend.close()
-    first = ShardedBackend.from_store(MmapShardStore.open(directory))
-    second = ShardedBackend.from_store(MmapShardStore.open(directory))
+    first = ShardedBackend(MmapShardStore.open(directory))
+    second = ShardedBackend(MmapShardStore.open(directory))
     with first, second:
         np.testing.assert_array_equal(
             first.item_supports(), second.item_supports()

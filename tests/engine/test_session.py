@@ -19,9 +19,9 @@ from repro.engine import (
     BitmapBackend,
     CachedBackend,
     PrivBasisSession,
-    ShardedBackend,
 )
 from repro.errors import BudgetExceededError, ValidationError
+from tests.engine.spill import spilled
 
 
 @pytest.fixture()
@@ -62,8 +62,8 @@ class TestReleaseSemantics:
         ]
 
     def test_sharded_backend_session(self, database):
-        backend = ShardedBackend(database, shard_size=64, max_workers=2)
-        session = PrivBasisSession(database, backend=backend)
+        backend = spilled(database, rows_per_segment=64, max_workers=2)
+        session = PrivBasisSession(backend)
         result = session.release(k=8, epsilon=1.0, rng=7)
         direct = privbasis(database, k=8, epsilon=1.0, rng=7)
         assert [entry.itemset for entry in result.itemsets] == [

@@ -1,12 +1,13 @@
-"""Thread-pool sharded plane: pool widths, dispatch, errors, lifecycle.
+"""Sharded backend over spilled stores: pool widths, dispatch, errors,
+lifecycle.
 
 Covers what the backend-equivalence suite cannot: that every pool
-width answers bit-identically on both the in-memory and the mmap
-plane, that shards run on pool threads (and on the caller's thread
-when the pool is one wide), that a failing kernel surfaces its own
-exception and leaves the backend usable, that concurrent queries on
-one backend agree, the empty-store path of the mmap plane, and that
-the execution-mode knobs are gone rather than silently ignored.
+width answers bit-identically, also while a tiny budget keeps
+evicting shards, that shards run on pool threads (and on the caller's
+thread when the pool is one wide), that a failing kernel surfaces its
+own exception and leaves the backend usable, that concurrent queries
+on one backend agree, the empty-store path, and that the removed
+knobs and the in-memory source are gone rather than silently ignored.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ import pytest
 from repro.datasets.transactions import TransactionDatabase
 from repro.engine import BitmapBackend, NaiveBackend, ShardedBackend
 from repro.engine import sharded
+from repro.engine import mmap
 from repro.engine.mmap import MmapShardStore
-from repro.errors import StateStoreError
+from repro.errors import StateStoreError, ValidationError
+from tests.engine.spill import spilled
 
 NUM_ITEMS = 16
 
@@ -34,20 +37,6 @@ def random_database(
     return TransactionDatabase(
         [np.flatnonzero(row) for row in member], num_items=num_items
     )
-
-
-def spilled(tmp_path, database, *, rows_per_segment=11,
-            memory_budget_bytes=None, max_workers=None):
-    """``database`` spilled into a fresh store, behind a backend."""
-    store = MmapShardStore.create(
-        tmp_path / "shards",
-        database.num_items,
-        rows_per_segment=rows_per_segment,
-        memory_budget_bytes=memory_budget_bytes,
-    )
-    store.append(database)
-    store.flush()
-    return ShardedBackend.from_store(store, max_workers=max_workers)
 
 
 def assert_matches(candidate, reference) -> None:
@@ -99,19 +88,19 @@ class TestPoolWidths:
     @pytest.mark.parametrize("max_workers", [1, 2, 3, None])
     def test_every_pool_width_is_bit_identical(self, max_workers):
         database = random_database(3)
-        with ShardedBackend(
-            database, shard_size=9, max_workers=max_workers
+        with spilled(
+            database, rows_per_segment=9, max_workers=max_workers
         ) as backend:
             assert backend.num_shards == 7
             assert_matches(backend, NaiveBackend(database))
 
     @pytest.mark.parametrize("max_workers", [1, 3, None])
-    def test_spilled_store_every_pool_width(self, tmp_path, max_workers):
+    def test_spilled_store_every_pool_width(self, max_workers):
         """A 1-byte budget keeps evicting while the pool threads
         fetch shards through the store's cache concurrently."""
         database = random_database(4)
         with spilled(
-            tmp_path, database, memory_budget_bytes=1,
+            database, memory_budget_bytes=1,
             max_workers=max_workers,
         ) as backend:
             assert backend.num_shards == 6
@@ -122,12 +111,12 @@ class TestPoolWidths:
         self, monkeypatch, recorded_widths
     ):
         monkeypatch.setattr(sharded.os, "cpu_count", lambda: 8)
-        ShardedBackend(
-            random_database(5, num_transactions=30), shard_size=10
+        spilled(
+            random_database(5, num_transactions=30), rows_per_segment=10
         ).bin_counts([1, 2])
         monkeypatch.setattr(sharded.os, "cpu_count", lambda: 2)
-        ShardedBackend(
-            random_database(5, num_transactions=30), shard_size=10
+        spilled(
+            random_database(5, num_transactions=30), rows_per_segment=10
         ).bin_counts([1, 2])
         assert recorded_widths == [3, 2]
 
@@ -135,11 +124,11 @@ class TestPoolWidths:
         self, monkeypatch, recorded_widths
     ):
         database = random_database(6)
-        ShardedBackend(database, shard_size=1000).item_supports()
+        spilled(database, rows_per_segment=1000).item_supports()
         monkeypatch.setattr(sharded.os, "cpu_count", lambda: None)
-        ShardedBackend(database, shard_size=7).item_supports()
-        ShardedBackend(
-            database, shard_size=7, max_workers=1
+        spilled(database, rows_per_segment=7).item_supports()
+        spilled(
+            database, rows_per_segment=7, max_workers=1
         ).item_supports()
         assert recorded_widths == []
 
@@ -163,7 +152,7 @@ class TestDispatch:
     def test_shards_run_on_pool_threads(self, monkeypatch):
         database = random_database(7)
         threads = _record_threads(monkeypatch)
-        backend = ShardedBackend(database, shard_size=9, max_workers=3)
+        backend = spilled(database, rows_per_segment=9, max_workers=3)
         np.testing.assert_array_equal(
             backend.item_supports(), database.item_supports()
         )
@@ -174,25 +163,17 @@ class TestDispatch:
     def test_width_one_runs_on_the_calling_thread(self, monkeypatch):
         database = random_database(8)
         threads = _record_threads(monkeypatch)
-        backend = ShardedBackend(database, shard_size=9, max_workers=1)
+        backend = spilled(database, rows_per_segment=9, max_workers=1)
         np.testing.assert_array_equal(
             backend.item_supports(), database.item_supports()
         )
         assert threads == [threading.get_ident()] * 7
 
-    @pytest.mark.parametrize("plane", ["memory", "mmap"])
-    def test_kernel_error_reaches_the_caller(
-        self, tmp_path, monkeypatch, plane
-    ):
+    def test_kernel_error_reaches_the_caller(self, monkeypatch):
         """A kernel that raises on one shard surfaces its own
         exception, and the backend answers correctly afterwards."""
         database = random_database(9)
-        if plane == "memory":
-            backend = ShardedBackend(
-                database, shard_size=11, max_workers=3
-            )
-        else:
-            backend = spilled(tmp_path, database, max_workers=3)
+        backend = spilled(database, rows_per_segment=11, max_workers=3)
         reference = BitmapBackend(database)
         kernel = sharded.shard_bin_counts_batch
 
@@ -209,8 +190,8 @@ class TestDispatch:
             assert_matches(backend, reference)
 
     def test_concurrent_queries_agree(self):
-        """Callers racing on a fresh backend (shards not yet built,
-        item supports not yet cached) all get the oracle's answers."""
+        """Callers racing on a fresh backend (no shard cached, item
+        supports not yet cached) all get the oracle's answers."""
         database = random_database(10, num_transactions=90)
         oracle = NaiveBackend(database)
         expected = (
@@ -218,7 +199,7 @@ class TestDispatch:
             oracle.bin_counts([1, 3, 6, 10]),
             oracle.pairwise_supports([2, 4, 8, 12]),
         )
-        backend = ShardedBackend(database, shard_size=8, max_workers=2)
+        backend = spilled(database, rows_per_segment=8, max_workers=2)
         barrier = threading.Barrier(4)
 
         def query(_):
@@ -241,35 +222,26 @@ class TestDispatch:
 # Lifecycle and the empty store
 # ----------------------------------------------------------------------
 class TestLifecycle:
-    def test_memory_backend_close_is_idempotent_and_queryable(self):
-        database = random_database(11)
-        backend = ShardedBackend(database, shard_size=13, max_workers=2)
-        with backend:
-            backend.bin_counts([2, 3])
-        backend.close()
-        assert backend.store is None
-        assert_matches(backend, NaiveBackend(database))
-
-    def test_store_backend_close_is_idempotent(self, tmp_path):
-        backend = spilled(tmp_path, random_database(12))
+    def test_store_backend_close_is_idempotent(self):
+        backend = spilled(random_database(12))
         backend.item_supports()
         backend.close()
         backend.close()
         with pytest.raises(StateStoreError):
             backend.bin_counts([1])
 
-    def test_empty_store_answers_like_an_empty_database(self, tmp_path):
+    def test_empty_store_answers_like_an_empty_database(self):
         empty = TransactionDatabase([], num_items=NUM_ITEMS)
-        with spilled(tmp_path, empty, max_workers=2) as backend:
+        with spilled(empty, max_workers=2) as backend:
             assert backend.store.num_segments == 0
             assert backend.num_shards == 1
             assert backend.num_transactions == 0
             assert_matches(backend, NaiveBackend(empty))
 
-    def test_extend_from_an_empty_store(self, tmp_path):
+    def test_extend_from_an_empty_store(self):
         empty = TransactionDatabase([], num_items=NUM_ITEMS)
         delta = random_database(13, num_transactions=25)
-        with spilled(tmp_path, empty, max_workers=2) as backend:
+        with spilled(empty, max_workers=2) as backend:
             backend.item_supports()  # cache the empty supports
             backend.extend(delta)
             assert backend.store.num_segments == 3
@@ -277,31 +249,52 @@ class TestLifecycle:
 
 
 # ----------------------------------------------------------------------
-# The execution-mode knobs are gone, not ignored
+# The removed knobs and the in-memory source are gone, not ignored
 # ----------------------------------------------------------------------
 class TestRemovedKnobs:
     @pytest.mark.parametrize(
-        "removed", [{"mode": "processes"}, {"start_method": "spawn"}]
+        "removed",
+        [{"mode": "processes"}, {"start_method": "spawn"},
+         {"shard_size": 7}],
     )
     def test_constructor_rejects_removed_knob(self, removed):
+        with spilled(random_database(14)) as backend:
+            with pytest.raises(TypeError):
+                ShardedBackend(backend.store, **removed)
+
+    def test_constructor_rejects_an_in_memory_database(self):
+        database = random_database(15)
+        with pytest.raises(TypeError, match="MmapShardStore"):
+            ShardedBackend(database)
         with pytest.raises(TypeError):
-            ShardedBackend(random_database(14), **removed)
+            ShardedBackend(database=database)
+        assert not hasattr(ShardedBackend, "from_store")
 
-    def test_from_store_rejects_removed_knob(self, tmp_path):
-        backend = spilled(tmp_path, random_database(15))
-        with backend, pytest.raises(TypeError):
-            ShardedBackend.from_store(backend.store, mode="threads")
-
-    @pytest.mark.parametrize("plane", ["memory", "mmap"])
-    def test_stats_carry_no_mode(self, tmp_path, plane):
-        database = random_database(16)
-        if plane == "memory":
-            backend = ShardedBackend(database, shard_size=11)
-        else:
-            backend = spilled(tmp_path, database)
-        with backend:
+    def test_stats_carry_no_mode(self):
+        with spilled(random_database(16)) as backend:
             stats = backend.data_plane_stats()
-            assert stats["plane"] == plane
+            assert stats["plane"] == "mmap"
             assert stats["shards"] == 6
             assert "mode" not in stats
             assert "mode=" not in repr(backend)
+
+
+# ----------------------------------------------------------------------
+# Store segmentation settings
+# ----------------------------------------------------------------------
+class TestSegmentation:
+    def test_default_rows_per_segment(self, tmp_path):
+        from repro import engine
+
+        assert engine.DEFAULT_SHARD_SIZE is mmap.DEFAULT_SHARD_SIZE
+        with MmapShardStore.create(tmp_path, NUM_ITEMS) as store:
+            assert store.rows_per_segment == mmap.DEFAULT_SHARD_SIZE
+
+    @pytest.mark.parametrize("rows", [0, -3])
+    def test_rows_per_segment_below_one_is_rejected(self, tmp_path, rows):
+        directory = tmp_path / "shards"
+        with pytest.raises(ValidationError, match="rows_per_segment"):
+            MmapShardStore.create(
+                directory, NUM_ITEMS, rows_per_segment=rows
+            )
+        assert not directory.exists()

@@ -167,7 +167,7 @@ class TestTornSegments:
 
         # Fully healthy again — CRC-clean, bit-identical counts…
         repaired = MmapShardStore.open(directory, verify="crc")
-        with ShardedBackend.from_store(repaired) as backend:
+        with ShardedBackend(repaired) as backend:
             from repro.datasets.transactions import TransactionDatabase
 
             reference = BitmapBackend(
@@ -258,7 +258,7 @@ class TestTornSegments:
         assert excinfo.value.segments == (1,)
         assert "version 1" in str(excinfo.value)
         unverified = MmapShardStore.open(directory, verify="none")
-        with ShardedBackend.from_store(unverified) as backend:
+        with ShardedBackend(unverified) as backend:
             with pytest.raises(TornSegmentError):
                 backend.item_supports()
 

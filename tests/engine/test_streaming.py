@@ -24,9 +24,9 @@ from repro.engine import (
     CachedBackend,
     NaiveBackend,
     PrivBasisSession,
-    ShardedBackend,
 )
 from repro.errors import ValidationError
+from tests.engine.spill import spilled
 
 
 def random_database(
@@ -52,10 +52,10 @@ def incremental_backends(database: TransactionDatabase):
     return [
         NaiveBackend(database),
         BitmapBackend(database),
-        ShardedBackend(database, shard_size=16, max_workers=1),
-        ShardedBackend(database, shard_size=7, max_workers=3),
+        spilled(database, rows_per_segment=16, max_workers=1),
+        spilled(database, rows_per_segment=7, max_workers=3),
         CachedBackend(BitmapBackend(database)),
-        CachedBackend(ShardedBackend(database, shard_size=16)),
+        CachedBackend(spilled(database, rows_per_segment=16)),
     ]
 
 
@@ -139,8 +139,10 @@ class TestAppendEquivalence:
 def assert_all_shards_match(backend) -> None:
     """Each shard equals its window of the backend's full database."""
     database = backend.database
+    store = backend.store
     start = 0
-    for shard in backend._ensure_shards():
+    for index in range(store.num_segments):
+        shard = store.shard_database(index)
         window = database.slice(start, start + shard.num_transactions)
         np.testing.assert_array_equal(shard.offsets, window.offsets)
         np.testing.assert_array_equal(shard.items, window.items)
@@ -155,7 +157,7 @@ def assert_all_shards_match(backend) -> None:
 class TestExtendMechanics:
     def test_sharded_tail_shard_grows_before_new_shards(self):
         base = random_database(1, 20)
-        backend = ShardedBackend(base, shard_size=16)
+        backend = spilled(base, rows_per_segment=16)
         assert backend.num_shards == 2  # 16 + 4
         backend.extend(random_database(2, 10))
         # 4-row tail absorbed 10 new rows: 16 + 14, still 2 shards.
@@ -164,22 +166,6 @@ class TestExtendMechanics:
         # 14→16 fills the tail, then 38 remaining rows → 3 new shards.
         assert backend.num_shards == 5
         assert backend.num_transactions == 70
-
-    def test_sharded_extend_holds_the_rows_once(self):
-        backend = ShardedBackend(random_database(1, 20), shard_size=8)
-        warm_up(backend)
-        first = backend._ensure_shards()[0]
-        backend.extend(random_database(2, 13))
-        # Every shard views the extended database's items: neither the
-        # old database's arrays nor delta's stay alive behind a shard.
-        items = backend.database.items
-        shards = backend._ensure_shards()
-        assert len(shards) == 5
-        for shard in shards:
-            if shard.total_size:  # an empty view shares no bytes
-                assert np.shares_memory(shard.items, items)
-        # The untouched full shard kept its warm index.
-        assert np.shares_memory(shards[0].index[1], first.index[1])
         assert_all_shards_match(backend)
 
     def test_bitmap_pools_are_extended_not_rebuilt(self):

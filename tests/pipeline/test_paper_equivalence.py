@@ -31,8 +31,8 @@ from repro.engine.bitmap import BitmapBackend
 from repro.engine.cache import CachedBackend
 from repro.engine.naive import NaiveBackend
 from repro.engine.session import PrivBasisSession
-from repro.engine.sharded import ShardedBackend
 from repro.pipeline import DEFAULT_ALPHAS, pair_budget_size
+from tests.engine.spill import spilled
 
 
 def _legacy_privbasis(
@@ -141,7 +141,7 @@ def _fingerprint(result):
 
 BACKEND_FACTORIES = {
     "bitmap": BitmapBackend,
-    "sharded": lambda db: ShardedBackend(db, shard_size=128),
+    "sharded": lambda db: spilled(db, rows_per_segment=128),
     "naive": NaiveBackend,
     "cached": lambda db: CachedBackend(BitmapBackend(db)),
 }
@@ -159,12 +159,10 @@ class TestGoldenEquivalence:
     )
     def test_paper_planner_bit_identical(self, small_db, name, kwargs):
         factory = BACKEND_FACTORIES[name]
-        legacy = _legacy_privbasis(
-            small_db, rng=11, backend=factory(small_db), **kwargs
-        )
-        staged = privbasis(
-            small_db, rng=11, backend=factory(small_db), **kwargs
-        )
+        # Backends go in the positional slot: a spilled backend's
+        # database is a copy read back from its store, not ``small_db``.
+        legacy = _legacy_privbasis(factory(small_db), rng=11, **kwargs)
+        staged = privbasis(factory(small_db), rng=11, **kwargs)
         assert _fingerprint(staged) == legacy
 
     @given(

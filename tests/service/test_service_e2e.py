@@ -638,54 +638,110 @@ class TestCountingPlaneFlags:
         "tenants": {"alice": {"dataset": DATASET, "epsilon_limit": 1.0}},
         "state_dir": "unused",
     }
+    REGISTRY = CLUSTER["tenants"]
+    #: The settings only the mmap plane reads, as (keyword, flag).
+    MMAP_ONLY = [
+        ("shard_size", "--shard-size"),
+        ("shard_workers", "--shard-workers"),
+        ("memory_budget_mb", "--memory-budget-mb"),
+    ]
 
-    def test_cli_and_cluster_build_the_same_sharded_backend(self):
+    @staticmethod
+    def serve_nothing(monkeypatch):
+        """Make ``main`` return instead of serving once its flags parse."""
+        from repro.service import __main__ as cli
+
+        async def parsed(arguments):
+            return 0
+
+        monkeypatch.setattr(cli, "_run", parsed)
+        return cli.main
+
+    def test_mmap_settings_reach_the_sharded_backend(
+        self, tmp_path, monkeypatch
+    ):
+        import tempfile
+
         from repro.engine import ShardedBackend
-        from repro.service import ClusterConfig
-        from repro.service.__main__ import build_parser
-        from repro.service.app import backend_factory_for
 
-        arguments = build_parser().parse_args(
-            ["--parallel", "threads", "--shard-size", "7",
-             "--shard-workers", "2"]
-        )
-        config = ClusterConfig(
-            **self.CLUSTER, parallel="threads", shard_size=7,
-            shard_workers=2,
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        service = PrivBasisService(
+            TenantRegistry.from_mapping(self.REGISTRY),
+            dataset_loader=lambda name: small_database(),
+            data_plane="mmap", shard_size=7, shard_workers=2,
         )
         database = small_database()
-        built = [
-            backend_factory_for(settings)(database)
-            for settings in (arguments, config)
-        ]
-        for backend in built:
+        with service._build_mmap_backend(DATASET, database) as backend:
             assert isinstance(backend, ShardedBackend)
-        assert repr(built[0]) == repr(built[1])
-        assert built[0].num_shards == -(-database.num_transactions // 7)
+            assert backend.num_shards == -(-database.num_transactions // 7)
+            assert repr(backend).endswith("max_workers=2)")
 
-    def test_bitmap_and_mmap_planes_need_no_factory(self):
-        from repro.service.__main__ import build_parser
-        from repro.service.app import backend_factory_for
-
-        parser = build_parser()
-        assert backend_factory_for(parser.parse_args([])) is None
-        assert backend_factory_for(
-            parser.parse_args(["--parallel", "threads",
-                               "--data-plane", "mmap"])
-        ) is None
-
-    def test_removed_processes_mode_fails_loudly(self, capsys):
-        from repro.service import ClusterConfig
+    def test_parallel_flag_is_gone(self, capsys):
         from repro.service.__main__ import build_parser
 
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["--parallel", "processes"])
+            build_parser().parse_args(["--parallel", "threads"])
         assert excinfo.value.code == 2
-        assert "invalid choice: 'processes'" in capsys.readouterr().err
-        with pytest.raises(ValidationError):
-            ClusterConfig(**self.CLUSTER, parallel="processes").validate()
+        assert "unrecognized arguments: --parallel" in (
+            capsys.readouterr().err
+        )
+
+    def test_parallel_and_backend_factory_keywords_are_gone(self):
+        from repro.service import ClusterConfig
+
+        with pytest.raises(TypeError):
+            ClusterConfig(**self.CLUSTER, parallel="threads")
+        with pytest.raises(TypeError):
+            PrivBasisService(
+                TenantRegistry.from_mapping(self.REGISTRY),
+                backend_factory=lambda database: None,
+            )
+
+    @pytest.mark.parametrize("keyword, flag", MMAP_ONLY)
+    def test_mmap_only_setting_rejected_on_memory_plane(
+        self, capsys, monkeypatch, keyword, flag
+    ):
+        from repro.service import ClusterConfig
+
+        main = self.serve_nothing(monkeypatch)
+        assert main(["--data-plane", "mmap", flag, "4"]) == 0
+        with pytest.raises(SystemExit) as excinfo:
+            main([flag, "4"])
+        assert excinfo.value.code == 2
+        assert f"{keyword} applies only to data_plane='mmap'" in (
+            capsys.readouterr().err
+        )
+        with pytest.raises(ValidationError, match="only to data_plane"):
+            PrivBasisService(
+                TenantRegistry.from_mapping(self.REGISTRY),
+                **{keyword: 4},
+            )
+        with pytest.raises(ValidationError, match="only to data_plane"):
+            ClusterConfig(**self.CLUSTER, **{keyword: 4}).validate()
+
+    @pytest.mark.parametrize("keyword, flag", MMAP_ONLY)
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_shard_settings_below_one_fail_at_startup(
+        self, capsys, monkeypatch, keyword, flag, value
+    ):
+        from repro.service import ClusterConfig
+
+        main = self.serve_nothing(monkeypatch)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--data-plane", "mmap", flag, str(value)])
+        assert excinfo.value.code == 2
+        assert f"{keyword} must be >= 1" in capsys.readouterr().err
+        with pytest.raises(ValidationError, match=f"{keyword} must be"):
+            PrivBasisService(
+                TenantRegistry.from_mapping(self.REGISTRY),
+                data_plane="mmap", **{keyword: value},
+            )
+        with pytest.raises(ValidationError, match=f"{keyword} must be"):
+            ClusterConfig(
+                **self.CLUSTER, data_plane="mmap", **{keyword: value}
+            ).validate()
 
     def test_service_takes_no_data_plane_mode(self):
-        registry = TenantRegistry.from_mapping(self.CLUSTER["tenants"])
+        registry = TenantRegistry.from_mapping(self.REGISTRY)
         with pytest.raises(TypeError):
             PrivBasisService(registry, data_plane_mode="processes")
