@@ -140,35 +140,33 @@ def child_main(arguments) -> int:
         "num_items": spec.num_items,
     }
 
-    started = time.perf_counter()
-    chunks = iter_transaction_chunks(path, num_items=spec.num_items)
-    if arguments.plane == "mmap":
-        from repro.engine.mmap import MmapShardStore
-        from repro.engine.sharded import ShardedBackend
+    with tempfile.TemporaryDirectory(prefix="bench-outofcore-") as spill:
+        started = time.perf_counter()
+        chunks = iter_transaction_chunks(path, num_items=spec.num_items)
+        if arguments.plane == "mmap":
+            from repro.engine.mmap import MmapShardStore
+            from repro.engine.sharded import ShardedBackend
 
-        budget = arguments.budget_mb * 1024 * 1024
-        spill_dir = Path(tempfile.mkdtemp(prefix="bench-outofcore-"))
-        store = MmapShardStore.build(
-            spill_dir / "shards",
-            chunks,
-            num_items=spec.num_items,
-            memory_budget_bytes=budget,
-        )
-        backend = ShardedBackend(store)
-        record["spilled_bytes"] = store.spilled_bytes()
-        record["budget_mb"] = arguments.budget_mb
-    else:
-        from repro.datasets.chunked import load_chunked
-        from repro.engine.bitmap import BitmapBackend
+            store = MmapShardStore.build(
+                Path(spill) / "shards",
+                chunks,
+                num_items=spec.num_items,
+                memory_budget_bytes=arguments.budget_mb * 1024 * 1024,
+            )
+            backend = ShardedBackend(store)
+            record["spilled_bytes"] = store.spilled_bytes()
+            record["budget_mb"] = arguments.budget_mb
+        else:
+            from repro.datasets.chunked import load_chunked
+            from repro.engine.bitmap import BitmapBackend
 
-        database = load_chunked(
-            path, num_items=spec.num_items, format="fimi"
-        )
-        backend = BitmapBackend(database)
-    record["build_s"] = round(time.perf_counter() - started, 6)
+            backend = BitmapBackend(
+                load_chunked(path, num_items=spec.num_items)
+            )
+        record["build_s"] = round(time.perf_counter() - started, 6)
 
-    outcome = run_workload(backend, spec.num_items)
-    backend.close()
+        outcome = run_workload(backend, spec.num_items)
+        backend.close()
     record["digest"] = outcome["digest"]
     record.update(
         {

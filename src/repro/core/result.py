@@ -44,12 +44,6 @@ class PrivateFIMResult:
     #: release is attributable to one exact data state even while
     #: ingestion keeps appending.
     snapshot_version: Optional[int] = None
-    #: Reuse provenance: ``None`` for a fresh mechanism run; a mapping
-    #: like ``{"hit": True, "source": {"k": …, "epsilon": …,
-    #: "snapshot_version": …}, "epsilon_charged": 0.0}`` when the
-    #: answer was post-processed from a stored release by the reuse
-    #: plane (:mod:`repro.pipeline.reuse`) without touching data.
-    reuse: Optional[Dict[str, object]] = None
 
     def itemset_set(self) -> Set[Itemset]:
         """The published itemsets as a set (FNR computation)."""

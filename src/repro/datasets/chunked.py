@@ -4,19 +4,10 @@ Everything else in :mod:`repro.datasets` materializes the whole
 transaction log before handing it to an engine backend.  That is fine
 for mushroom-sized data and fatal for kosarak/AOL-sized data, so this
 module reads transaction files **chunk by chunk** — a bounded number
-of rows in memory at any moment — in three formats:
-
-``fimi``
-    The FIMI ``.dat`` text format (one transaction per line, items as
-    whitespace-separated integers), optionally gzip-compressed
-    (``.dat.gz``).  Blank lines are skipped, matching
-    :func:`repro.datasets.fimi.read_fimi`.
-``csv``
-    One transaction per line, items as comma-separated integers.
-    Blank interior lines are format errors.
-``ndjson``
-    One JSON value per line: either an array of item ids or an object
-    with an ``"items"`` array.
+of rows in memory at any moment — in the FIMI ``.dat`` text format:
+one transaction per line, items as whitespace-separated integers,
+gzip-compressed when the file name ends in ``.gz``.  Blank lines are
+skipped, matching :func:`repro.datasets.fimi.read_fimi`.
 
 Chunked loaders feed the zero-copy
 :meth:`~repro.datasets.transactions.TransactionDatabase
@@ -41,7 +32,6 @@ from __future__ import annotations
 
 import gzip
 import io
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -49,7 +39,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     TextIO,
     Tuple,
     Union,
@@ -70,7 +59,6 @@ PathLike = Union[str, Path]
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "TransactionChunk",
-    "detect_format",
     "iter_transaction_chunks",
     "load_chunked",
     "synthesize_tier_chunks",
@@ -81,19 +69,6 @@ __all__ = [
 #: engine's default shard granularity so a chunked load spills one
 #: segment per chunk without re-slicing.
 DEFAULT_CHUNK_SIZE = 65_536
-
-_FORMATS = ("fimi", "csv", "ndjson")
-
-#: Suffix → format for :func:`detect_format` (``.gz`` is stripped
-#: first).
-_SUFFIX_FORMATS = {
-    ".dat": "fimi",
-    ".fimi": "fimi",
-    ".txt": "fimi",
-    ".csv": "csv",
-    ".ndjson": "ndjson",
-    ".jsonl": "ndjson",
-}
 
 
 @dataclass(frozen=True)
@@ -134,35 +109,19 @@ class TransactionChunk:
         )
 
 
-def detect_format(path: PathLike) -> str:
-    """Infer the loader format from a file name.
-
-    ``.gz`` is transparent (the suffix underneath decides); unknown
-    suffixes default to ``fimi``, the repository's native format.
-    """
-    name = Path(path).name.lower()
-    if name.endswith(".gz"):
-        name = name[: -len(".gz")]
-    return _SUFFIX_FORMATS.get(Path(name).suffix, "fimi")
-
-
 def iter_transaction_chunks(
     source: Union[PathLike, TextIO],
     *,
-    format: Optional[str] = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     num_items: Optional[int] = None,
 ) -> Iterator[TransactionChunk]:
-    """Stream ``source`` as validated fixed-size transaction chunks.
+    """Stream FIMI ``source`` as validated fixed-size transaction chunks.
 
     Parameters
     ----------
     source:
         Path to a data file (gzip detected by ``.gz`` suffix) or an
         open text stream.
-    format:
-        ``"fimi"`` | ``"csv"`` | ``"ndjson"``; inferred from the file
-        name when omitted (streams default to ``fimi``).
     chunk_size:
         Rows per yielded chunk (the final chunk may be smaller).
     num_items:
@@ -173,23 +132,13 @@ def iter_transaction_chunks(
     ------
     DatasetFormatError
         Malformed tokens, duplicate items in a row, non-monotone item
-        ids, blank csv/ndjson lines, out-of-range ids.
+        ids, out-of-range ids.
     DatasetTruncatedError
         The stream ends mid-record: missing final newline, or a gzip
         member cut short.
     """
     if chunk_size < 1:
         raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
-    if format is None:
-        format = (
-            detect_format(source)
-            if isinstance(source, (str, Path))
-            else "fimi"
-        )
-    if format not in _FORMATS:
-        raise ValidationError(
-            f"unknown chunk format {format!r}; expected one of {_FORMATS}"
-        )
     if isinstance(source, (str, Path)):
         label = str(source)
         path = Path(source)
@@ -199,39 +148,33 @@ def iter_transaction_chunks(
         if path.name.lower().endswith(".gz"):
             with gzip.open(path, "rt", encoding="utf-8") as handle:
                 yield from _chunk_stream(
-                    handle, label, format, chunk_size, num_items,
-                    gzipped=True,
+                    handle, label, chunk_size, num_items, gzipped=True,
                 )
             return
         with open(path, "r", encoding="utf-8") as handle:
-            yield from _chunk_stream(
-                handle, label, format, chunk_size, num_items,
-            )
+            yield from _chunk_stream(handle, label, chunk_size, num_items)
         return
     label = getattr(source, "name", "<stream>")
-    yield from _chunk_stream(source, str(label), format, chunk_size,
-                             num_items)
+    yield from _chunk_stream(source, str(label), chunk_size, num_items)
 
 
 def load_chunked(
     source: Union[PathLike, TextIO],
     *,
-    format: Optional[str] = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     num_items: Optional[int] = None,
 ) -> TransactionDatabase:
     """Materialize a chunk-validated file as one in-memory database.
 
     The convenience path for callers on the ``memory`` data plane who
-    still want the strict chunked validation (and gzip/csv/ndjson
-    support).  Memory use is the full dataset — use
+    still want the strict chunked validation (and gzip support).  Memory use is the full dataset — use
     :func:`iter_transaction_chunks` plus the mmap spill store to stay
     out of core.
     """
     parts: List[TransactionDatabase] = []
     max_item = -1
     for chunk in iter_transaction_chunks(
-        source, format=format, chunk_size=chunk_size, num_items=num_items
+        source, chunk_size=chunk_size, num_items=num_items
     ):
         # Pack each chunk as it arrives: per-row arrays live for one
         # chunk, never for the whole file.
@@ -244,15 +187,18 @@ def load_chunked(
 # ----------------------------------------------------------------------
 # Line parsing (strict)
 # ----------------------------------------------------------------------
-def _validated_row(
-    items: Sequence[int], line_number: int, source: str
-) -> np.ndarray:
-    row = np.asarray(items, dtype=np.int64)
-    if row.size == 0:
-        raise DatasetFormatError(
-            f"line {line_number}: empty transaction",
-            source=source, line=line_number,
-        )
+def _parse_fimi_line(line: str, line_number: int,
+                     source: str) -> Optional[np.ndarray]:
+    stripped = line.strip()
+    if not stripped:
+        return None  # blank-line skip, matching read_fimi
+    row = np.asarray(
+        [
+            parse_item_token(token, line_number, source=source)
+            for token in stripped.split()
+        ],
+        dtype=np.int64,
+    )
     if row.size > 1:
         steps = np.diff(row)
         if np.any(steps == 0):
@@ -273,89 +219,13 @@ def _validated_row(
     return row
 
 
-def _parse_fimi_line(line: str, line_number: int,
-                     source: str) -> Optional[np.ndarray]:
-    stripped = line.strip()
-    if not stripped:
-        return None  # blank-line skip, matching read_fimi
-    items = [
-        parse_item_token(token, line_number, source=source)
-        for token in stripped.split()
-    ]
-    return _validated_row(items, line_number, source)
-
-
-def _parse_csv_line(line: str, line_number: int,
-                    source: str) -> Optional[np.ndarray]:
-    stripped = line.strip()
-    if not stripped:
-        raise DatasetFormatError(
-            f"line {line_number}: blank line in csv transaction file",
-            source=source, line=line_number,
-        )
-    items = [
-        parse_item_token(token.strip(), line_number, source=source)
-        for token in stripped.split(",")
-    ]
-    return _validated_row(items, line_number, source)
-
-
-def _parse_ndjson_line(line: str, line_number: int,
-                       source: str) -> Optional[np.ndarray]:
-    stripped = line.strip()
-    if not stripped:
-        raise DatasetFormatError(
-            f"line {line_number}: blank line in ndjson transaction file",
-            source=source, line=line_number,
-        )
-    try:
-        value = json.loads(stripped)
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(
-            f"line {line_number}: invalid JSON record: {exc.msg}",
-            source=source, line=line_number,
-        ) from exc
-    if isinstance(value, dict):
-        value = value.get("items")
-    if not isinstance(value, list):
-        raise DatasetFormatError(
-            f"line {line_number}: ndjson record must be an array of "
-            f"item ids or an object with an 'items' array",
-            source=source, line=line_number,
-        )
-    items: List[int] = []
-    for entry in value:
-        # bool is an int subclass; JSON true/false are not item ids.
-        if not isinstance(entry, int) or isinstance(entry, bool):
-            raise DatasetFormatError(
-                f"line {line_number}: non-integer item {entry!r}",
-                source=source, line=line_number,
-            )
-        if entry < 0:
-            raise DatasetFormatError(
-                f"line {line_number}: negative item id {entry}",
-                source=source, line=line_number,
-            )
-        items.append(entry)
-    return _validated_row(items, line_number, source)
-
-
-_PARSERS = {
-    "fimi": _parse_fimi_line,
-    "csv": _parse_csv_line,
-    "ndjson": _parse_ndjson_line,
-}
-
-
 def _chunk_stream(
     handle: TextIO,
     source: str,
-    format: str,
     chunk_size: int,
     num_items: Optional[int],
     gzipped: bool = False,
 ) -> Iterator[TransactionChunk]:
-    parse = _PARSERS[format]
     pending: List[np.ndarray] = []
     start = 0
     max_item = -1
@@ -391,7 +261,7 @@ def _chunk_stream(
                 f"transaction",
                 source=source, line=line_number,
             )
-        row = parse(line, line_number, source)
+        row = _parse_fimi_line(line, line_number, source)
         if row is None:
             continue
         if num_items is not None and int(row[-1]) >= num_items:

@@ -23,16 +23,16 @@ no per-row objects and no index rebuild.  The header carries a magic,
 the version, the shape, and a CRC32 of the whole payload.  Version-1
 files (rows only) fail the header check — they are never counted.
 
-Every write goes ``<file>.tmp`` → ``fsync`` → ``rename``, and the
-manifest (``manifest.json``, same discipline) is only updated
-afterwards — so a crash mid-spill can strand a ``.tmp`` orphan but
+A store is per-process scratch: the service spills each session
+build into a fresh directory and removes it at shutdown, so nothing
+ever reopens one.  Every write goes ``<file>.tmp`` → ``fsync`` →
+``rename``, so a crash mid-spill can strand a ``.tmp`` orphan but
 never publish a half-written segment under a live name.  Damage that
-*does* happen to published files (disk faults, manual truncation) is
-caught on :meth:`MmapShardStore.open` by the header/size check (or a
-full CRC pass with ``verify="crc"``) and reported as a
-:class:`~repro.errors.TornSegmentError` naming exactly the broken
-segment indices, so the caller re-spills **those shards only** via
-:meth:`MmapShardStore.rebuild_segment`.
+*does* happen to a published file (disk faults, manual truncation) is
+caught when the segment is attached, by the header/size check, and
+reported as a :class:`~repro.errors.TornSegmentError` naming the
+segment; :func:`verify_segment` with ``check_crc=True`` re-hashes a
+payload to catch in-place corruption too.
 
 The store is built **chunk by chunk** (:meth:`MmapShardStore.build`
 over a :func:`~repro.datasets.chunked.iter_transaction_chunks`
@@ -50,7 +50,6 @@ which maps the file and carves it into a database of views with
 from __future__ import annotations
 
 import errno
-import json
 import os
 import struct
 import threading
@@ -58,7 +57,7 @@ import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -88,8 +87,6 @@ _MAGIC = b"PBSHRD01"
 _HEADER_SIZE = 64
 _HEADER_FORMAT = "<8sqqqqq"  # magic, version, rows, size, items, crc
 _FORMAT_VERSION = 2
-_MANIFEST_NAME = "manifest.json"
-_MANIFEST_VERSION = 1
 
 #: Default rows per segment (one segment is one shard) — large enough
 #: that the per-shard numpy kernels amortize Python dispatch, small
@@ -151,11 +148,7 @@ def attach_words(
 
 @dataclass(frozen=True)
 class FileSegmentSpec:
-    """Handle for one on-disk segment: its path and shape.
-
-    The file name embeds the segment's generation counter, so a
-    rebuilt tail gets a fresh path and never aliases the old rows.
-    """
+    """Handle for one on-disk segment: its path and shape."""
 
     path: str
     num_rows: int
@@ -258,7 +251,7 @@ def verify_segment(
     if (num_rows, total_size, num_items) != shape:
         return (
             f"header shape ({num_rows} rows, {total_size} items, "
-            f"{num_items} vocabulary) disagrees with manifest {shape}"
+            f"{num_items} vocabulary) disagrees with spec {shape}"
         )
     expected_bytes = _HEADER_SIZE + spec.num_words * _WORD
     actual_bytes = path.stat().st_size
@@ -308,38 +301,32 @@ def attach_file_segment(
     )
 
 
-def _segment_file_name(index: int, generation: int) -> str:
-    return f"seg-{index:06d}-g{generation:04d}.seg"
+def _segment_file_name(index: int) -> str:
+    return f"seg-{index:06d}.seg"
 
 
 def _index_of(file_name: str) -> int:
     try:
-        return int(file_name.split("-")[1])
+        return int(Path(file_name).stem.split("-")[1])
     except (IndexError, ValueError):
         return -1
 
 
 class MmapShardStore:
-    """A directory of spilled shard segments plus their manifest.
+    """A directory of spilled shard segments, one file per shard.
 
     Build fresh with :meth:`create` / :meth:`build` (streaming, chunk
-    by chunk), reopen read-only with :meth:`open` — the restart path,
-    which verifies every segment and raises
-    :class:`~repro.errors.TornSegmentError` for damage.  Thread-safe:
-    the shard cache takes a lock, so the sharded backend's pool
-    threads can pull shard databases concurrently.
+    by chunk); the segment shapes live in memory, so a store lives as
+    long as the process that built it.  Thread-safe: the shard cache
+    takes a lock, so the sharded backend's pool threads can pull shard
+    databases concurrently.
 
     Layout under ``directory`` (conventionally
-    ``<state-dir>/shards/<dataset>/…``)::
+    ``<state-dir>/shards/<dataset>/<pid>-<token>/``)::
 
-        manifest.json            # shapes + segment file list, atomic
-        seg-000000-g0000.seg     # one file per shard
-        seg-000001-g0000.seg
+        seg-000000.seg
+        seg-000001.seg
         ...
-
-    A segment file's name embeds its generation; tail rewrites (from
-    ``extend``) bump it, so readers can never confuse old and new
-    contents.
     """
 
     def __init__(
@@ -348,8 +335,6 @@ class MmapShardStore:
         num_items: int,
         rows_per_segment: int,
         memory_budget_bytes: Optional[int],
-        specs: List[FileSegmentSpec],
-        generations: List[int],
     ) -> None:
         self._directory = Path(directory)
         self._num_items = int(num_items)
@@ -363,8 +348,7 @@ class MmapShardStore:
             raise ValidationError(
                 f"memory_budget_bytes must be >= 1, got {self._budget}"
             )
-        self._specs = list(specs)
-        self._generations = list(generations)
+        self._specs: List[FileSegmentSpec] = []
         self._pending = TransactionDatabase.concatenate([], self._num_items)
         self._lock = threading.Lock()
         self._cache: "OrderedDict[int, Tuple[np.memmap, TransactionDatabase]]"
@@ -382,7 +366,7 @@ class MmapShardStore:
     ) -> "MmapShardStore":
         """Start a fresh, empty store under ``directory``.
 
-        Any stale segments/manifest from a previous build in the same
+        Any stale segments from a previous build in the same
         directory are removed first — a store directory belongs to
         exactly one build at a time.
         """
@@ -401,17 +385,7 @@ class MmapShardStore:
         directory.mkdir(parents=True, exist_ok=True)
         for stale in directory.glob("seg-*.seg*"):
             stale.unlink(missing_ok=True)
-        (directory / _MANIFEST_NAME).unlink(missing_ok=True)
-        store = cls(
-            directory,
-            num_items,
-            rows_per_segment,
-            memory_budget_bytes,
-            specs=[],
-            generations=[],
-        )
-        store._write_manifest()
-        return store
+        return cls(directory, num_items, rows_per_segment, memory_budget_bytes)
 
     @classmethod
     def build(
@@ -437,74 +411,6 @@ class MmapShardStore:
         for chunk in chunks:
             store.append(chunk.database(num_items))
         store.flush()
-        return store
-
-    @classmethod
-    def open(
-        cls,
-        directory: PathLike,
-        memory_budget_bytes: Optional[int] = None,
-        verify: str = "size",
-    ) -> "MmapShardStore":
-        """Reopen an existing store (the restart / other-worker path).
-
-        Every segment is checked against the manifest — ``"size"``
-        (default) validates headers and exact file sizes, ``"crc"``
-        additionally re-hashes every payload.  Damage raises
-        :class:`~repro.errors.TornSegmentError` listing **all** torn
-        segment indices; repair by reopening with ``verify="none"``
-        and calling :meth:`rebuild_segment` for exactly those indices.
-        """
-        if verify not in ("none", "size", "crc"):
-            raise ValidationError(
-                f"verify must be 'none', 'size' or 'crc', got {verify!r}"
-            )
-        directory = Path(directory)
-        manifest_path = directory / _MANIFEST_NAME
-        try:
-            with open(manifest_path, "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise StateStoreError(
-                f"cannot read shard manifest {manifest_path}: {exc}"
-            ) from exc
-        if manifest.get("version") != _MANIFEST_VERSION:
-            raise StateStoreError(
-                f"unsupported shard manifest version "
-                f"{manifest.get('version')!r} in {manifest_path}"
-            )
-        specs: List[FileSegmentSpec] = []
-        generations: List[int] = []
-        for entry in manifest.get("segments", []):
-            specs.append(
-                FileSegmentSpec(
-                    path=str(directory / str(entry["file"])),
-                    num_rows=int(entry["num_rows"]),
-                    total_size=int(entry["total_size"]),
-                    num_items=int(manifest["num_items"]),
-                )
-            )
-            generations.append(int(entry.get("generation", 0)))
-        store = cls(
-            directory,
-            int(manifest["num_items"]),
-            int(manifest["rows_per_segment"]),
-            memory_budget_bytes,
-            specs=specs,
-            generations=generations,
-        )
-        if verify != "none":
-            torn: List[int] = []
-            detail = ""
-            for index, spec in enumerate(specs):
-                problem = verify_segment(
-                    spec, check_crc=(verify == "crc")
-                )
-                if problem is not None:
-                    torn.append(index)
-                    detail = detail or problem
-            if torn:
-                raise TornSegmentError(directory, torn, detail)
         return store
 
     # -- shape ----------------------------------------------------------
@@ -569,7 +475,7 @@ class MmapShardStore:
         self._drain(everything=False)
 
     def flush(self) -> None:
-        """Publish any buffered rows and sync the manifest.
+        """Publish any buffered rows.
 
         Also the retry path after a failed publish (e.g. ``ENOSPC``):
         rows that could not be spilled stay in the pending buffer —
@@ -578,7 +484,6 @@ class MmapShardStore:
         """
         self._ensure_open()
         self._drain(everything=True)
-        self._write_manifest()
 
     def _drain(self, everything: bool) -> None:
         """Publish full segments from the pending buffer (and, with
@@ -593,119 +498,35 @@ class MmapShardStore:
     def extend(self, delta: TransactionDatabase) -> None:
         """Append ``delta`` to the spilled data.
 
-        A partial tail segment is rewritten (attached, extended with
-        its index merged, republished under a bumped generation —
-        atomically, so a crash mid-extend leaves the old tail live);
-        full segments are never touched.  This is the
+        A partial tail segment is rewritten under its own name
+        (attached, extended with its index merged, republished through
+        :func:`write_segment`'s tmp → fsync → rename — readers still
+        holding the old mapping keep the old inode); full segments are
+        never touched.  This is the
         :meth:`~repro.engine.backend.CountingBackend.extend` spill
         path: ingest appends, it does not respill.
         """
         self._ensure_open()
         if not delta.num_transactions:
             return
-        stale_tail: Optional[Path] = None
         if (
             self._specs
             and self._specs[-1].num_rows < self._rows_per_segment
         ):
-            take = self._rows_per_segment - self._specs[-1].num_rows
-            _, tail = attach_file_segment(self._specs[-1])
-            self._drop_cached(len(self._specs) - 1)
-            old_spec = self._specs.pop()
-            generation = self._generations.pop() + 1
-            self._publish(
-                tail.extended(delta.slice(0, take)), generation=generation
+            last = len(self._specs) - 1
+            take = self._rows_per_segment - self._specs[last].num_rows
+            _, tail = attach_file_segment(self._specs[last])
+            self._drop_cached(last)
+            self._specs[last] = write_segment(
+                self._specs[last].path, tail.extended(delta.slice(0, take))
             )
-            stale_tail = Path(old_spec.path)
             delta = delta.slice(take, delta.num_transactions)
         self.append(delta)
         self.flush()
-        # Only after the manifest names the new generation may the old
-        # tail go: a crash before this line leaves both files, and the
-        # manifest decides which one is live.
-        if stale_tail is not None:
-            stale_tail.unlink(missing_ok=True)
 
-    def rebuild_segment(
-        self, index: int, rows: Sequence[np.ndarray]
-    ) -> FileSegmentSpec:
-        """Respill exactly one torn segment from its source rows.
-
-        ``rows`` must be the same transactions the segment originally
-        held (the chunked loader re-yields them deterministically);
-        the row count is checked against the manifest.  All other
-        segment files are left untouched — this is the single-shard
-        repair the torn-segment error points at.
-        """
-        self._ensure_open()
-        if not 0 <= index < len(self._specs):
-            raise ValidationError(
-                f"segment index {index} out of range "
-                f"(store has {len(self._specs)})"
-            )
-        expected = self._specs[index]
-        if len(rows) != expected.num_rows:
-            raise ValidationError(
-                f"rebuild of segment {index} got {len(rows)} rows, "
-                f"manifest says {expected.num_rows}"
-            )
-        self._drop_cached(index)
-        generation = self._generations[index] + 1
-        name = _segment_file_name(index, generation)
-        spec = write_segment(
-            self._directory / name,
-            TransactionDatabase.from_sorted_rows(rows, self._num_items),
-        )
-        old_path = Path(self._specs[index].path)
-        self._specs[index] = spec
-        self._generations[index] = generation
-        self._write_manifest()
-        if old_path.name != name:
-            old_path.unlink(missing_ok=True)
-        return spec
-
-    def _publish(
-        self, database: TransactionDatabase, generation: int = 0
-    ) -> None:
-        index = len(self._specs)
-        name = _segment_file_name(index, generation)
-        spec = write_segment(self._directory / name, database)
-        self._specs.append(spec)
-        self._generations.append(generation)
-
-    def _write_manifest(self) -> None:
-        manifest = {
-            "version": _MANIFEST_VERSION,
-            "num_items": self._num_items,
-            "rows_per_segment": self._rows_per_segment,
-            "num_rows": self.num_rows,
-            "total_size": self.total_size,
-            "segments": [
-                {
-                    "file": Path(spec.path).name,
-                    "num_rows": spec.num_rows,
-                    "total_size": spec.total_size,
-                    "generation": generation,
-                }
-                for spec, generation in zip(
-                    self._specs, self._generations
-                )
-            ],
-        }
-        manifest_path = self._directory / _MANIFEST_NAME
-        temp_path = manifest_path.with_name(_MANIFEST_NAME + ".tmp")
-        try:
-            with open(temp_path, "w", encoding="utf-8") as handle:
-                json.dump(manifest, handle, indent=1)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp_path, manifest_path)
-        except OSError as exc:
-            temp_path.unlink(missing_ok=True)
-            raise StateStoreError(
-                f"cannot write shard manifest under {self._directory}: "
-                f"{exc}"
-            ) from exc
+    def _publish(self, database: TransactionDatabase) -> None:
+        name = _segment_file_name(len(self._specs))
+        self._specs.append(write_segment(self._directory / name, database))
 
     # -- reading --------------------------------------------------------
     def shard_database(self, index: int) -> TransactionDatabase:
@@ -794,8 +615,8 @@ class MmapShardStore:
     def close(self) -> None:
         """Release mappings and mark the store closed (idempotent).
 
-        Segment files stay on disk — a store is durable state; remove
-        the directory itself to discard it.
+        Segment files stay on disk; the owner removes the directory
+        (the service does so at shutdown).
         """
         with self._lock:
             self._cache.clear()

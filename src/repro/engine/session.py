@@ -47,10 +47,6 @@ __all__ = ["PrivBasisSession", "ReleaseRequest"]
 #: arguments (``{"k": 50, "epsilon": 1.0, "noise": "geometric"}``).
 ReleaseRequest = Union[Tuple[int, float], Mapping[str, object]]
 
-#: Dataset key the session's own reuse index files entries under (a
-#: session serves exactly one dataset, so the scope is a constant).
-_REUSE_SCOPE = "session"
-
 
 class PrivBasisSession:
     """One database + one warm backend, serving repeated releases.
@@ -77,16 +73,11 @@ class PrivBasisSession:
         Session-level randomness; per-release ``rng`` overrides it.
         All releases without an explicit seed draw from this one
         stream, so a seeded session is reproducible end to end.
-    reuse:
-        Opt into the cross-release reuse plane
-        (:mod:`repro.pipeline.reuse`): a plain ``(k', ε')`` release
-        request strictly dominated by an earlier release on the same
-        snapshot (``k' ≤ k``, ``ε' ≤ ε``, not byte-identical) is
-        answered by truncating the stored payload — no data access,
-        no ledger debit.  Off by default: a bare session keeps the
-        one-release-one-mechanism-run semantics; the service turns it
-        on per tenant (its reuse scope is the tenant, not this
-        shared session).
+
+    Every release runs the mechanism afresh.  Answering dominated
+    requests from stored releases is the service's job: its result
+    store keeps one reuse index per tenant
+    (:mod:`repro.pipeline.reuse`).
     """
 
     def __init__(
@@ -95,10 +86,8 @@ class PrivBasisSession:
         backend: Optional[CountingBackend] = None,
         epsilon_limit: Optional[float] = None,
         rng=None,
-        reuse: bool = False,
     ) -> None:
         from repro.dp.rng import ensure_rng
-        from repro.pipeline.reuse import ReuseIndex
 
         self._log: Optional[TransactionLog] = None
         self._snapshot_version = 0
@@ -121,9 +110,6 @@ class PrivBasisSession:
         self._epsilon_spent = 0.0
         self._num_releases = 0
         self._rng = ensure_rng(rng)
-        self._reuse_index = ReuseIndex() if reuse else None
-        self._reuse_hits = 0
-        self._reuse_epsilon_saved = 0.0
 
     # -- introspection --------------------------------------------------
     @property
@@ -158,16 +144,6 @@ class PrivBasisSession:
         """The attached transaction log, if the session follows one."""
         return self._log
 
-    @property
-    def reuse_enabled(self) -> bool:
-        """Whether the cross-release reuse plane is on."""
-        return self._reuse_index is not None
-
-    @property
-    def reuse_hits(self) -> int:
-        """Releases served by post-processing a stored release."""
-        return self._reuse_hits
-
     # -- streaming ingestion --------------------------------------------
     def ingest(self, transactions) -> int:
         """Append a batch of transactions; returns the new version.
@@ -199,7 +175,6 @@ class PrivBasisSession:
             )
         self._backend.extend(delta)
         self._snapshot_version += 1
-        self._invalidate_reuse()
         return self._snapshot_version
 
     def sync(self) -> int:
@@ -218,7 +193,6 @@ class PrivBasisSession:
             delta = self._log.delta(self._snapshot_version, target)
             self._backend.extend(delta)
             self._snapshot_version = target
-            self._invalidate_reuse()
         return self._snapshot_version
 
     def restore(
@@ -272,9 +246,7 @@ class PrivBasisSession:
                     f"{snapshot_version} behind current "
                     f"{self._snapshot_version}"
                 )
-            if int(snapshot_version) > self._snapshot_version:
-                self._snapshot_version = int(snapshot_version)
-                self._invalidate_reuse()
+            self._snapshot_version = int(snapshot_version)
         if num_releases is not None:
             if int(num_releases) < 0:
                 raise ValidationError(
@@ -316,12 +288,6 @@ class PrivBasisSession:
         pools_built = getattr(inner, "pools_built", None)
         if pools_built is not None:
             stats["pools_built"] = int(pools_built)
-        if self._reuse_index is not None:
-            stats["reuse"] = {
-                "hits": self._reuse_hits,
-                "epsilon_saved": self._reuse_epsilon_saved,
-                **self._reuse_index.stats(),
-            }
         data_plane_stats = getattr(inner, "data_plane_stats", None)
         if callable(data_plane_stats):
             # Out-of-core (mmap) backends report residency telemetry:
@@ -360,58 +326,7 @@ class PrivBasisSession:
         self.close()
 
     # -- serving --------------------------------------------------------
-    def _invalidate_reuse(self) -> None:
-        """Drop stored releases pinned to now-stale snapshots."""
-        if self._reuse_index is not None:
-            self._reuse_index.invalidate_before(
-                _REUSE_SCOPE, self._snapshot_version
-            )
-
-    def _serve_reused(self, k, epsilon):
-        """A reuse-plane answer for ``(k, ε)``, or ``None`` on a miss.
-
-        Misses include malformed parameters — those fall through to
-        the fresh path so validation errors are raised in one place.
-        """
-        from repro.pipeline.reuse import (
-            result_from_payload,
-            top_k_truncate,
-        )
-
-        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-            return None
-        if (
-            isinstance(epsilon, bool)
-            or not isinstance(epsilon, (int, float))
-            or not (float(epsilon) > 0)
-        ):
-            return None
-        decision = self._reuse_index.lookup(
-            _REUSE_SCOPE, self._snapshot_version, k, float(epsilon)
-        )
-        if not decision.hit:
-            return None
-        source = decision.source
-        truncated = top_k_truncate(source.payload, k, float(epsilon))
-        result = result_from_payload(
-            truncated,
-            snapshot_version=source.snapshot_version,
-            reuse={
-                "hit": True,
-                "source": source.describe(),
-                "epsilon_charged": 0.0,
-                "epsilon_saved": float(epsilon),
-            },
-        )
-        self._reuse_hits += 1
-        self._reuse_epsilon_saved += float(epsilon)
-        return result
-
     def _charge(self, epsilon: float) -> None:
-        if not (epsilon > 0):
-            raise ValidationError(
-                f"epsilon must be positive, got {epsilon}"
-            )
         if self._epsilon_limit is not None:
             remaining = self._epsilon_limit - self._epsilon_spent
             if epsilon > remaining * (1 + 1e-9):
@@ -437,24 +352,15 @@ class PrivBasisSession:
         exact data state.  (Callers interleaving ``ingest`` from other
         threads must serialize against releases, as the service's
         per-dataset lock does.)
-
-        With ``reuse=True``, a plain request (no planner, no keyword
-        overrides) strictly dominated by a stored release on the
-        current snapshot is answered by post-processing that release:
-        the result carries ``.reuse`` provenance, no data is touched,
-        and the ledger debits nothing (see
-        :mod:`repro.pipeline.reuse`).
         """
+        from repro.pipeline.plan import validate_epsilon
         from repro.pipeline.planner import resolve_planner
         from repro.pipeline.run import planned_release
 
+        epsilon = validate_epsilon(epsilon)
         if planner is not None:
             # Resolve before charging: an unknown planner spends nothing.
             planner = resolve_planner(planner)
-        if self._reuse_index is not None and planner is None and not kwargs:
-            reused = self._serve_reused(k, epsilon)
-            if reused is not None:
-                return reused
         self._charge(epsilon)
         pinned_version = self._snapshot_version
         result = planned_release(
@@ -469,12 +375,6 @@ class PrivBasisSession:
         result.snapshot_version = pinned_version
         self._epsilon_spent += epsilon
         self._num_releases += 1
-        if self._reuse_index is not None:
-            from repro.pipeline.reuse import payload_from_result
-
-            self._reuse_index.add(
-                _REUSE_SCOPE, pinned_version, payload_from_result(result)
-            )
         return result
 
     def release_batch(self, requests: Iterable[ReleaseRequest]) -> List:
@@ -485,6 +385,8 @@ class PrivBasisSession:
         ``epsilon_limit`` up front, so a batch either fits entirely or
         fails before any noise is drawn (no partial batches to refund).
         """
+        from repro.pipeline.plan import validate_epsilon, validate_k
+
         normalized: List[Mapping[str, object]] = []
         for request in requests:
             if isinstance(request, Mapping):
@@ -503,16 +405,9 @@ class PrivBasisSession:
         # the all-or-nothing promise holds: a bad epsilon or k in the
         # middle of a batch must not leave earlier releases spent.
         for request in normalized:
-            if not (float(request["epsilon"]) > 0):
-                raise ValidationError(
-                    f"epsilon must be positive, got "
-                    f"{request['epsilon']!r}"
-                )
-            if int(request["k"]) < 1:
-                raise ValidationError(
-                    f"k must be >= 1, got {request['k']!r}"
-                )
-        total = sum(float(request["epsilon"]) for request in normalized)
+            validate_k(request["k"])
+            request["epsilon"] = validate_epsilon(request["epsilon"])
+        total = sum(request["epsilon"] for request in normalized)
         self._charge(total)
         return [self.release(**request) for request in normalized]
 

@@ -297,8 +297,9 @@ class ShardedBackend(CountingBackend):
     def close(self) -> None:
         """Close the spill store (idempotent).
 
-        The store's cached mappings are dropped and the store is closed
-        (its files stay on disk — reopen with ``MmapShardStore.open``).
+        The store's cached mappings are dropped and the store is
+        closed; its files stay on disk until the owner removes the
+        directory (the service does so at shutdown).
         """
         self._store.close()
 

@@ -185,14 +185,14 @@ class StateStoreError(ReproError):
 
 
 class TornSegmentError(StateStoreError):
-    """A spilled shard segment failed its header/CRC check on reopen.
+    """A spilled shard segment failed its header/size check on attach.
 
     Raised by :mod:`repro.engine.mmap` when a memory-mapped shard
-    file under the state dir is missing, short, or fails checksum
-    verification — the signature of a crash mid-spill or disk
-    corruption.  Carries the zero-based ``segments`` indices so the
-    caller can rebuild *only* those shards from the source chunks
-    instead of respilling the whole dataset.
+    file is missing, short, of another format version, or disagrees
+    with the shape it was written with — the signature of disk
+    corruption or outside tampering.  Carries the zero-based
+    ``segments`` indices that failed, so the error names exactly the
+    broken shards and nothing is counted over them.
     """
 
     wire_code = "torn_segment"
@@ -203,8 +203,7 @@ class TornSegmentError(StateStoreError):
         suffix = f" ({detail})" if detail else ""
         super().__init__(
             f"torn shard segment(s) {list(self.segments)} under "
-            f"{self.directory}{suffix}; rebuild them from the source "
-            f"chunks (MmapShardStore.rebuild_segment)"
+            f"{self.directory}{suffix}"
         )
 
 

@@ -40,8 +40,6 @@ from repro.pipeline.reuse import (
     ReuseDecision,
     ReuseIndex,
     StoredRelease,
-    payload_from_result,
-    result_from_payload,
     reuse_covers,
     top_k_truncate,
 )
@@ -90,12 +88,10 @@ __all__ = [
     "default_eta",
     "execute_plan",
     "pair_budget_size",
-    "payload_from_result",
     "planned_release",
     "planner_for",
     "planner_names",
     "resolve_planner",
-    "result_from_payload",
     "reuse_covers",
     "top_k_truncate",
     "validate_alphas",

@@ -15,6 +15,7 @@ of an executed release reports the resolved amounts.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -30,10 +31,45 @@ from repro.pipeline.planner import (
 )
 from repro.pipeline.stages import PIPELINE_STAGES, SelectPairs, Stage
 
-__all__ = ["PlannedStage", "ReleasePlan", "build_plan"]
+__all__ = [
+    "PlannedStage",
+    "ReleasePlan",
+    "build_plan",
+    "validate_epsilon",
+    "validate_k",
+]
 
 #: Maps a stage's declared ``share`` to its index in the α triple.
 _SHARE_INDEX = {"alpha1": 0, "alpha2": 1, "alpha3": 2}
+
+
+def validate_k(k) -> int:
+    """``k`` as a positive ``int``, or :class:`ValidationError`.
+
+    Integers only (numpy integers included): ``int(2.7)`` would
+    publish a k=2 release nobody asked for, and ``True`` is not a k.
+    """
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValidationError(f"k must be an integer, got {k!r}")
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    return int(k)
+
+
+def validate_epsilon(epsilon) -> float:
+    """``epsilon`` as a positive finite ``float``, or
+    :class:`ValidationError`."""
+    try:
+        value = float(epsilon)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"epsilon must be a number, got {epsilon!r}"
+        ) from None
+    if not (0 < value < float("inf")):
+        raise ValidationError(
+            f"epsilon must be positive and finite, got {epsilon!r}"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -86,13 +122,8 @@ class ReleasePlan:
         max_basis_length: int = DEFAULT_MAX_BASIS_LENGTH,
         greedy_basis_optimization: bool = True,
     ) -> None:
-        if k < 1:
-            raise ValidationError(f"k must be >= 1, got {k}")
-        epsilon = float(epsilon)
-        if not (0 < epsilon < float("inf")):
-            raise ValidationError(
-                f"epsilon must be positive and finite, got {epsilon!r}"
-            )
+        k = validate_k(k)
+        epsilon = validate_epsilon(epsilon)
         if eta is None:
             eta = default_eta(k)
         if eta < 1.0:
@@ -107,7 +138,7 @@ class ReleasePlan:
                 f"got {single_basis_lambda}"
             )
         self.planner = planner
-        self.k = int(k)
+        self.k = k
         self.epsilon = epsilon
         self.eta = float(eta)
         self.noise = noise

@@ -49,8 +49,6 @@ __all__ = [
     "ReuseDecision",
     "ReuseIndex",
     "StoredRelease",
-    "payload_from_result",
-    "result_from_payload",
     "reuse_covers",
     "top_k_truncate",
 ]
@@ -170,72 +168,6 @@ def top_k_truncate(
     return truncated
 
 
-def payload_from_result(result: Any) -> Dict[str, Any]:
-    """The stored (wire-shaped) payload of a release result.
-
-    Mirrors the service wire schema — published statistics only — so
-    session-level and service-level reuse read the same shape.  Kept
-    here rather than importing the service layer: the pipeline must
-    not depend on it.
-    """
-    payload: Dict[str, Any] = {
-        "method": result.method,
-        "k": result.k,
-        "epsilon": result.epsilon,
-        "itemsets": [
-            {
-                "items": list(entry.itemset),
-                "noisy_count": entry.noisy_count,
-                "noisy_frequency": entry.noisy_frequency,
-            }
-            for entry in result.itemsets
-        ],
-    }
-    if result.snapshot_version is not None:
-        payload["snapshot_version"] = result.snapshot_version
-    return payload
-
-
-def result_from_payload(
-    payload: Mapping[str, Any],
-    snapshot_version: Optional[int] = None,
-    reuse: Optional[Dict[str, Any]] = None,
-):
-    """Rebuild a result object from a stored (truncated) payload.
-
-    The session's reuse path returns the same type a fresh release
-    does.  Diagnostics that belong to a mechanism *run* (trace, basis
-    geometry, per-count variance) are not part of the published
-    payload and come back empty — a reused answer never ran a
-    mechanism.
-    """
-    from repro.core.result import NoisyItemset, PrivBasisResult
-    from repro.datasets.transactions import canonical_itemset
-
-    itemsets = [
-        NoisyItemset(
-            itemset=canonical_itemset(entry["items"]),
-            noisy_count=float(entry["noisy_count"]),
-            noisy_frequency=float(entry["noisy_frequency"]),
-            count_variance=0.0,
-        )
-        for entry in payload["itemsets"]
-    ]
-    result = PrivBasisResult(
-        itemsets=itemsets,
-        k=int(payload["k"]),
-        epsilon=float(payload["epsilon"]),
-        method=str(payload.get("method", "privbasis")),
-        snapshot_version=(
-            snapshot_version
-            if snapshot_version is not None
-            else payload.get("snapshot_version")
-        ),
-        reuse=dict(reuse) if reuse is not None else None,
-    )
-    return result
-
-
 def _dominates(a: StoredRelease, b: StoredRelease) -> bool:
     """Whether every request ``b`` can serve, ``a`` can serve too."""
     return a.k >= b.k and a.epsilon >= b.epsilon * (1 - EPSILON_RTOL)
@@ -253,9 +185,8 @@ class ReuseIndex:
     (smallest ``k``, then smallest ``ε``) so a hit reveals no more of
     the stored history than the request needs.
 
-    One index instance scopes one principal — the store keeps one per
-    tenant, a session keeps its own — so tenant isolation is
-    structural, not a filter.
+    One index instance scopes one principal — the result store keeps
+    one per tenant — so tenant isolation is structural, not a filter.
     """
 
     max_entries_per_key: int = MAX_ENTRIES_PER_KEY

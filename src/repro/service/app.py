@@ -363,8 +363,8 @@ class PrivBasisService:
         workers each build their own session, so a shared directory
         would race.  Nothing ever reopens a leaf, so :meth:`stop`
         removes the ones this process built; only a killed process
-        leaves its leaf behind.  Restart durability of the *format* is
-        exercised directly at the engine layer (``MmapShardStore.open``).
+        leaves its leaf behind.  A damaged segment is detected when it
+        is attached (:class:`~repro.errors.TornSegmentError`).
         """
         import re
         import secrets
@@ -636,7 +636,7 @@ class PrivBasisService:
             # value (tenant.remaining), so a freshly recovered ledger
             # and a long-running one refuse an oversized batch through
             # the same check.
-            if total > tenant.remaining:
+            if not tenant.affords(total):
                 raise BudgetExceededError(total, tenant.remaining)
             for index, request in enumerate(requests):
                 tenant.charge(
@@ -777,7 +777,7 @@ class PrivBasisService:
             "tenant": tenant.tenant_id,
             "dataset": tenant.dataset,
             "remaining": remaining,
-            "affordable": params["epsilon"] <= remaining * (1 + 1e-9),
+            "affordable": tenant.affords(params["epsilon"]),
             **plan.describe(),
         }
         if self._reuse_enabled:
@@ -1056,6 +1056,10 @@ class PrivBasisService:
         every warm session is closed — which closes the spill store
         (and drops its mapped segments) of every mmap-plane dataset —
         before the spill directories this process built are removed.
+        Those sessions are forgotten with their spill, so a later
+        :meth:`start` builds them again; a memory-plane session stays
+        queryable after close and is kept, ingested rows included
+        (an in-memory store could not replay them).
         """
         if self._server is not None:
             self._server.close()
@@ -1070,6 +1074,10 @@ class PrivBasisService:
         self._connections.clear()
         for session in self._sessions.values():
             session.close()
+        if self._data_plane == "mmap":
+            for dataset in self._sessions:
+                self._coalescer.discard(dataset)
+            self._sessions.clear()
         for directory in self._spill_dirs:
             shutil.rmtree(directory, ignore_errors=True)
         self._spill_dirs.clear()

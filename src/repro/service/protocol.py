@@ -289,12 +289,6 @@ def result_to_wire(
     }
     if result.snapshot_version is not None:
         payload["snapshot_version"] = result.snapshot_version
-    reuse = getattr(result, "reuse", None)
-    if reuse is not None:
-        # Reuse provenance (session-served post-processing hits) is
-        # public by construction: it names only parameters of an
-        # already-published release.
-        payload["reuse"] = dict(reuse)
     trace = getattr(result, "trace", None)
     if include_trace and trace is not None:
         payload["trace"] = trace.to_wire()

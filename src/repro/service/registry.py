@@ -126,6 +126,17 @@ class Tenant:
         negative (a recovered over-count simply clamps to zero)."""
         return max(0.0, float(self.epsilon_limit) - self.spent)
 
+    def affords(self, epsilon: float) -> bool:
+        """The one admission check: does ``epsilon`` fit the remaining
+        budget, up to a relative tolerance of the limit (so float
+        wobble like ``0.3 - 0.1`` never refuses a spend that fits)?
+
+        Single releases, batches and ``/v1/plan`` quotes all ask
+        this, so they admit exactly the same requests.
+        """
+        tolerance = _REL_TOL * float(self.epsilon_limit)
+        return epsilon <= self.remaining + tolerance
+
     def charge(self, epsilon: float, label: str = "") -> float:
         """Spend ``epsilon`` against this tenant's durable ledger.
 
@@ -142,8 +153,7 @@ class Tenant:
             raise ValidationError(
                 f"epsilon must be positive, got {epsilon!r}"
             )
-        tolerance = _REL_TOL * float(self.epsilon_limit)
-        if epsilon > self.remaining + tolerance:
+        if not self.affords(epsilon):
             raise BudgetExceededError(epsilon, self.remaining)
         return self.ledger.spend(epsilon, label=label)
 

@@ -7,8 +7,8 @@ the validation burden: every malformed input must raise a typed
 :class:`DatasetTruncatedError` — never silently mis-count.  This
 suite fuzzes the failure modes the wire can actually produce
 (truncated final record, gzip members cut short, duplicate /
-non-monotone / non-integer items, blank lines) across all three
-formats, and pins chunk geometry, ``read_fimi`` parity, and the
+non-monotone / non-integer items) in FIMI files, plain and gzip, and
+pins chunk geometry, ``read_fimi`` parity, and the
 deterministic tier synthesis the registry serves.
 """
 
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import gzip
 import io
-import json
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ import pytest
 from repro.datasets.chunked import (
     DEFAULT_CHUNK_SIZE,
     TransactionChunk,
-    detect_format,
     iter_transaction_chunks,
     load_chunked,
     synthesize_tier_chunks,
@@ -48,7 +46,7 @@ def rows_of(chunks):
 
 
 # ----------------------------------------------------------------------
-# Geometry and format detection
+# Geometry
 # ----------------------------------------------------------------------
 class TestChunkGeometry:
     def test_fixed_size_chunks_with_smaller_tail(self, tmp_path):
@@ -79,28 +77,6 @@ class TestChunkGeometry:
         write_text(path, "1\n")
         with pytest.raises(ValidationError):
             list(iter_transaction_chunks(path, chunk_size=0))
-
-    @pytest.mark.parametrize(
-        ("name", "expected"),
-        [
-            ("data.dat", "fimi"),
-            ("data.dat.gz", "fimi"),
-            ("data.txt", "fimi"),
-            ("data.csv", "csv"),
-            ("data.csv.gz", "csv"),
-            ("data.ndjson", "ndjson"),
-            ("data.jsonl.gz", "ndjson"),
-            ("data.unknown", "fimi"),
-        ],
-    )
-    def test_detect_format(self, name, expected):
-        assert detect_format(name) == expected
-
-    def test_unknown_format_rejected(self, tmp_path):
-        path = tmp_path / "db.dat"
-        write_text(path, "1\n")
-        with pytest.raises(ValidationError):
-            list(iter_transaction_chunks(path, format="parquet"))
 
     def test_missing_file_is_format_error(self, tmp_path):
         with pytest.raises(DatasetFormatError):
@@ -158,7 +134,7 @@ class TestTruncation:
 
 
 # ----------------------------------------------------------------------
-# Strict row validation (all formats feed from_sorted_rows)
+# Strict row validation (rows feed from_sorted_rows)
 # ----------------------------------------------------------------------
 class TestStrictValidation:
     @pytest.mark.parametrize(
@@ -187,53 +163,6 @@ class TestStrictValidation:
         write_text(path, "0 1\n\n  \n2 3\n")
         chunks = list(iter_transaction_chunks(path))
         assert rows_of(chunks) == [[0, 1], [2, 3]]
-
-    def test_csv_blank_line_rejected(self, tmp_path):
-        path = tmp_path / "db.csv"
-        write_text(path, "0,1\n\n2,3\n")
-        with pytest.raises(DatasetFormatError) as excinfo:
-            list(iter_transaction_chunks(path))
-        assert "blank" in str(excinfo.value)
-        assert excinfo.value.line == 2
-
-    def test_csv_parses_with_spaces(self, tmp_path):
-        path = tmp_path / "db.csv"
-        write_text(path, "0, 1, 5\n2,3\n")
-        chunks = list(iter_transaction_chunks(path))
-        assert rows_of(chunks) == [[0, 1, 5], [2, 3]]
-
-    def test_ndjson_array_and_object_records(self, tmp_path):
-        path = tmp_path / "db.ndjson"
-        write_text(path, '[0, 2]\n{"items": [1, 3, 4]}\n')
-        chunks = list(iter_transaction_chunks(path))
-        assert rows_of(chunks) == [[0, 2], [1, 3, 4]]
-
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            "not json\n",
-            '"scalar"\n',
-            '{"rows": [1]}\n',
-            "[true]\n",
-            "[1.5]\n",
-            "[-3]\n",
-            "[]\n",
-            "\n",
-        ],
-    )
-    def test_ndjson_rejections(self, tmp_path, payload):
-        path = tmp_path / "db.ndjson"
-        write_text(path, "[0]\n" + payload)
-        with pytest.raises(DatasetFormatError) as excinfo:
-            list(iter_transaction_chunks(path))
-        assert excinfo.value.line == 2
-
-    def test_empty_fimi_transaction_line_rejected(self, tmp_path):
-        # A line of only separators parses to zero items in csv.
-        path = tmp_path / "db.csv"
-        write_text(path, "0,1\n,\n")
-        with pytest.raises(DatasetFormatError):
-            list(iter_transaction_chunks(path))
 
     def test_parse_item_token_is_strict(self):
         assert parse_item_token("42", 1) == 42

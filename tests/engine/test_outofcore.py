@@ -7,9 +7,8 @@ noisy frequencies, ε ledger) — **bit-identically** to the RAM-resident
 :class:`BitmapBackend` and the pure-Python :class:`NaiveBackend`
 oracle.  Counts are exact integers and additive over any partition,
 so this holds by construction; the suite pins it against regressions
-across the chunk → spill → attach → merge path, after O(Δ)
-``extend``, and across a full close/reopen restart of the shard
-store.
+across the chunk → spill → attach → merge path and after O(Δ)
+``extend``.
 
 Randomization is seeded (no hypothesis dependency): each seed drives
 an independent database shape, chunk size, and segment size.
@@ -60,9 +59,8 @@ def write_fimi_gz(path, rows) -> None:
 def spilled_backend(tmp_path, seed: int, *, memory_budget_bytes=None):
     """Disk file → chunked load → mmap spill → sharded backend.
 
-    Returns ``(backend, database, directory)`` where ``database`` is
-    the same file materialized in RAM (the equivalence reference
-    input) and ``directory`` is the spill dir (for reopen tests).
+    Returns ``(backend, database)`` where ``database`` is the same
+    file materialized in RAM (the equivalence reference input).
     """
     rng = np.random.default_rng(seed ^ 0x5EED)
     rows, num_items = random_rows(seed)
@@ -70,9 +68,8 @@ def spilled_backend(tmp_path, seed: int, *, memory_budget_bytes=None):
     write_fimi_gz(source, rows)
     chunk_size = int(rng.integers(3, 40))
     rows_per_segment = int(rng.integers(5, 30))
-    directory = tmp_path / f"shards-{seed}"
     store = MmapShardStore.build(
-        directory,
+        tmp_path / f"shards-{seed}",
         iter_transaction_chunks(
             source, num_items=num_items, chunk_size=chunk_size
         ),
@@ -82,7 +79,7 @@ def spilled_backend(tmp_path, seed: int, *, memory_budget_bytes=None):
     )
     backend = ShardedBackend(store, max_workers=2)
     database = load_chunked(source, num_items=num_items)
-    return backend, database, directory
+    return backend, database
 
 
 def queries_for(num_items: int, seed: int):
@@ -134,7 +131,7 @@ def assert_backends_equivalent(candidate, reference, seed: int):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", range(5))
 def test_spilled_counts_match_bitmap_and_naive(tmp_path, seed):
-    backend, database, _ = spilled_backend(tmp_path, seed)
+    backend, database = spilled_backend(tmp_path, seed)
     with backend:
         assert_backends_equivalent(
             backend, BitmapBackend(database), seed
@@ -146,7 +143,7 @@ def test_spilled_counts_match_bitmap_and_naive(tmp_path, seed):
 
 def test_tiny_memory_budget_still_bit_identical(tmp_path):
     """Constant eviction pressure must never change an answer."""
-    backend, database, _ = spilled_backend(
+    backend, database = spilled_backend(
         tmp_path, seed=11, memory_budget_bytes=1
     )
     with backend:
@@ -161,43 +158,19 @@ def test_tiny_memory_budget_still_bit_identical(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# O(Δ) extend, then restart: close + reopen the same directory
+# O(Δ) extend: the tail segment is rewritten in place
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", range(3))
-def test_extend_then_reopen_matches_reference(tmp_path, seed):
-    backend, database, directory = spilled_backend(tmp_path, seed)
+def test_extend_matches_reference(tmp_path, seed):
+    backend, database = spilled_backend(tmp_path, seed)
     delta_rows, num_items = random_rows(seed + 500,
                                         num_transactions=23)
     delta = TransactionDatabase(delta_rows, num_items=num_items)
-    extended = database.extended(delta)
-    reference = BitmapBackend(extended)
+    reference = BitmapBackend(database.extended(delta))
 
-    backend.extend(delta)
-    assert_backends_equivalent(backend, reference, seed)
-    backend.close()
-
-    # Restart: reopen the spilled segments read-only (CRC-verified)
-    # in a "fresh process" and answer identically again.
-    reopened = MmapShardStore.open(directory, verify="crc")
-    with ShardedBackend(reopened) as revived:
-        assert_backends_equivalent(revived, reference, seed)
-
-
-def test_reopened_store_serves_multiple_backends(tmp_path):
-    """Segments are read-only after publish: two attachments of the
-    same directory answer identically and independently."""
-    backend, database, directory = spilled_backend(tmp_path, 7)
-    backend.close()
-    first = ShardedBackend(MmapShardStore.open(directory))
-    second = ShardedBackend(MmapShardStore.open(directory))
-    with first, second:
-        np.testing.assert_array_equal(
-            first.item_supports(), second.item_supports()
-        )
-        np.testing.assert_array_equal(
-            first.item_supports(),
-            BitmapBackend(database).item_supports(),
-        )
+    with backend:
+        backend.extend(delta)
+        assert_backends_equivalent(backend, reference, seed)
 
 
 # ----------------------------------------------------------------------
@@ -205,7 +178,7 @@ def test_reopened_store_serves_multiple_backends(tmp_path):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", range(3))
 def test_privbasis_release_bit_identical(tmp_path, seed):
-    backend, database, _ = spilled_backend(tmp_path, seed)
+    backend, database = spilled_backend(tmp_path, seed)
     with backend:
         spilled = privbasis(
             backend, k=6, epsilon=1.0,
@@ -225,7 +198,7 @@ def test_privbasis_release_bit_identical(tmp_path, seed):
 def test_session_release_and_ledger_bit_identical(tmp_path, seed):
     """Sessions over both planes: same releases, same ε ledger —
     including after a live ingest."""
-    backend, database, _ = spilled_backend(tmp_path, seed)
+    backend, database = spilled_backend(tmp_path, seed)
     out_of_core = PrivBasisSession(backend, epsilon_limit=10.0)
     resident = PrivBasisSession(database, epsilon_limit=10.0)
 
@@ -260,7 +233,7 @@ def test_session_release_and_ledger_bit_identical(tmp_path, seed):
 # Store-level invariants the planes rely on
 # ----------------------------------------------------------------------
 def test_store_stats_and_budget_accounting(tmp_path):
-    backend, database, _ = spilled_backend(
+    backend, database = spilled_backend(
         tmp_path, 13, memory_budget_bytes=1 << 20
     )
     with backend:
@@ -275,7 +248,7 @@ def test_store_stats_and_budget_accounting(tmp_path):
 def test_closed_backend_store_rejects_queries(tmp_path):
     from repro.errors import StateStoreError
 
-    backend, _, _ = spilled_backend(tmp_path, 17)
+    backend, _ = spilled_backend(tmp_path, 17)
     store = backend.store
     backend.close()
     with pytest.raises(StateStoreError):
@@ -285,7 +258,7 @@ def test_closed_backend_store_rejects_queries(tmp_path):
 def test_session_close_closes_the_backend_store(tmp_path):
     from repro.errors import StateStoreError
 
-    backend, _, _ = spilled_backend(tmp_path, 18)
+    backend, _ = spilled_backend(tmp_path, 18)
     with PrivBasisSession(backend) as session:
         result = session.release(k=5, epsilon=1.0, rng=0)
         assert len(result.itemsets) == 5
@@ -335,14 +308,14 @@ def test_file_segment_attaches_zero_copy(tmp_path, monkeypatch):
 
     rows, num_items = random_rows(21)
     reference = TransactionDatabase(rows, num_items=num_items)
-    spec = write_segment(tmp_path / "seg-000000-g0000.seg", reference)
+    spec = write_segment(tmp_path / "seg-000000.seg", reference)
     mapping, attached = attach_file_segment(spec)
     _assert_counts_from_views(attached, reference, mapping, monkeypatch)
 
 
 def test_spilled_backend_never_builds_rows(tmp_path, monkeypatch):
     """Every primitive over a store counts from the mapped CSR."""
-    backend, database, _ = spilled_backend(tmp_path, 23)
+    backend, database = spilled_backend(tmp_path, 23)
     reference = BitmapBackend(database)
     pool, bases, _ = queries_for(database.num_items, 23)
     want_bins = reference.bin_counts_batch(bases)
@@ -356,7 +329,7 @@ def test_spilled_backend_never_builds_rows(tmp_path, monkeypatch):
 
 def test_resident_bytes_are_the_mapped_files(tmp_path):
     """The LRU budget charges exactly the bytes a cached shard maps."""
-    backend, _, _ = spilled_backend(tmp_path, 24)
+    backend, _ = spilled_backend(tmp_path, 24)
     with backend:
         store = backend.store
         store.shard_database(0)
@@ -372,7 +345,7 @@ def test_resident_bytes_are_the_mapped_files(tmp_path):
 
 def test_session_shape_reads_never_copy_the_store(tmp_path, monkeypatch):
     """Ingest and stats read N and |I| off the store, not a RAM copy."""
-    backend, database, _ = spilled_backend(tmp_path, 25)
+    backend, database = spilled_backend(tmp_path, 25)
 
     def forbidden(_store):
         raise AssertionError("the store was copied into RAM")

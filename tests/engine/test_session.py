@@ -202,6 +202,24 @@ class TestBudgetAccounting:
         assert session.epsilon_spent == 0.0
         assert session.num_releases == 0
 
+    @pytest.mark.parametrize(
+        "request_",
+        [{"k": 5, "epsilon": "abc"}, (5, None), (2.7, 0.5), (True, 0.5)],
+    )
+    def test_batch_rejects_unconvertible_requests(self, database, request_):
+        session = PrivBasisSession(database, epsilon_limit=2.0)
+        with pytest.raises(ValidationError):
+            session.release_batch([(5, 0.5), request_])
+        assert session.epsilon_spent == 0.0
+        assert session.num_releases == 0
+
+    @pytest.mark.parametrize("k", [2.7, True])
+    def test_release_never_truncates_k(self, database, k):
+        session = PrivBasisSession(database)
+        with pytest.raises(ValidationError):
+            session.release(k=k, epsilon=0.1, rng=1)
+        assert session.epsilon_spent == 0.0
+
     def test_invalid_epsilon_limit(self, database):
         with pytest.raises(ValidationError):
             PrivBasisSession(database, epsilon_limit=0.0)

@@ -1,15 +1,15 @@
 """Fault-injection tests for the mmap spill path.
 
 The out-of-core plane's crash story: segment files are published
-atomically (tmp → fsync → rename) and the manifest is written last,
-so a crash can strand orphans but never publish a torn live segment;
-damage that happens *after* publish (truncation by a dying disk, torn
-bytes) is caught at reopen — cheap size verification by default,
-full-payload CRC on demand — and repaired **per segment** with
-:meth:`MmapShardStore.rebuild_segment`, leaving healthy shards'
-files byte-identical.  ``ENOSPC`` during a spill surfaces as a typed
-:class:`~repro.errors.StateStoreError` with the store still
-consistent and the append retryable.
+atomically (tmp → fsync → rename), so a crash can strand orphans but
+never publish a torn live segment.  Damage that happens *after*
+publish (truncation by a dying disk, torn bytes, a foreign format
+version) is caught when the segment is attached — a header and exact
+size check — and raised as a :class:`~repro.errors.TornSegmentError`
+naming the segment; in-place bit flips need the full-payload CRC of
+:func:`~repro.engine.mmap.verify_segment`.  ``ENOSPC`` during a spill
+surfaces as a typed :class:`~repro.errors.StateStoreError` with the
+store still consistent and the append retryable.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ import numpy as np
 import pytest
 
 from repro.datasets.transactions import TransactionDatabase
-from repro.engine import BitmapBackend, ShardedBackend
+from repro.engine import ShardedBackend
 from repro.engine import mmap as mmap_plane
-from repro.engine.mmap import MmapShardStore
+from repro.engine.mmap import MmapShardStore, verify_segment
 from repro.errors import (
     StateStoreError,
     TornSegmentError,
@@ -55,6 +55,14 @@ def segment_files(directory):
     return sorted(directory.glob("seg-*.seg"))
 
 
+def shard_rows(store):
+    return [
+        row.tolist()
+        for index in range(store.num_segments)
+        for row in store.shard_database(index).rows
+    ]
+
+
 # ----------------------------------------------------------------------
 # ENOSPC during spill
 # ----------------------------------------------------------------------
@@ -83,147 +91,111 @@ class TestNoSpace:
         monkeypatch.setattr(mmap_plane.os, "fsync", real_fsync)
         assert not list(directory.glob("*.tmp"))
         assert store.num_segments == segments_before
-        served = [
-            row.tolist()
-            for index in range(store.num_segments)
-            for row in store.shard_database(index).rows
-        ]
+        served = shard_rows(store)
         assert served == reference[: len(served)]
 
         # Space freed: the failed rows are still pending (never lost,
         # never double-appended) — flush() drains them.
         store.flush()
         assert store.num_rows == len(rows) + len(extra)
-        reopened = MmapShardStore.open(directory, verify="crc")
-        assert reopened.num_rows == len(rows) + len(extra)
-        reopened.close()
+        assert shard_rows(store) == reference + [
+            row.tolist() for row in extra
+        ]
         store.close()
 
 
 # ----------------------------------------------------------------------
-# Torn segments: detect (size vs crc), repair one shard only
+# Torn segments: detected at attach (size), or by the CRC pass
 # ----------------------------------------------------------------------
+def assert_torn_at_attach(store, index):
+    with pytest.raises(TornSegmentError) as excinfo:
+        store.shard_database(index)
+    assert excinfo.value.segments == (index,)
+    return excinfo.value
+
+
 class TestTornSegments:
-    def test_truncation_detected_at_open(self, tmp_path):
+    def test_truncation_detected_at_attach(self, tmp_path):
         directory = tmp_path / "shards"
         store, _ = build_store(directory)
-        store.close()
         victim = segment_files(directory)[1]
         data = victim.read_bytes()
         victim.write_bytes(data[: len(data) - 16])  # torn tail
 
-        with pytest.raises(TornSegmentError) as excinfo:
-            MmapShardStore.open(directory)
-        assert excinfo.value.segments == (1,)
-        assert str(directory) in excinfo.value.directory
-        wire = error_to_wire(excinfo.value)
+        error = assert_torn_at_attach(store, 1)
+        assert str(directory) in error.directory
+        wire = error_to_wire(error)
         assert wire["error"] == "torn_segment"
         assert wire["segments"] == [1]
+        # The healthy shards still attach.
+        store.shard_database(0)
+        store.close()
 
     def test_bitflip_needs_crc_verification(self, tmp_path):
         directory = tmp_path / "shards"
         store, _ = build_store(directory)
-        store.close()
         victim = segment_files(directory)[0]
         data = bytearray(victim.read_bytes())
         data[-5] ^= 0xFF  # same size, corrupt payload
         victim.write_bytes(bytes(data))
 
         # Size check cannot see it; CRC must.
-        MmapShardStore.open(directory, verify="size").close()
-        with pytest.raises(TornSegmentError) as excinfo:
-            MmapShardStore.open(directory, verify="crc")
-        assert excinfo.value.segments == (0,)
+        spec = store.segment_specs[0]
+        assert verify_segment(spec) is None
+        assert "crc" in verify_segment(spec, check_crc=True)
+        store.close()
 
-    def test_open_reports_every_torn_segment_at_once(self, tmp_path):
+    def test_each_torn_segment_is_named_at_attach(self, tmp_path):
         directory = tmp_path / "shards"
         store, _ = build_store(directory, rows_per_segment=8)
-        store.close()
         victims = segment_files(directory)[1:3]
         for victim in victims:
             victim.write_bytes(victim.read_bytes()[:-8])
-        with pytest.raises(TornSegmentError) as excinfo:
-            MmapShardStore.open(directory)
-        assert excinfo.value.segments == (1, 2)
+        assert_torn_at_attach(store, 1)
+        assert_torn_at_attach(store, 2)
+        with ShardedBackend(store) as backend:
+            with pytest.raises(TornSegmentError):
+                backend.item_supports()
 
-    def test_rebuild_repairs_only_the_torn_shard(self, tmp_path):
+    def test_missing_segment_is_torn_at_attach(self, tmp_path):
         directory = tmp_path / "shards"
-        store, rows = build_store(directory, rows_per_segment=10)
-        store.close()
-
-        files = segment_files(directory)
-        healthy_bytes = {
-            path.name: path.read_bytes()
-            for path in files
-            if path is not files[1]
-        }
-        files[1].write_bytes(files[1].read_bytes()[:-8])
-
-        # Reopen without verification to reach the repair API, then
-        # rebuild shard 1 from its source rows.
-        store = MmapShardStore.open(directory, verify="none")
-        store.rebuild_segment(1, rows[10:20])
-        store.close()
-
-        # Fully healthy again — CRC-clean, bit-identical counts…
-        repaired = MmapShardStore.open(directory, verify="crc")
-        with ShardedBackend(repaired) as backend:
-            from repro.datasets.transactions import TransactionDatabase
-
-            reference = BitmapBackend(
-                TransactionDatabase(rows, num_items=12)
-            )
-            np.testing.assert_array_equal(
-                backend.item_supports(), reference.item_supports()
-            )
-        # …and the healthy shards' files were never rewritten.
-        for path in segment_files(directory):
-            if path.name in healthy_bytes:
-                assert path.read_bytes() == healthy_bytes[path.name]
-
-    def test_rebuild_rejects_wrong_row_count(self, tmp_path):
-        from repro.errors import ValidationError
-
-        directory = tmp_path / "shards"
-        store, rows = build_store(directory, rows_per_segment=10)
-        with pytest.raises(ValidationError):
-            store.rebuild_segment(0, rows[:3])
+        store, _ = build_store(directory)
+        segment_files(directory)[3].unlink()
+        error = assert_torn_at_attach(store, 3)
+        assert "unreadable header" in str(error)
         store.close()
 
     def test_orphan_tmp_from_a_crash_is_harmless(self, tmp_path):
-        """A kill mid-``write_segment`` strands ``*.tmp`` — the
-        manifest never saw it, so reopen ignores it."""
+        """A kill mid-``write_segment`` strands ``*.tmp`` — no spec
+        names it, so reads ignore it, and the next build in the
+        directory sweeps it."""
         directory = tmp_path / "shards"
         store, rows = build_store(directory)
+        orphan = directory / "seg-000099.seg.tmp"
+        orphan.write_bytes(b"half-written garbage")
+        assert shard_rows(store) == [row.tolist() for row in rows]
         store.close()
-        (directory / "seg-000099-g0000.seg.tmp").write_bytes(
-            b"half-written garbage"
-        )
-        reopened = MmapShardStore.open(directory, verify="crc")
-        assert reopened.num_rows == len(rows)
-        reopened.close()
+        MmapShardStore.create(directory, num_items=12).close()
+        assert not orphan.exists()
 
-    def test_truncation_inside_the_index_is_detected_at_open(
+    def test_truncation_inside_the_index_is_detected_at_attach(
         self, tmp_path
     ):
         directory = tmp_path / "shards"
         store, _ = build_store(directory)
         spec = store.segment_specs[2]
-        store.close()
         # Cut the file a few words into the tid-list index region:
         # header, row offsets and items stay whole.
         rows_end = 64 + 8 * (spec.num_rows + 1 + spec.total_size)
         victim = segment_files(directory)[2]
         victim.write_bytes(victim.read_bytes()[: rows_end + 8 * 3])
-        with pytest.raises(TornSegmentError) as excinfo:
-            MmapShardStore.open(directory)
-        assert excinfo.value.segments == (2,)
+        assert_torn_at_attach(store, 2)
+        store.close()
 
     def test_flipped_tid_byte_needs_crc_verification(self, tmp_path):
         directory = tmp_path / "shards"
         store, _ = build_store(directory)
         spec = store.segment_specs[0]
-        store.close()
         # The first tid: past the rows CSR and the index offsets.
         first_tid = 64 + 8 * (
             spec.num_rows + 1 + spec.total_size + spec.num_items + 1
@@ -233,64 +205,63 @@ class TestTornSegments:
         data[first_tid] ^= 0x01
         victim.write_bytes(bytes(data))
 
-        MmapShardStore.open(directory, verify="size").close()
-        with pytest.raises(TornSegmentError) as excinfo:
-            MmapShardStore.open(directory, verify="crc")
-        assert excinfo.value.segments == (0,)
+        assert verify_segment(spec) is None
+        assert "crc" in verify_segment(spec, check_crc=True)
+        store.close()
 
     def test_version_1_segment_is_refused_not_counted(self, tmp_path):
-        """A rows-only v1 file fails every attach path with a typed
-        error — at open, and at query time after ``verify="none"``."""
+        """A rows-only v1 file fails the attach with a typed error, so
+        a query over it raises instead of counting."""
         import struct
 
         directory = tmp_path / "shards"
         store, _ = build_store(directory)
         spec = store.segment_specs[1]
-        store.close()
         victim = segment_files(directory)[1]
         data = bytearray(victim.read_bytes())
         data[8:16] = struct.pack("<q", 1)  # format version field
         v1_bytes = 64 + 8 * (spec.num_rows + 1 + spec.total_size)
         victim.write_bytes(bytes(data[:v1_bytes]))
 
-        with pytest.raises(TornSegmentError) as excinfo:
-            MmapShardStore.open(directory)
-        assert excinfo.value.segments == (1,)
-        assert "version 1" in str(excinfo.value)
-        unverified = MmapShardStore.open(directory, verify="none")
-        with ShardedBackend(unverified) as backend:
+        error = assert_torn_at_attach(store, 1)
+        assert "version 1" in str(error)
+        with ShardedBackend(store) as backend:
             with pytest.raises(TornSegmentError):
                 backend.item_supports()
 
-    def test_extend_and_rebuild_write_the_index(self, tmp_path):
-        """Tail rewrites and repairs publish full v2 segments: their
-        CRC covers the index, and the attached index is the one a
-        fresh build computes."""
-        from repro.datasets.transactions import TransactionDatabase
-
+    def test_extend_writes_the_index(self, tmp_path):
+        """Tail rewrites publish full v2 segments: their CRC covers the
+        index, and the attached index is the one a fresh build
+        computes."""
         directory = tmp_path / "shards"
         store, rows = build_store(directory, rows_per_segment=15)
         extra = random_rows(7, count=12)
         store.extend(TransactionDatabase(extra, num_items=12))
-        store.rebuild_segment(0, rows[:15])
-        store.close()
-        reopened = MmapShardStore.open(directory, verify="crc")
         everything = rows + extra
-        for index, spec in enumerate(reopened.segment_specs):
+        for index, spec in enumerate(store.segment_specs):
+            assert verify_segment(spec, check_crc=True) is None
             start = index * 15
             fresh = TransactionDatabase(
                 everything[start:start + spec.num_rows], num_items=12
             )
-            attached = reopened.shard_database(index)
+            attached = store.shard_database(index)
             for part, want in zip(attached.index, fresh.index):
                 np.testing.assert_array_equal(part, want)
-        assert reopened.num_rows == len(everything)
-        reopened.close()
-
-    def test_missing_manifest_is_state_store_error(self, tmp_path):
-        directory = tmp_path / "shards"
-        store, _ = build_store(directory)
+        assert store.num_rows == len(everything)
+        assert len(segment_files(directory)) == store.num_segments
         store.close()
-        (directory / "manifest.json").unlink()
-        with pytest.raises(StateStoreError):
-            MmapShardStore.open(directory)
+
+    def test_extend_keeps_old_tail_for_held_mappings(self, tmp_path):
+        """The tail is rewritten under its own name by rename, so a
+        reader still holding the old mapping keeps the old rows."""
+        directory = tmp_path / "shards"
+        store, rows = build_store(directory, rows_per_segment=15)
+        last = store.num_segments - 1
+        held = store.shard_database(last)
+        before = [row.tolist() for row in held.rows]
+        store.extend(TransactionDatabase(random_rows(3, count=4), 12))
+        assert [row.tolist() for row in held.rows] == before
+        assert store.shard_database(last).num_transactions == (
+            len(before) + 4
+        )
+        store.close()

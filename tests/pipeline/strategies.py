@@ -1,9 +1,7 @@
 """Shared hypothesis strategies for the reuse property suite.
 
 Centralizes the generators so every property test draws the same
-shapes — small transaction databases, (k, ε) request pairs, and
-randomized request *schedules* mixing releases and ingests — and owns
-the example-budget profiles:
+(k, ε) request shapes, and owns the example-budget profiles:
 
 * ``default`` — the tier-1 budget, small enough for every CI run;
 * ``nightly`` — widened example counts for the scheduled soak job.
@@ -21,7 +19,6 @@ import os
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from repro.datasets.transactions import TransactionDatabase
 from repro.engine.backend import CountingBackend
 
 __all__ = [
@@ -30,9 +27,6 @@ __all__ = [
     "epsilons",
     "ks",
     "request_pairs",
-    "request_schedules",
-    "small_databases",
-    "transaction_lists",
 ]
 
 #: Per-test hypothesis example budgets by profile name.
@@ -56,31 +50,6 @@ for _name, _examples in _PROFILES.items():
     )
 settings.load_profile(PROFILE)
 
-#: Vocabulary size for generated databases — small enough that a
-#: release runs in milliseconds, big enough for non-trivial bases.
-NUM_ITEMS = 10
-
-
-def transaction_lists(
-    min_rows: int = 20, max_rows: int = 60
-) -> st.SearchStrategy:
-    """Lists of transactions (each a sorted list of distinct items)."""
-    transaction = st.lists(
-        st.integers(min_value=0, max_value=NUM_ITEMS - 1),
-        min_size=1,
-        max_size=5,
-        unique=True,
-    ).map(sorted)
-    return st.lists(transaction, min_size=min_rows, max_size=max_rows)
-
-
-def small_databases() -> st.SearchStrategy:
-    """Small random :class:`TransactionDatabase` instances."""
-    return transaction_lists().map(
-        lambda rows: TransactionDatabase(rows, num_items=NUM_ITEMS)
-    )
-
-
 def ks(max_k: int = 20) -> st.SearchStrategy:
     return st.integers(min_value=1, max_value=max_k)
 
@@ -98,27 +67,6 @@ def epsilons() -> st.SearchStrategy:
 def request_pairs() -> st.SearchStrategy:
     """One ``(k, epsilon)`` release request."""
     return st.tuples(ks(), epsilons())
-
-
-def request_schedules(
-    max_length: int = 6, ingest_every: bool = True
-) -> st.SearchStrategy:
-    """Randomized schedules of release and ingest steps.
-
-    Each element is either ``("release", k, epsilon)`` or
-    ``("ingest", transactions)`` — the interleavings the invalidation
-    properties quantify over.
-    """
-    release = st.tuples(st.just("release"), ks(), epsilons())
-    steps = [release]
-    if ingest_every:
-        ingest = st.tuples(
-            st.just("ingest"), transaction_lists(min_rows=1, max_rows=5)
-        )
-        steps.append(ingest)
-    return st.lists(
-        st.one_of(steps), min_size=1, max_size=max_length
-    )
 
 
 class SealableBackend(CountingBackend):

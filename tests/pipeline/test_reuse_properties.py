@@ -5,14 +5,13 @@ snapshot)`` schedules (generators in ``tests/pipeline/strategies.py``;
 example budget widens under ``REPRO_PROPERTY_PROFILE=nightly``):
 
 1. **Purity** — a reuse answer is a pure function of the stored
-   payload: repeats are bit-identical, zero backend queries run (the
-   query-counting probe and the cache counters both stay flat, and a
+   payload: repeats are bit-identical and zero backend queries run (a
    *sealed* backend — one that raises on any data access — still
    answers hits).
 2. **Accounting** — the ledger debits exactly 0 on a hit and exactly
    the planned ε on a miss; ε saved is tallied, never spent.
-3. **Scoping** — reuse never crosses a snapshot version (at the
-   session) or a tenant boundary (at the service/store).
+3. **Scoping** — reuse never crosses a snapshot version or a tenant
+   boundary (at the service/store).
 4. **Invalidation** — an interleaved ingest invalidates exactly the
    stale entries: earlier-version entries of that dataset drop, the
    live version and other datasets survive, and the reported drop
@@ -34,13 +33,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.engine.bitmap import BitmapBackend
-from repro.engine.cache import CachedBackend
-from repro.engine.session import PrivBasisSession
 from repro.errors import ValidationError
 from repro.pipeline import (
-    QueryCountingBackend,
     ReuseIndex,
-    payload_from_result,
     reuse_covers,
     top_k_truncate,
 )
@@ -51,9 +46,6 @@ from tests.pipeline.strategies import (
     epsilons,
     ks,
     request_pairs,
-    request_schedules,
-    small_databases,
-    transaction_lists,
 )
 
 # ---------------------------------------------------------------------------
@@ -318,154 +310,6 @@ class TestReuseIndex:
 
 
 # ---------------------------------------------------------------------------
-# Session-level soundness over randomized schedules
-# ---------------------------------------------------------------------------
-
-
-def _session(db, reuse=True, probe=None, seed=0):
-    backend = CachedBackend(
-        probe if probe is not None else BitmapBackend(db)
-    )
-    return PrivBasisSession(db, backend=backend, reuse=reuse, rng=seed)
-
-
-class TestSessionReuse:
-    @given(small_databases(), ks(max_k=8), epsilons())
-    def test_hits_are_bit_identical_and_query_free(
-        self, db, k, epsilon
-    ):
-        stored_k, stored_eps = k + 2, epsilon * 2
-        probe = QueryCountingBackend(BitmapBackend(db))
-        session = _session(db, probe=probe, seed=11)
-        cold = session.release(k=stored_k, epsilon=stored_eps)
-        assert cold.reuse is None
-        queries_before = probe.counts()
-        cache_before = session.cache_info()
-        first = session.release(k=k, epsilon=epsilon)
-        second = session.release(k=k, epsilon=epsilon)
-        assert first.reuse is not None and first.reuse["hit"] is True
-        assert second.reuse is not None
-        # Pure function of the stored payload: bit-identical repeats.
-        assert payload_from_result(first) == payload_from_result(second)
-        # Golden linkage: the served answer IS the truncation of the
-        # stored release — nothing else.
-        assert payload_from_result(first) == top_k_truncate(
-            payload_from_result(cold), k, epsilon
-        )
-        # Zero data access: neither the probe nor the cache moved.
-        assert probe.counts() == queries_before
-        assert session.cache_info() == cache_before
-
-    @given(small_databases(), request_schedules(max_length=5))
-    def test_ledger_debits_zero_on_hits_exact_on_misses(
-        self, db, schedule
-    ):
-        session = _session(db, seed=3)
-        for step in schedule:
-            if step[0] == "ingest":
-                session.ingest(step[1])
-                continue
-            _, k, epsilon = step
-            spent_before = session.epsilon_spent
-            result = session.release(k=k, epsilon=epsilon)
-            delta = session.epsilon_spent - spent_before
-            if result.reuse is not None:
-                assert result.reuse["hit"] is True
-                assert delta == 0.0
-                assert result.reuse["epsilon_charged"] == 0.0
-            else:
-                assert math.isclose(
-                    delta, epsilon, rel_tol=1e-12, abs_tol=1e-15
-                )
-
-    @given(small_databases(), ks(max_k=8), epsilons())
-    def test_reuse_never_crosses_a_snapshot_boundary(
-        self, db, k, epsilon
-    ):
-        session = _session(db, seed=7)
-        session.release(k=k + 1, epsilon=epsilon * 2)
-        session.ingest([[0, 1], [2]])
-        crossed = session.release(k=k, epsilon=epsilon)
-        # The stored release is pinned to the old version; the new
-        # snapshot must be served by a fresh mechanism run.
-        assert crossed.reuse is None
-        assert crossed.snapshot_version == session.snapshot_version
-
-    @given(small_databases(), transaction_lists(1, 3))
-    def test_ingest_invalidates_exactly_the_stale_entries(
-        self, db, delta_rows
-    ):
-        session = _session(db, seed=13)
-        session.release(k=6, epsilon=1.0)
-        session.release(k=12, epsilon=0.25)  # anti-chain partner
-        stats_before = session.stats()["reuse"]
-        stale = stats_before["entries"]
-        session.ingest(delta_rows)
-        stats_after = session.stats()["reuse"]
-        assert stats_after["entries"] == 0
-        assert (
-            stats_after["invalidated"]
-            == stats_before["invalidated"] + stale
-        )
-        # Releases on the new snapshot become reuse sources again.
-        session.release(k=6, epsilon=1.0)
-        hit = session.release(k=3, epsilon=0.5)
-        assert hit.reuse is not None
-
-    @given(small_databases())
-    def test_identical_repeat_runs_fresh_and_is_charged(self, db):
-        session = _session(db, seed=29)
-        session.release(k=5, epsilon=1.0)
-        spent = session.epsilon_spent
-        repeat = session.release(k=5, epsilon=1.0)
-        assert repeat.reuse is None  # freshness carve-out
-        assert session.epsilon_spent > spent
-        assert session.reuse_hits == 0
-
-    def test_sealed_backend_still_answers_hits(self):
-        rows = [[0, 1, 2], [0, 1], [1, 2], [0], [1], [0, 1, 2]] * 10
-        from repro.datasets.transactions import TransactionDatabase
-
-        db = TransactionDatabase(rows, num_items=5)
-        sealable = SealableBackend(BitmapBackend(db))
-        session = PrivBasisSession(
-            db, backend=CachedBackend(sealable), reuse=True, rng=1
-        )
-        cold = session.release(k=6, epsilon=1.0)
-        sealable.seal()
-        hit = session.release(k=3, epsilon=0.5)
-        assert hit.reuse is not None
-        assert payload_from_result(hit) == top_k_truncate(
-            payload_from_result(cold), 3, 0.5
-        )
-
-    def test_sealed_backend_control_fresh_run_touches_data(self):
-        rows = [[0, 1], [1, 2], [0, 2]] * 10
-        from repro.datasets.transactions import TransactionDatabase
-
-        db = TransactionDatabase(rows, num_items=4)
-        sealable = SealableBackend(BitmapBackend(db))
-        session = PrivBasisSession(
-            db, backend=CachedBackend(sealable), reuse=True, rng=1
-        )
-        sealable.seal()  # nothing cached, nothing stored
-        with pytest.raises(AssertionError, match="sealed backend"):
-            session.release(k=3, epsilon=0.5)
-
-    def test_reuse_is_off_by_default(self):
-        rows = [[0, 1], [1, 2], [0, 2]] * 10
-        from repro.datasets.transactions import TransactionDatabase
-
-        db = TransactionDatabase(rows, num_items=4)
-        session = PrivBasisSession(db, rng=1)
-        assert not session.reuse_enabled
-        session.release(k=5, epsilon=1.0)
-        dominated = session.release(k=2, epsilon=0.5)
-        assert dominated.reuse is None
-        assert "reuse" not in session.stats()
-
-
-# ---------------------------------------------------------------------------
 # Service-level scoping: tenants, journaled ledgers, the wire
 # ---------------------------------------------------------------------------
 
@@ -483,7 +327,7 @@ def _toy_database():
     return TransactionDatabase(rows, num_items=10)
 
 
-def _service(tmp_path=None, reuse=True, tenants=None):
+def _service(tmp_path=None, reuse=True, tenants=None, database=None):
     registry = TenantRegistry.from_mapping(
         tenants
         or {
@@ -493,7 +337,8 @@ def _service(tmp_path=None, reuse=True, tenants=None):
             "bob": {"dataset": "toy", "epsilon_limit": 40.0},
         }
     )
-    database = _toy_database()
+    if database is None:
+        database = _toy_database()
     return PrivBasisService(
         registry,
         dataset_loader=lambda name: database,
@@ -586,6 +431,89 @@ class TestServiceReuse:
                        "snapshot_version")
         }
         assert served == expected
+
+    def test_hits_issue_zero_backend_queries(self, state_dir):
+        sealable = SealableBackend(BitmapBackend(_toy_database()))
+
+        async def scenario():
+            service = _service(state_dir, database=sealable)
+            cold = await service.handle_release(
+                {"tenant": "alice", "k": 8, "epsilon": 2.0}
+            )
+            # From here on any data access raises: only the stored
+            # payload can answer.
+            sealable.seal()
+            hits = [
+                await service.handle_release(
+                    {"tenant": "alice", "k": 3, "epsilon": 0.5}
+                )
+                for _ in range(2)
+            ]
+            with pytest.raises(AssertionError, match="sealed backend"):
+                # Control: a fresh run does touch data.
+                await service.handle_release(
+                    {"tenant": "alice", "k": 20, "epsilon": 0.5}
+                )
+            await service.stop()
+            return cold, hits
+
+        cold, hits = asyncio.run(scenario())
+        assert all(hit["reuse"]["hit"] is True for hit in hits)
+        # A pure function of the stored payload: bit-identical repeats.
+        assert hits[0] == hits[1]
+        assert hits[0]["itemsets"] == top_k_truncate(
+            cold, 3, 0.5
+        )["itemsets"]
+
+    def test_identical_repeat_runs_fresh_and_is_charged(self, state_dir):
+        async def scenario():
+            service = _service(state_dir)
+            await service.handle_release(
+                {"tenant": "alice", "k": 5, "epsilon": 1.0}
+            )
+            spent_before = service.registry.get("alice").spent
+            repeat = await service.handle_release(
+                {"tenant": "alice", "k": 5, "epsilon": 1.0}
+            )
+            spent_after = service.registry.get("alice").spent
+            metrics = service.handle_metrics()
+            await service.stop()
+            return repeat, spent_before, spent_after, metrics
+
+        repeat, before, after, metrics = asyncio.run(scenario())
+        assert repeat["reuse"]["hit"] is False  # freshness carve-out
+        assert math.isclose(after - before, 1.0, rel_tol=1e-12)
+        assert metrics["reuse"]["hits"] == 0
+
+    def test_hit_never_crosses_a_snapshot(self, state_dir):
+        async def scenario():
+            service = _service(state_dir)
+            await service.handle_release(
+                {"tenant": "alice", "k": 10, "epsilon": 1.0}
+            )
+            await service.handle_ingest(
+                {"tenant": "alice", "transactions": [[0, 1], [2]]}
+            )
+            fresh = await service.handle_release(
+                {"tenant": "alice", "k": 8, "epsilon": 0.8}
+            )
+            hit = await service.handle_release(
+                {"tenant": "alice", "k": 5, "epsilon": 0.5}
+            )
+            await service.stop()
+            return fresh, hit
+
+        fresh, hit = asyncio.run(scenario())
+        # The version-0 release covers both requests but is pinned to
+        # the old data: the first runs fresh on version 1, and the
+        # hit is served from that version-1 release.
+        assert fresh["reuse"]["hit"] is False
+        assert fresh["snapshot_version"] == 1
+        assert hit["reuse"]["hit"] is True
+        assert hit["reuse"]["source"] == {
+            "k": 8, "epsilon": 0.8, "snapshot_version": 1,
+        }
+        assert hit["snapshot_version"] == 1
 
     def test_plan_prices_a_hit_at_zero_epsilon(self, state_dir):
         async def scenario():

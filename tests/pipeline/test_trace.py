@@ -66,6 +66,23 @@ class TestPlanPricing:
         with pytest.raises(ValidationError):
             build_plan(10, 1.0, eta=0.5)
 
+    @pytest.mark.parametrize("k", [2.7, 5.0, True, "5", None])
+    def test_plan_rejects_non_integer_k(self, k):
+        # int(2.7) would publish a k=2 release nobody asked for.
+        with pytest.raises(ValidationError, match="integer"):
+            build_plan(k, 1.0)
+
+    def test_plan_accepts_numpy_integer_k(self):
+        import numpy as np
+
+        plan = build_plan(np.int64(5), 1.0)
+        assert plan.k == 5 and type(plan.k) is int
+
+    @pytest.mark.parametrize("epsilon", ["abc", None, [1.0]])
+    def test_plan_rejects_unconvertible_epsilon(self, epsilon):
+        with pytest.raises(ValidationError, match="number"):
+            build_plan(10, epsilon)
+
     def test_plan_is_data_free(self):
         # Pricing must be pure arithmetic: nothing in build_plan takes
         # a database, and the planner payload is JSON-serializable.

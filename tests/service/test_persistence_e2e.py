@@ -375,7 +375,6 @@ def test_clean_stop_removes_the_mmap_spill_leaf(
             async with ServiceClient(host, port, tenant="alice") as client:
                 await client.release(k=5, epsilon=0.5)
             (leaf,) = (spill_root / DATASET).iterdir()
-            assert (leaf / "manifest.json").exists()
             assert len(list(leaf.glob("*.seg"))) == 3
         return leaf
 
@@ -384,3 +383,64 @@ def test_clean_stop_removes_the_mmap_spill_leaf(
     if durable:
         assert (state_dir / "ledger.wal").stat().st_size > 0
         assert (state_dir / "results.wal").stat().st_size > 0
+
+
+@pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
+def test_restarted_mmap_service_rebuilds_its_sessions(
+    tmp_path, monkeypatch, durable
+):
+    """stop() closes the sessions whose spill it removes and forgets
+    them, so serving again rebuilds them rather than answering 500
+    from a closed shard store."""
+    import tempfile
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    state_dir = tmp_path / "state" if durable else None
+    service = PrivBasisService(
+        TenantRegistry.from_mapping(
+            {"alice": {"dataset": DATASET, "epsilon_limit": 3.0}}
+        ),
+        dataset_loader=lambda name: small_database(),
+        state_dir=None if state_dir is None else str(state_dir),
+        data_plane="mmap",
+        shard_size=50,
+    )
+
+    async def scenario():
+        answers = []
+        for _ in range(2):
+            async with service.serving() as (host, port):
+                async with ServiceClient(host, port, tenant="alice") as c:
+                    answers.append(await c.release(k=5, epsilon=0.5))
+                    budget = await c.budget()
+        return answers, budget
+
+    answers, budget = asyncio.run(scenario())
+    assert [answer["k"] for answer in answers] == [5, 5]
+    assert budget["ledger"]["spent"] == pytest.approx(1.0)
+
+
+def test_restarted_memory_service_keeps_ingested_rows():
+    """A memory-plane session survives stop(): without a state dir
+    nothing could replay its ingests into a rebuilt one."""
+    service = PrivBasisService(
+        TenantRegistry.from_mapping(
+            {"alice": {"dataset": DATASET, "epsilon_limit": 3.0}}
+        ),
+        dataset_loader=lambda name: small_database(),
+    )
+
+    async def scenario():
+        snapshots = []
+        for batch in ([[0, 1]], [[2, 3]]):
+            async with service.serving() as (host, port):
+                async with ServiceClient(host, port, tenant="alice") as c:
+                    await c.ingest(batch)
+                    snapshots.append(await c.snapshot())
+        return snapshots
+
+    first, second = asyncio.run(scenario())
+    assert first["snapshot_version"] == 1
+    assert second["snapshot_version"] == 2
+    assert second["num_transactions"] == first["num_transactions"] + 1

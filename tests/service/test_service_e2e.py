@@ -205,6 +205,31 @@ class TestBudgetEnforcement:
         assert len(ok["results"]) == 2
         assert after_ok["ledger"]["spent"] == pytest.approx(0.6)
 
+    def test_batch_and_plan_admit_what_a_single_release_admits(self):
+        # 0.3 - 0.1 leaves 0.19999999999999998: a 0.2 spend fits
+        # within the ledger's tolerance on every admission path.
+        async def scenario():
+            service = PrivBasisService(
+                TenantRegistry.from_mapping(
+                    {"dave": {"dataset": DATASET, "epsilon_limit": 0.3}}
+                ),
+                dataset_loader=lambda name: small_database(),
+            )
+            async with service.serving() as (host, port):
+                async with ServiceClient(host, port, tenant="dave") as c:
+                    await c.release(k=5, epsilon=0.1)
+                    plan = await c.plan(k=5, epsilon=0.2)
+                    batch = await c.release_batch(
+                        [{"k": 5, "epsilon": 0.2}]
+                    )
+                    budget = await c.budget()
+            return plan, batch, budget
+
+        plan, batch, budget = asyncio.run(scenario())
+        assert plan["affordable"] is True
+        assert len(batch["results"]) == 1
+        assert budget["ledger"]["spent"] == pytest.approx(0.3)
+
     def test_unknown_tenant_is_typed(self):
         async def scenario():
             service, _ = make_service()
