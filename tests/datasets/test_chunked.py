@@ -78,6 +78,62 @@ class TestChunkGeometry:
         with pytest.raises(ValidationError):
             list(iter_transaction_chunks(path, chunk_size=0))
 
+    @pytest.mark.parametrize(
+        ("name", "gzipped"),
+        [
+            ("data.dat", False),
+            ("data.txt", False),
+            ("data.csv", False),
+            ("data.ndjson", False),
+            ("data.unknown", False),
+            ("data.dat.gz", True),
+            ("data.csv.gz", True),
+            ("DATA.DAT.GZ", True),
+        ],
+    )
+    def test_every_file_is_fimi_and_gz_selects_gzip(
+        self, tmp_path, name, gzipped
+    ):
+        path = tmp_path / name
+        text = "0 2\n1 3 4\n"
+        if gzipped:
+            with gzip.open(path, "wt", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            write_text(path, text)
+        assert rows_of(iter_transaction_chunks(path)) == [[0, 2], [1, 3, 4]]
+
+    def test_max_item_is_per_chunk(self):
+        stream = io.StringIO("7\n1\n2 3\n")
+        chunks = list(iter_transaction_chunks(stream, chunk_size=1))
+        assert [chunk.start for chunk in chunks] == [0, 1, 2]
+        assert [chunk.max_item for chunk in chunks] == [7, 1, 3]
+
+    def test_empty_source_yields_no_chunks(self, tmp_path):
+        path = tmp_path / "empty.dat"
+        write_text(path, "")
+        assert list(iter_transaction_chunks(path)) == []
+        database = load_chunked(path)
+        assert database.num_transactions == 0
+        assert database.num_items == 1
+
+    def test_num_items_bound_is_exclusive(self):
+        (chunk,) = iter_transaction_chunks(io.StringIO("0 4\n"),
+                                           num_items=5)
+        assert chunk.max_item == 4
+        with pytest.raises(DatasetFormatError, match="out of range"):
+            list(iter_transaction_chunks(io.StringIO("0 5\n"),
+                                         num_items=5))
+
+    def test_load_chunked_keeps_declared_vocabulary(self):
+        database = load_chunked(io.StringIO("0 1\n2\n"), chunk_size=1,
+                                num_items=10)
+        assert database.num_transactions == 2
+        assert database.num_items == 10
+        np.testing.assert_array_equal(
+            database.item_supports(), [1, 1, 1] + [0] * 7
+        )
+
     def test_missing_file_is_format_error(self, tmp_path):
         with pytest.raises(DatasetFormatError):
             list(iter_transaction_chunks(tmp_path / "absent.dat"))
