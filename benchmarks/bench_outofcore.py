@@ -23,7 +23,8 @@ Run standalone::
     PYTHONPATH=src python benchmarks/bench_outofcore.py --smoke  # CI
 
 ``--smoke`` restricts the sweep to the tiny tier so CI exercises the
-generate → spill → attach → count → compare path in seconds.
+generate → spill → attach → count → compare path in seconds; it
+writes no file unless ``--output`` names one.
 """
 
 from __future__ import annotations
@@ -214,7 +215,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--output", default=None, metavar="FILE",
-        help="JSON output path (default: BENCH_outofcore.json)",
+        help="JSON output path (default: BENCH_outofcore.json; "
+             "--smoke writes no file unless given one)",
     )
     parser.add_argument("--child", action="store_true",
                         help=argparse.SUPPRESS)
@@ -261,24 +263,26 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"peak_rss={record['peak_rss_bytes'] / 2**20:.0f}MiB"
             )
 
-    output = Path(
-        arguments.output
-        or Path(__file__).resolve().parent.parent
-        / "BENCH_outofcore.json"
-    )
-    output.write_text(
-        json.dumps(
-            {
-                "benchmark": "outofcore",
-                "smoke": bool(arguments.smoke),
-                "results": results,
-            },
-            indent=2,
+    # A smoke run must not overwrite the committed full-scale results.
+    if arguments.output or not arguments.smoke:
+        output = Path(
+            arguments.output
+            or Path(__file__).resolve().parent.parent
+            / "BENCH_outofcore.json"
         )
-        + "\n",
-        encoding="utf-8",
-    )
-    print(f"wrote {output}")
+        output.write_text(
+            json.dumps(
+                {
+                    "benchmark": "outofcore",
+                    "smoke": bool(arguments.smoke),
+                    "results": results,
+                },
+                indent=2,
+            )
+            + "\n",
+            encoding="utf-8",
+        )
+        print(f"wrote {output}")
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)

@@ -25,7 +25,8 @@ Run standalone::
 
 ``--smoke`` runs one small leg (2 workers, a few hundred requests,
 one kill) so CI exercises the whole cluster path — spawn, router,
-shared ledger, kill, restart, invariant — on every push.
+shared ledger, kill, restart, invariant — on every push; it writes no
+file unless ``--output`` names one.
 """
 
 from __future__ import annotations
@@ -309,8 +310,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--output", default=None, metavar="FILE",
-        help="JSON output path (default: BENCH_service.json next to "
-             "the repo root)",
+        help="JSON output path (default: BENCH_service.json at the "
+             "repo root; --smoke writes no file unless given one)",
     )
     arguments = parser.parse_args(argv)
 
@@ -335,14 +336,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         },
         "results": results,
     }
-    output = Path(
-        arguments.output
-        if arguments.output
-        else Path(__file__).resolve().parent.parent
-        / "BENCH_service.json"
-    )
-    output.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {output}")
+    # A smoke run must not overwrite the committed full-scale results.
+    if arguments.output or not arguments.smoke:
+        output = Path(
+            arguments.output
+            or Path(__file__).resolve().parent.parent
+            / "BENCH_service.json"
+        )
+        output.write_text(json.dumps(payload, indent=2) + "\n")
+        print(f"wrote {output}")
 
     total_violations = sum(
         leg["invariant_violations"] for leg in results

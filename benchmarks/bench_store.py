@@ -5,15 +5,13 @@ journals an ε debit before every release and stores the released
 payload after it, with one fsync barrier immediately before the
 answer leaves the process.  This benchmark measures what that
 discipline costs per release against the pure in-memory path, across
-the three WAL fsync policies:
+the two WAL fsync policies:
 
 * ``memory``  — plain ``session.release`` (the pre-durability code);
 * ``batch``   — the production setting: debit + result buffered, one
   barrier fsync per release (overlapping releases would share it);
 * ``always``  — every WAL append fsyncs individually (the naive
-  write-ahead implementation this repo deliberately avoids);
-* ``never``   — WAL writes without fsync (the non-durability ceiling:
-  what the journaling bookkeeping alone costs).
+  write-ahead implementation this repo deliberately avoids).
 
 After the timed runs the benchmark "restarts": it reopens the state
 directory and asserts the recovered journal matches the in-memory
@@ -142,7 +140,7 @@ def main(argv: List[str] | None = None) -> int:
     print(f"{'memory':<8} {base_ms:8.2f} ms/release   (baseline)")
 
     overheads: Dict[str, float] = {}
-    for fsync in ("never", "batch", "always"):
+    for fsync in ("batch", "always"):
         run = run_variant(database, fsync, releases)
         overhead = run["median_ms"] / base_ms - 1.0
         overheads[fsync] = overhead

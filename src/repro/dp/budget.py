@@ -9,14 +9,16 @@ weakening the guarantee.
 
 The PrivBasis pipeline (paper Algorithm 3) splits its budget as
 α₁ε / α₂ε / α₃ε across its steps; :meth:`PrivacyBudget.split` expresses
-exactly that pattern.
+exactly that pattern.  Each release runs against its own
+:class:`PrivacyBudget`; a service tenant's lifetime spend across
+releases is kept by :class:`repro.store.ledger.LedgerJournal`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.errors import (
     BudgetExceededError,
@@ -24,8 +26,10 @@ from repro.errors import (
     ValidationError,
 )
 
-#: Relative tolerance used when checking for overdrafts, so that exact
-#: splits like ``0.1 + 0.4 + 0.5`` do not fail on float rounding.
+#: Relative tolerance of every overdraft check — this ledger's and the
+#: service's per-tenant admission in :mod:`repro.store.ledger` — so
+#: exact splits like ``0.1 + 0.4 + 0.5`` and float wobble like
+#: ``0.3 - 0.1`` never refuse a spend that fits.
 _REL_TOL = 1e-9
 
 
@@ -51,15 +55,6 @@ class PrivacyBudget:
 
     epsilon: float
     _entries: List[BudgetEntry] = field(default_factory=list, repr=False)
-    #: Optional write-ahead journal hook, ``(label, epsilon) -> None``.
-    #: Invoked by :meth:`spend` *after* the overdraft check passes but
-    #: *before* the entry is recorded in memory, so a durable ledger
-    #: (see :class:`repro.store.ledger.LedgerJournal`) observes every
-    #: debit no later than the in-memory state does.  A hook that
-    #: raises aborts the spend with nothing recorded.
-    _journal: Optional[Callable[[str, float], None]] = field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if not (self.epsilon > 0):
@@ -109,71 +104,8 @@ class PrivacyBudget:
             tolerance = _REL_TOL * self.epsilon
             if epsilon > self.remaining + tolerance:
                 raise BudgetExceededError(epsilon, self.remaining)
-        if self._journal is not None:
-            # Write-ahead: the durable journal records the debit
-            # before the in-memory ledger does.  If journaling fails
-            # the spend never happened — the caller sees the error
-            # and no noisy answer is produced against this charge.
-            self._journal(label, float(epsilon))
         self._entries.append(BudgetEntry(label, float(epsilon)))
         return float(epsilon)
-
-    def attach_journal(
-        self, journal: Optional[Callable[[str, float], None]]
-    ) -> None:
-        """Install (or clear, with ``None``) the write-ahead hook.
-
-        The hook receives ``(label, epsilon)`` for every successful
-        :meth:`spend`, before the entry lands in memory.  Restored
-        entries (:meth:`restore_entries`) deliberately bypass it —
-        they came *from* the journal.
-        """
-        if journal is not None and not callable(journal):
-            raise ValidationError(
-                f"journal hook must be callable, got {journal!r}"
-            )
-        self._journal = journal
-
-    def restore_entries(
-        self, entries: Iterable[Tuple[str, float]]
-    ) -> None:
-        """Rehydrate ``(label, epsilon)`` entries from a durable
-        journal, without re-journaling them.
-
-        Recovery-only: skips the overdraft check, because a journal
-        may legitimately hold *more* than the current limit — e.g.
-        the operator lowered ``epsilon_limit`` between runs, or a
-        crash landed between a journaled debit and its release
-        (over-counting is the safe direction).  ``remaining`` simply
-        clamps at zero in those cases.
-        """
-        for label, epsilon in entries:
-            epsilon = float(epsilon)
-            if not (epsilon > 0):
-                raise ValidationError(
-                    f"restored entries need positive epsilon, "
-                    f"got {epsilon!r}"
-                )
-            self._entries.append(BudgetEntry(str(label), epsilon))
-
-    def snapshot(self) -> dict:
-        """A JSON-serializable view of the ledger (service telemetry).
-
-        Returns ``epsilon`` / ``spent`` / ``remaining`` plus the full
-        entry list, so a budget endpoint can show a tenant exactly
-        where their ε went.  Infinite budgets serialize ``epsilon`` and
-        ``remaining`` as ``None`` (JSON has no ``inf``).
-        """
-        unlimited = math.isinf(self.epsilon)
-        return {
-            "epsilon": None if unlimited else self.epsilon,
-            "spent": self.spent,
-            "remaining": None if unlimited else self.remaining,
-            "entries": [
-                {"label": entry.label, "epsilon": entry.epsilon}
-                for entry in self._entries
-            ],
-        }
 
     def spend_all(self, label: str = "") -> float:
         """Consume whatever remains and return the amount."""

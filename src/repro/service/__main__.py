@@ -67,10 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
              "recover pre-crash state — omit for in-memory only",
     )
     parser.add_argument(
-        "--fsync", choices=["batch", "always", "never"],
+        "--fsync", choices=["batch", "always"],
         default="batch",
         help="WAL fsync policy for --state-dir (default: batch — one "
-             "barrier per release; 'never' is for benchmarks only)",
+             "barrier per release)",
     )
     parser.add_argument(
         "--data-plane", choices=["memory", "mmap"], default="memory",

@@ -9,9 +9,10 @@ One :class:`PrivBasisService` fronts one
   :class:`~repro.service.coalesce.Coalescer` so a thundering herd on a
   cold dataset builds its bitmaps once.
 * **Budgets are per-tenant, never shared.**  Every release spends from
-  the requesting tenant's :class:`~repro.dp.budget.PrivacyBudget`
-  before any noise is drawn; overdrafts map to HTTP 403 with a
-  structured ``budget_exceeded`` payload.
+  the requesting tenant's ledger — its entries in the store's
+  :class:`~repro.store.ledger.LedgerJournal` — before any noise is
+  drawn; overdrafts map to HTTP 403 with a structured
+  ``budget_exceeded`` payload.
 * **Noise is per-release, never shared.**  Requests are seed-less by
   contract (:mod:`repro.service.protocol`) and every release draws
   from a fresh OS-seeded generator, so even byte-identical coalesced
@@ -52,8 +53,9 @@ One :class:`PrivBasisService` fronts one
   snapshot version and every released payload is stored under
   ``(tenant, dataset, snapshot_version)`` in a
   :class:`~repro.store.state.StateStore`, whose result store is also
-  the one owner of the per-tenant reuse indexes.  With ``state_dir``
-  the store is durable: every ε debit is also journaled write-ahead
+  the one owner of the per-tenant reuse indexes, and whose ledger
+  journal is every tenant's ε ledger.  With ``state_dir`` the store
+  is durable: every ε debit is written ahead
   (durable *before* the noisy answer leaves the process), and a
   restart restores the tenants' spent budgets, replays each dataset to
   its pre-crash version, rehydrates serving counters and the
@@ -204,17 +206,16 @@ class PrivBasisService:
         HTTP 429 without queueing.
     state_dir:
         Optional durable state directory.  When set, the service's
-        :class:`~repro.store.state.StateStore` lives there: it
-        restores every tenant's journaled ε debits into its ledger
-        (installing the write-ahead hook for future spends), replays
-        each dataset's ingest log when its session is built, and
-        persists debits / ingests / released results as it serves.
-        ``None`` (default) runs the same store in memory.
+        :class:`~repro.store.state.StateStore` lives there: its
+        ledger journal recovers every tenant's ε debits and records
+        new ones write-ahead, each dataset's ingest log is replayed
+        when its session is built, and released results are
+        persisted as they are served.  ``None`` (default) runs the
+        same store in memory.
     fsync:
         WAL fsync policy for the state store (ignored without
         ``state_dir``): ``"batch"`` (default; debits buffer and one
-        barrier per release makes them durable), ``"always"``, or
-        ``"never"`` (benchmarks only — crashes may then under-count).
+        barrier per release makes them durable) or ``"always"``.
     shared_state:
         ``True`` when other worker processes serve the same
         ``state_dir`` concurrently (cluster mode): the store opens its
@@ -309,14 +310,7 @@ class PrivBasisService:
                 "coordinate through the durable ledger"
             )
         self._store = StateStore(state_dir, fsync=fsync, shared=shared_state)
-        if self._store.durable:
-            # Opening the store replayed the ledger journal; attaching
-            # it restores each tenant's spent history and makes every
-            # future spend write-ahead.  This happens before any
-            # request can be served, so there is no window where a
-            # recovered tenant could overspend.  In memory each tenant
-            # keeps its own PrivacyBudget ledger.
-            registry.attach_journal(self._store.ledger)
+        registry.attach_journal(self._store.ledger)
         self._coalescer = Coalescer()
         self._sessions: Dict[str, PrivBasisSession] = {}
         self._release_locks: Dict[str, asyncio.Lock] = {}
@@ -592,9 +586,9 @@ class PrivBasisService:
             # Charge on the event loop thread *before* any noise is
             # drawn: spends are serialized (no budget race) and a
             # failed release after the charge errs on the safe side —
-            # budget is forfeited, never refunded.  With a durable
-            # store the charge is write-ahead (the debit hits the WAL
-            # before the in-memory ledger).
+            # budget is forfeited, never refunded.  The debit is
+            # write-ahead: _barrier makes it durable before the answer
+            # leaves.
             tenant.charge(
                 request["epsilon"],
                 label=f"release k={request['k']}",
@@ -1057,7 +1051,9 @@ class PrivBasisService:
         (and drops its mapped segments) of every mmap-plane dataset —
         before the spill directories this process built are removed.
         Those sessions are forgotten with their spill, so a later
-        :meth:`start` builds them again; a memory-plane session stays
+        :meth:`start` builds them again; without a state dir their
+        ingested rows are gone, and the store forgets their versions
+        and reuse entries with them.  A memory-plane session stays
         queryable after close and is kept, ingested rows included
         (an in-memory store could not replay them).
         """
@@ -1077,6 +1073,8 @@ class PrivBasisService:
         if self._data_plane == "mmap":
             for dataset in self._sessions:
                 self._coalescer.discard(dataset)
+                if not self._store.durable:
+                    self._store.forget_dataset(dataset)
             self._sessions.clear()
         for directory in self._spill_dirs:
             shutil.rmtree(directory, ignore_errors=True)

@@ -2,10 +2,13 @@
 
 A *tenant* is one analyst (or downstream application) the data holder
 serves.  Each tenant is bound to exactly one named dataset from
-:mod:`repro.datasets.registry` and owns a
-:class:`~repro.dp.budget.PrivacyBudget` ledger capped at its
-``epsilon_limit`` — the per-tenant privacy contract the service
-enforces with HTTP 403 once exhausted.
+:mod:`repro.datasets.registry` and spends against an ``epsilon_limit``
+— the per-tenant privacy contract the service enforces with HTTP 403
+once exhausted.  The tenant's ledger is the service's
+:class:`~repro.store.ledger.LedgerJournal`, the one record of every
+debit, in memory (over :class:`~repro.store.wal.NullLog`) or on disk
+alike: :meth:`TenantRegistry.attach_journal` binds it at startup, and
+every spent figure, admission check and debit goes through it.
 
 Tenants sharing a dataset share the *exact* counting substrate (one
 :class:`~repro.engine.session.PrivBasisSession` per dataset, built via
@@ -22,42 +25,36 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
-from repro.dp.budget import PrivacyBudget
-from repro.errors import (
-    BudgetExceededError,
-    UnknownTenantError,
-    ValidationError,
-)
-
-if TYPE_CHECKING:  # service → store is a runtime-optional dependency
-    from repro.store.ledger import LedgerJournal
+from repro.errors import UnknownTenantError, ValidationError
+from repro.store.ledger import LedgerJournal
 
 __all__ = ["Tenant", "TenantRegistry"]
-
-#: Relative tolerance for admission checks, matching the ledger's.
-_REL_TOL = 1e-9
 
 
 @dataclass
 class Tenant:
-    """One API tenant: identity, dataset binding, ε ledger, and the
+    """One API tenant: identity, dataset binding, ε limit, and the
     ingest permission gating ``POST /v1/ingest``.
 
     ``ingest`` defaults to ``True`` (the data holder's feed and demo
     setups append freely); set ``"ingest": false`` in the config to
     make an analyst tenant read-only — it can still release and read
     snapshots, but appending answers HTTP 403 ``ingest_forbidden``.
+
+    The spent ε lives in a :class:`~repro.store.ledger.LedgerJournal`
+    keyed by ``tenant_id``: a tenant's own in-memory one until
+    :meth:`attach_journal` binds the service's.
     """
 
     tenant_id: str
     dataset: str
     epsilon_limit: float
     ingest: bool = True
-    ledger: PrivacyBudget = field(init=False)
-    _journal: Optional["LedgerJournal"] = field(
-        init=False, default=None, repr=False, compare=False
+    _journal: LedgerJournal = field(
+        init=False, repr=False, compare=False,
+        default_factory=lambda: LedgerJournal(None),
     )
 
     def __post_init__(self) -> None:
@@ -71,106 +68,66 @@ class Tenant:
                 f"epsilon_limit for tenant {self.tenant_id!r} must be "
                 f"positive, got {self.epsilon_limit!r}"
             )
-        self.ledger = PrivacyBudget(float(self.epsilon_limit))
+        self.epsilon_limit = float(self.epsilon_limit)
 
-    # -- durable accounting ---------------------------------------------
-    def attach_journal(self, journal: "LedgerJournal") -> None:
-        """Bind this tenant's ledger to a durable journal.
+    def attach_journal(self, journal: LedgerJournal) -> None:
+        """Keep this tenant's ledger in ``journal`` from now on.
 
-        Two effects, in order: every debit the journal already holds
-        for this tenant is *restored* into the in-memory ledger (the
-        recovery path), then the ledger's write-ahead hook is
-        installed so every future :meth:`charge` reaches the journal
-        before it reaches memory (the live path).  From here on
-        :attr:`spent` reads the journaled value, so both paths answer
-        admission checks from the same number.
-
-        The hook goes through the journal's atomic
-        :meth:`~repro.store.ledger.LedgerJournal.debit_within_limit`,
-        so ``epsilon_limit`` is enforced by the journal itself at the
-        instant of the debit.  For a single process that merely
-        re-verifies what :meth:`charge` already checked; on a
-        cluster-shared journal it is the *binding* check — the one
-        place two workers racing a tenant's last ε get serialized.
+        The debits ``journal`` already holds for this tenant (a
+        recovered state directory, or other cluster workers' spends
+        on a shared one) count as spent at once.
         """
-        restored = journal.entries(self.tenant_id)
-        if restored:
-            self.ledger.restore_entries(restored)
-        tenant_id = self.tenant_id
-        limit = float(self.epsilon_limit)
-        self.ledger.attach_journal(
-            lambda label, epsilon: journal.debit_within_limit(
-                tenant_id, epsilon, limit, label
-            )
-        )
         self._journal = journal
 
     @property
     def spent(self) -> float:
-        """ε consumed so far — the **journaled** value when a durable
-        journal is attached, the in-memory ledger otherwise.
-
-        This is the single spent figure every admission check reads.
-        Comparing against the journal (not an in-memory snapshot)
-        means a freshly recovered service and a long-running one
-        enforce ``epsilon_limit`` through the same code path, and the
-        two sources cannot silently diverge.
-        """
-        if self._journal is not None:
-            return self._journal.spent(self.tenant_id)
-        return self.ledger.spent
+        """ε consumed so far: the journal's total for this tenant,
+        the one spent figure every admission check reads."""
+        return self._journal.spent(self.tenant_id)
 
     @property
     def remaining(self) -> float:
         """Budget still available under ``epsilon_limit``; never
         negative (a recovered over-count simply clamps to zero)."""
-        return max(0.0, float(self.epsilon_limit) - self.spent)
+        return self._journal.remaining(self.tenant_id, self.epsilon_limit)
 
     def affords(self, epsilon: float) -> bool:
-        """The one admission check: does ``epsilon`` fit the remaining
-        budget, up to a relative tolerance of the limit (so float
-        wobble like ``0.3 - 0.1`` never refuses a spend that fits)?
+        """Does ``epsilon`` fit the remaining budget?  Single releases,
+        batches and ``/v1/plan`` quotes all ask this, and it is the
+        check :meth:`charge` makes (see
+        :meth:`~repro.store.ledger.LedgerJournal.affords`)."""
+        return self._journal.affords(
+            self.tenant_id, epsilon, self.epsilon_limit
+        )
 
-        Single releases, batches and ``/v1/plan`` quotes all ask
-        this, so they admit exactly the same requests.
+    def charge(self, epsilon: float, label: str = "") -> None:
+        """Spend ``epsilon``, or raise
+        :class:`~repro.errors.BudgetExceededError` with nothing spent.
+
+        The check and the debit are one journal call
+        (:meth:`~repro.store.ledger.LedgerJournal.debit_within_limit`),
+        atomic cluster-wide on a shared journal.  The debit is
+        write-ahead: the caller runs the store's durability barrier
+        before releasing the corresponding noisy answer.
         """
-        tolerance = _REL_TOL * float(self.epsilon_limit)
-        return epsilon <= self.remaining + tolerance
-
-    def charge(self, epsilon: float, label: str = "") -> float:
-        """Spend ``epsilon`` against this tenant's durable ledger.
-
-        The exhausted-budget check compares against :attr:`spent`
-        (journaled when durable) *before* the ledger records
-        anything; the ledger's own overdraft check then re-verifies
-        against its in-memory state, which journal attachment keeps
-        in lockstep.  With a journal attached the debit is
-        write-ahead: it reaches the WAL before the in-memory entry
-        exists, and the caller must run the store's durability
-        barrier before releasing the corresponding noisy answer.
-        """
-        if not (epsilon > 0):
-            raise ValidationError(
-                f"epsilon must be positive, got {epsilon!r}"
-            )
-        if not self.affords(epsilon):
-            raise BudgetExceededError(epsilon, self.remaining)
-        return self.ledger.spend(epsilon, label=label)
+        self._journal.debit_within_limit(
+            self.tenant_id, epsilon, self.epsilon_limit, label
+        )
 
     def snapshot(self) -> Dict[str, object]:
         """The ``/v1/budget`` payload for this tenant.
 
-        With a durable journal attached the ledger section is built
-        from the *journal* (same shape as the in-memory
-        :meth:`~repro.dp.budget.PrivacyBudget.snapshot`): for one
-        process the two are in lockstep, but on a cluster-shared
-        journal only the journal sees debits other workers made, and
-        a budget read must never show a tenant less spent than the
-        cluster has recorded.
+        Read from the journal, so on a cluster-shared journal it
+        includes debits other workers made: a budget read never shows
+        a tenant less spent than the cluster has recorded.
         """
-        if self._journal is not None:
-            ledger_view: Dict[str, object] = {
-                "epsilon": float(self.epsilon_limit),
+        return {
+            "tenant": self.tenant_id,
+            "dataset": self.dataset,
+            "epsilon_limit": self.epsilon_limit,
+            "ingest": self.ingest,
+            "ledger": {
+                "epsilon": self.epsilon_limit,
                 "spent": self.spent,
                 "remaining": self.remaining,
                 "entries": [
@@ -179,15 +136,7 @@ class Tenant:
                         self.tenant_id
                     )
                 ],
-            }
-        else:
-            ledger_view = self.ledger.snapshot()
-        return {
-            "tenant": self.tenant_id,
-            "dataset": self.dataset,
-            "epsilon_limit": self.epsilon_limit,
-            "ingest": self.ingest,
-            "ledger": ledger_view,
+            },
         }
 
 
@@ -242,15 +191,14 @@ class TenantRegistry:
         """All registered tenant ids, in registration order."""
         return list(self._tenants)
 
-    def attach_journal(self, journal: "LedgerJournal") -> None:
-        """Bind every tenant's ledger to a durable journal.
+    def attach_journal(self, journal: LedgerJournal) -> None:
+        """Keep every tenant's ledger in ``journal``.
 
-        Call once at service startup, before any release is served:
-        each tenant's journaled debit history is restored and future
-        spends become write-ahead (see :meth:`Tenant.attach_journal`).
-        Journal entries for tenants no longer in the config are left
-        in the journal untouched — history is never dropped just
-        because a tenant was removed.
+        The service calls this once at startup with its store's
+        journal, before any release is served, so a recovered tenant
+        has no window in which to overspend.  Journal entries for
+        tenants no longer in the config are left untouched — history
+        is never dropped just because a tenant was removed.
         """
         for tenant in self._tenants.values():
             tenant.attach_journal(journal)

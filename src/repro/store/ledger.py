@@ -1,4 +1,4 @@
-"""Durable per-tenant ε ledgers: write-ahead debits + snapshots.
+"""Per-tenant ε ledgers: write-ahead debits + snapshots.
 
 The privacy guarantee of the whole service rests on sequential
 composition over each tenant's *spent* ε.  That number must survive
@@ -17,6 +17,11 @@ invariant — **spent ε on disk is always ≥ ε behind released answers**:
   direction — and can never under-count;
 * recovery replays the snapshot plus the WAL and the rebuilt spent
   value is what admission checks compare against.
+
+A journal without a directory runs over
+:class:`~repro.store.wal.NullLog`: the same totals, entries and
+admission check, nothing written — the service's ledger without
+``--state-dir``.
 
 Compaction folds the WAL into ``ledger.snapshot.json`` (written
 atomically) and truncates the WAL, bounding replay time for
@@ -40,6 +45,7 @@ import os
 from pathlib import Path
 from typing import Dict, List, Tuple
 
+from repro.dp.budget import _REL_TOL
 from repro.errors import (
     BudgetExceededError,
     StateStoreError,
@@ -62,13 +68,27 @@ LEDGER_SNAPSHOT = "ledger.snapshot.json"
 #: Lock file serializing cluster-shared ledger access.
 LEDGER_LOCK = "ledger.lock"
 
-#: Relative tolerance for limit checks, matching
-#: :class:`~repro.dp.budget.PrivacyBudget` and the tenant registry.
-_REL_TOL = 1e-9
+
+def _admits(epsilon: float, spent: float, limit: float) -> bool:
+    """The tenant admission inequality: ``epsilon`` fits what ``limit``
+    leaves after ``spent``, up to a relative tolerance of the limit."""
+    return epsilon <= max(0.0, limit - spent) + _REL_TOL * limit
+
+
+def _require_debit(tenant_id: str, epsilon: float) -> None:
+    """Refuse a debit no ledger may record, before any limit check."""
+    if not tenant_id:
+        raise ValidationError("debit needs a non-empty tenant id")
+    if not (epsilon > 0) or math.isinf(epsilon):
+        raise ValidationError(
+            f"debit epsilon must be positive and finite, "
+            f"got {epsilon!r}"
+        )
 
 
 class LedgerJournal:
-    """Durable record of every tenant's ε debits.
+    """Every tenant's ε ledger: the record of its debits, durable when
+    the journal has a directory.
 
     Parameters
     ----------
@@ -84,7 +104,10 @@ class LedgerJournal:
     The journal keeps an in-memory aggregation (per-tenant entry
     lists) that is always exactly what replaying the files would
     produce, so live admission checks and post-crash recovery read
-    the same value through the same code path.
+    the same value through the same code path.  It is the only
+    per-tenant ledger the service has, in memory and on disk alike:
+    :class:`~repro.service.registry.Tenant` asks it :meth:`affords`
+    and spends through :meth:`debit_within_limit`.
     """
 
     def __init__(self, directory, fsync: str = "batch") -> None:
@@ -152,13 +175,7 @@ class LedgerJournal:
         still :meth:`sync` before releasing the corresponding noisy
         answer.
         """
-        if not tenant_id:
-            raise ValidationError("debit needs a non-empty tenant id")
-        if not (epsilon > 0) or math.isinf(epsilon):
-            raise ValidationError(
-                f"debit epsilon must be positive and finite, "
-                f"got {epsilon!r}"
-            )
+        _require_debit(tenant_id, epsilon)
         self._wal.append(
             {
                 "type": "debit",
@@ -179,11 +196,14 @@ class LedgerJournal:
         self, tenant_id: str, epsilon: float, limit: float
     ) -> None:
         """Raise :class:`~repro.errors.BudgetExceededError` if the
-        debit would push the tenant past ``limit``."""
+        debit would push the tenant past ``limit`` (reads the totals
+        as they are; the shared journal calls it under its lock)."""
+        _require_debit(tenant_id, epsilon)
         spent = self._totals.get(str(tenant_id), 0.0)
-        remaining = max(0.0, float(limit) - spent)
-        if epsilon > remaining + _REL_TOL * float(limit):
-            raise BudgetExceededError(epsilon, remaining)
+        if not _admits(epsilon, spent, float(limit)):
+            raise BudgetExceededError(
+                epsilon, max(0.0, float(limit) - spent)
+            )
 
     def debit_within_limit(
         self, tenant_id: str, epsilon: float, limit: float,
@@ -191,10 +211,10 @@ class LedgerJournal:
     ) -> None:
         """Check ``limit`` against the journaled total, then debit.
 
-        The admission primitive the service's write-ahead hook calls:
-        check and debit happen against the same journal state, so the
-        journal itself enforces the per-tenant cap rather than
-        trusting each caller's cached view.  In this single-process
+        The one way a tenant spends
+        (:meth:`~repro.service.registry.Tenant.charge`): check and debit
+        happen against the same journal state, so the journal itself
+        enforces the per-tenant cap.  In this single-process
         journal the two steps cannot interleave with anything;
         :class:`SharedLedgerJournal` overrides this to make the pair
         atomic across worker processes.
@@ -215,6 +235,22 @@ class LedgerJournal:
         exactly re-derived (``math.fsum``) at every load.
         """
         return self._totals.get(tenant_id, 0.0)
+
+    def remaining(self, tenant_id: str, limit: float) -> float:
+        """ε left to ``tenant_id`` under ``limit``; never negative (a
+        recovered over-count clamps to zero)."""
+        return max(0.0, float(limit) - self.spent(tenant_id))
+
+    def affords(
+        self, tenant_id: str, epsilon: float, limit: float
+    ) -> bool:
+        """Would :meth:`debit_within_limit` admit ``epsilon`` now?
+
+        The same inequality, so single releases, batches (asking for
+        their total up front) and ``/v1/plan`` quotes admit exactly
+        the requests a debit would.
+        """
+        return _admits(epsilon, self.spent(tenant_id), float(limit))
 
     def entries(self, tenant_id: str) -> List[Tuple[str, float]]:
         """The ``(label, epsilon)`` debit history for one tenant."""

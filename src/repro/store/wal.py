@@ -32,8 +32,9 @@ barrier runs first pays for every record buffered so far.
   pay one fsync for everything pending.
 * ``"always"`` — every append fsyncs immediately (simplest reasoning,
   slowest; useful for tiny control files).
-* ``"never"`` — barriers flush but never fsync (tests and benchmarks
-  measuring the non-durability ceiling).
+
+There is no policy without fsync: a barrier that did not reach the
+disk could let a power loss under-count journaled ε.
 
 Multi-process sharing
 ---------------------
@@ -68,7 +69,7 @@ __all__ = [
 ]
 
 #: The fsync policies :class:`WriteAheadLog` accepts.
-FSYNC_POLICIES = ("batch", "always", "never")
+FSYNC_POLICIES = ("batch", "always")
 
 
 class FileLock:
@@ -301,9 +302,6 @@ class WriteAheadLog:
             return
         covered = self.appends
         if self._synced >= covered:
-            return
-        if self._fsync == "never":
-            self._synced = covered
             return
         self._do_sync(covered)
 

@@ -421,6 +421,111 @@ def test_restarted_mmap_service_rebuilds_its_sessions(
     assert budget["ledger"]["spent"] == pytest.approx(1.0)
 
 
+def test_restarted_memory_mmap_service_forgets_lost_ingests(
+    tmp_path, monkeypatch
+):
+    """Without a state dir an mmap session's ingested rows go with its
+    spill at stop(); the dataset's version and reuse entries go too,
+    so ingesting after a restart answers 200 and no snapshot version
+    (reuse hits included) names two data states."""
+    import tempfile
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    service = PrivBasisService(
+        TenantRegistry.from_mapping(
+            {"alice": {"dataset": DATASET, "epsilon_limit": 3.0}}
+        ),
+        dataset_loader=lambda name: small_database(),
+        data_plane="mmap",
+        shard_size=50,
+    )
+
+    async def scenario():
+        async with service.serving() as (host, port):
+            async with ServiceClient(host, port, tenant="alice") as c:
+                await c.ingest([[0, 1]])
+                stored = await c.release(k=5, epsilon=0.5)
+        async with service.serving() as (host, port):
+            async with ServiceClient(host, port, tenant="alice") as c:
+                restarted = await c.snapshot()
+                await c.ingest([[2, 3], [4]])
+                ingested = await c.snapshot()
+                dominated = await c.release(k=3, epsilon=0.25)
+        return stored, restarted, ingested, dominated
+
+    stored, restarted, ingested, dominated = asyncio.run(scenario())
+    assert stored["snapshot_version"] == 1
+    assert restarted["snapshot_version"] == 0
+    assert restarted["num_transactions"] == 200
+    assert ingested["snapshot_version"] == 1
+    assert ingested["num_transactions"] == 202
+    # The release stored at the lost version 1 must not answer for
+    # the new version 1.
+    assert dominated["reuse"]["hit"] is False
+    assert dominated["snapshot_version"] == 1
+
+
+@pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
+def test_every_budget_read_is_the_one_journal(tmp_path, durable):
+    """/v1/budget, Tenant.spent, /v1/plan and /metrics read the same
+    ledger, with or without a state dir; a durable one reads the same
+    after a restart."""
+    state_dir = str(tmp_path / "state") if durable else None
+
+    def build():
+        return PrivBasisService(
+            TenantRegistry.from_mapping(
+                {"alice": {"dataset": DATASET, "epsilon_limit": 2.0}}
+            ),
+            dataset_loader=lambda name: small_database(),
+            state_dir=state_dir,
+        )
+
+    async def views(service, c):
+        budget = await c.budget()
+        plan = await c.plan(k=5, epsilon=0.1)
+        metrics = await c.metrics()
+        return {
+            "entries": len(budget["ledger"]["entries"]),
+            "budget_spent": budget["ledger"]["spent"],
+            "tenant_spent": service.registry.get("alice").spent,
+            "metrics_spent": (
+                metrics["store"]["ledger"]["tenants"]["alice"]["spent"]
+            ),
+            "budget_remaining": budget["ledger"]["remaining"],
+            "plan_remaining": plan["remaining"],
+        }
+
+    async def scenario():
+        service = build()
+        async with service.serving() as (host, port):
+            async with ServiceClient(host, port, tenant="alice") as c:
+                await c.release(k=5, epsilon=0.5)
+                await c.release(k=8, epsilon=0.25)
+                await c.release_batch(
+                    [{"k": 5, "epsilon": 0.3}, {"k": 3, "epsilon": 0.2}]
+                )
+                with pytest.raises(BudgetExceededError):
+                    await c.release(k=5, epsilon=1.0)
+                before = await views(service, c)
+        if not durable:
+            return before, None
+        service = build()
+        async with service.serving() as (host, port):
+            async with ServiceClient(host, port, tenant="alice") as c:
+                after = await views(service, c)
+        return before, after
+
+    before, after = asyncio.run(scenario())
+    assert before["entries"] == 4
+    for key in ("budget_spent", "tenant_spent", "metrics_spent"):
+        assert before[key] == pytest.approx(1.25), key
+    assert before["budget_remaining"] == pytest.approx(0.75)
+    assert before["plan_remaining"] == before["budget_remaining"]
+    if durable:
+        assert after == pytest.approx(before)
+
+
 def test_restarted_memory_service_keeps_ingested_rows():
     """A memory-plane session survives stop(): without a state dir
     nothing could replay its ingests into a rebuilt one."""

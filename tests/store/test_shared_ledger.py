@@ -104,8 +104,8 @@ class TestCrossInstanceVisibility:
 
 class TestConcurrentDebits:
     def test_two_instances_hammering_stay_exact(self, tmp_path):
-        a = SharedLedgerJournal(tmp_path, fsync="never")
-        b = SharedLedgerJournal(tmp_path, fsync="never")
+        a = SharedLedgerJournal(tmp_path, fsync="batch")
+        b = SharedLedgerJournal(tmp_path, fsync="batch")
         per_side = 100
 
         def hammer(journal, label):

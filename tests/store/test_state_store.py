@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dp.budget import PrivacyBudget
 from repro.errors import (
     BudgetExceededError,
     StateStoreError,
@@ -73,71 +72,70 @@ class TestLedgerJournal:
             LedgerJournal(tmp_path)
 
 
-class TestBudgetJournalHook:
-    """The PrivacyBudget ↔ journal contract: write-ahead, restore
-    without re-journaling, failed hooks abort the spend."""
+class TestLedgerAdmission:
+    """The journal is every tenant's ledger: ``affords`` and
+    ``debit_within_limit`` admit the same spends, in memory and on
+    disk, and a refused or failed debit records nothing."""
 
-    def test_spend_reaches_the_journal_before_memory(self, tmp_path):
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
+    def test_affords_admits_what_debit_within_limit_admits(
+        self, tmp_path, durable
+    ):
+        journal = LedgerJournal(tmp_path if durable else None)
+        journal.debit_within_limit("alice", 0.1, 0.3, "r1")
+        # 0.3 - 0.1 leaves 0.19999999999999998: 0.2 fits within the
+        # relative tolerance, anything visibly larger does not.
+        assert journal.remaining("alice", 0.3) == pytest.approx(0.2)
+        assert journal.affords("alice", 0.2, 0.3)
+        assert not journal.affords("alice", 0.2 + 1e-6, 0.3)
+        with pytest.raises(BudgetExceededError):
+            journal.debit_within_limit("alice", 0.2 + 1e-6, 0.3)
+        journal.debit_within_limit("alice", 0.2, 0.3, "r2")
+        assert journal.remaining("alice", 0.3) == 0.0
+        assert not journal.affords("alice", 1e-6, 0.3)
+        assert journal.entries("alice") == [("r1", 0.1), ("r2", 0.2)]
+
+    def test_refused_debit_leaves_the_wal_untouched(self, tmp_path):
         journal = LedgerJournal(tmp_path)
-        budget = PrivacyBudget(2.0)
-        observed = []
-        budget.attach_journal(
-            lambda label, epsilon: (
-                journal.debit("alice", epsilon, label),
-                observed.append(budget.spent),  # memory BEFORE entry
-            )
-        )
-        budget.spend(0.5, "r1")
-        assert observed == [0.0]  # journaled while memory still empty
-        assert journal.spent("alice") == pytest.approx(0.5)
-        assert budget.spent == pytest.approx(0.5)
+        journal.debit_within_limit("alice", 0.8, 1.0, "r1")
+        with pytest.raises(BudgetExceededError) as info:
+            journal.debit_within_limit("alice", 0.8, 1.0, "r2")
+        assert info.value.requested == pytest.approx(0.8)
+        assert info.value.remaining == pytest.approx(0.2)
+        journal.close()
+        assert LedgerJournal(tmp_path).entries("alice") == [("r1", 0.8)]
 
-    def test_restored_entries_bypass_the_journal(self, tmp_path):
+    def test_failed_wal_append_records_nothing(self, tmp_path, monkeypatch):
         journal = LedgerJournal(tmp_path)
-        journal.debit("alice", 0.5, "old")
-        budget = PrivacyBudget(2.0)
-        budget.restore_entries(journal.entries("alice"))
-        budget.attach_journal(
-            lambda label, epsilon: journal.debit("alice", epsilon, label)
-        )
-        # Restoring did not double-journal: one debit on disk.
-        assert len(journal.entries("alice")) == 1
-        assert budget.spent == pytest.approx(0.5)
-        assert budget.remaining == pytest.approx(1.5)
 
-    def test_failing_hook_aborts_the_spend(self):
-        budget = PrivacyBudget(2.0)
-
-        def explode(label, epsilon):
+        def disk_full(payload):
             raise OSError("disk full")
 
-        budget.attach_journal(explode)
+        monkeypatch.setattr(journal._wal, "append", disk_full)
         with pytest.raises(OSError):
-            budget.spend(0.5, "r1")
-        # Nothing was recorded: the DP ledger never got ahead of the
-        # durable one.
-        assert budget.spent == 0.0
-
-    def test_overdraft_checked_before_the_journal_is_touched(
-        self, tmp_path
-    ):
-        journal = LedgerJournal(tmp_path)
-        budget = PrivacyBudget(1.0)
-        budget.attach_journal(
-            lambda label, epsilon: journal.debit("alice", epsilon, label)
-        )
-        with pytest.raises(BudgetExceededError):
-            budget.spend(2.0, "too much")
+            journal.debit_within_limit("alice", 0.5, 1.0, "r1")
+        # The in-memory totals never get ahead of the WAL.
         assert journal.spent("alice") == 0.0
+        assert journal.entries("alice") == []
 
-    def test_restore_rejects_non_positive_epsilon(self):
-        budget = PrivacyBudget(1.0)
-        with pytest.raises(ValidationError):
-            budget.restore_entries([("bad", 0.0)])
+    def test_remaining_clamps_a_recovered_over_count(self, tmp_path):
+        journal = LedgerJournal(tmp_path)
+        journal.debit("alice", 1.5, "before the limit was lowered")
+        assert journal.remaining("alice", 1.0) == 0.0
+        assert not journal.affords("alice", 0.1, 1.0)
+        assert journal.remaining("mallory", 1.0) == 1.0
 
-    def test_non_callable_journal_is_rejected(self):
+    @pytest.mark.parametrize(
+        "tenant, epsilon",
+        [("", 0.5), ("alice", 0.0), ("alice", -0.5), ("alice", float("nan"))],
+    )
+    def test_invalid_debit_is_refused_before_the_limit_check(
+        self, tenant, epsilon
+    ):
+        journal = LedgerJournal(None)
         with pytest.raises(ValidationError):
-            PrivacyBudget(1.0).attach_journal("not callable")
+            journal.debit_within_limit(tenant, epsilon, 1.0)
+        assert journal.tenant_ids() == []
 
 
 class TestDatasetLogStore:
@@ -406,6 +404,19 @@ class TestInMemoryStateStore:
         store.barrier()
         store.dataset_log("d").sync()
         assert store.ledger.stats()["fsyncs"] == 0
+
+    def test_forget_dataset_drops_its_version_and_reuse_entries(self):
+        store = StateStore(None)
+        store.dataset_log("d").record_append(1, [[1]])
+        store.dataset_log("e").record_append(1, [[1]])
+        payload = {"k": 2, "epsilon": 1.0, "itemsets": [[[1], 5.0]]}
+        store.results.record("alice", "d", 1, payload)
+        store.results.record("alice", "e", 1, payload)
+        store.forget_dataset("d")
+        assert store.dataset_log("d").version == 0
+        assert store.dataset_log("e").version == 1
+        assert not store.results.reuse_lookup("alice", "d", 1, 2, 0.5).hit
+        assert store.results.reuse_lookup("alice", "e", 1, 2, 0.5).hit
 
     def test_colliding_dataset_stems_are_allowed(self):
         store = StateStore(None)
