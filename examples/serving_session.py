@@ -6,8 +6,12 @@ each asking for their own ε-DP top-k release — different k, different
 budgets, different noise mechanisms.  A single
 :class:`repro.PrivBasisSession` serves them all: exact dataset-derived
 state (item supports, bitmap pools, bin histograms, the top-k oracle)
-is built once and shared, fresh noise is drawn per release, and the
-session ledger enforces a global ε cap across tenants.
+is built once and shared, and fresh noise is drawn per release.  The
+session keeps no ledger: the caller caps spending across tenants
+with a :class:`repro.dp.budget.PrivacyBudget`, spent *before* each
+release, so an over-budget request is refused before any noise is
+drawn.  (The network service does the same per tenant with its
+ledger journal.)
 
 Run:  PYTHONPATH=src python examples/serving_session.py [--smoke]
 (``--smoke`` shrinks the workload for CI.)
@@ -16,6 +20,7 @@ Run:  PYTHONPATH=src python examples/serving_session.py [--smoke]
 import sys
 
 from repro import PrivBasisSession, load_dataset
+from repro.dp.budget import PrivacyBudget
 from repro.errors import BudgetExceededError
 
 
@@ -30,7 +35,8 @@ def main() -> None:
 
     # One session; a global cap of ε = 4 across *all* tenants
     # (sequential composition over the session's lifetime).
-    session = PrivBasisSession(database, epsilon_limit=4.0, rng=2012)
+    session = PrivBasisSession(database, rng=2012)
+    budget = PrivacyBudget(4.0)
 
     tenants = [
         {"k": 20, "epsilon": 0.5},
@@ -41,7 +47,10 @@ def main() -> None:
         tenants = tenants[:2]
 
     print(f"\nserving a batch of {len(tenants)} tenant requests ...")
-    results = session.release_batch(tenants)
+    results = []
+    for index, request in enumerate(tenants):
+        budget.spend(request["epsilon"], label=f"tenant {index}")
+        results.append(session.release(**request))
     for request, result in zip(tenants, results):
         top = result.itemsets[0]
         label = "{" + ", ".join(map(str, top.itemset)) + "}"
@@ -63,13 +72,11 @@ def main() -> None:
     # A tenant that would blow the global cap is refused up front —
     # no noise drawn, nothing spent.
     try:
+        budget.spend(10.0, label="tenant over budget")
         session.release(k=100, epsilon=10.0)
     except BudgetExceededError as error:
         print(f"\nover-budget request refused: {error}")
-    print(
-        f"epsilon spent {session.epsilon_spent:g} of "
-        f"{session.epsilon_limit:g}"
-    )
+    print(f"epsilon spent {budget.spent:g} of {budget.epsilon:g}")
 
 
 if __name__ == "__main__":

@@ -2,16 +2,17 @@
 """Following a live transaction feed with incremental snapshots.
 
 Scenario: a clickstream keeps appending baskets while analysts ask
-for ε-DP top-k releases.  A :class:`repro.TransactionLog` is the
-append-only source of truth; a :class:`repro.PrivBasisSession`
-attached to it advances *incrementally* (packed bitmap rows extended,
-caches invalidated per snapshot — never a cold rebuild) and every
-release pins the snapshot version it was computed on, so each
-published result is attributable to one exact data state.
+for ε-DP top-k releases.  A :class:`repro.PrivBasisSession` takes each
+batch through :meth:`~repro.PrivBasisSession.ingest` and advances
+*incrementally* (packed bitmap rows extended, caches invalidated per
+snapshot — never a cold rebuild); every release pins the snapshot
+version it was computed on, so each published result is attributable
+to one exact data state.
 
 The same flow over HTTP: start ``python -m repro.service`` and use
-``ServiceClient.ingest(...)`` / ``POST /v1/ingest`` — see
-docs/streaming.md.
+``ServiceClient.ingest(...)`` / ``POST /v1/ingest`` — there the
+dataset's ingest log numbers the versions and a state directory
+replays them after a restart; see docs/streaming.md.
 
 Run:  PYTHONPATH=src python examples/streaming_ingest.py [--smoke]
 (``--smoke`` shrinks the workload for CI.)
@@ -22,7 +23,7 @@ import time
 
 import numpy as np
 
-from repro import PrivBasisSession, TransactionLog, load_dataset
+from repro import PrivBasisSession, TransactionDatabase, load_dataset
 
 
 def next_batch(rng, template, size):
@@ -36,42 +37,38 @@ def main() -> None:
     template = load_dataset("mushroom")
     rng = np.random.default_rng(20120827)
 
-    # Day zero: the log starts with an initial bulk load.
-    initial = next_batch(rng, template, 1_000 if smoke else 4_000)
-    log = TransactionLog(
-        template.num_items, initial, item_labels=template.item_labels
+    # Day zero: the session starts on an initial bulk load.
+    initial = TransactionDatabase(
+        next_batch(rng, template, 1_000 if smoke else 4_000),
+        num_items=template.num_items,
+        item_labels=template.item_labels,
     )
-    session = PrivBasisSession(log, rng=7)
+    session = PrivBasisSession(initial, rng=7)
     print(
-        f"log at v{log.version}: N={log.num_transactions} over "
-        f"|I|={log.num_items}"
+        f"session at v{session.snapshot_version}: "
+        f"N={initial.num_transactions} over |I|={initial.num_items}"
     )
 
     # The feed delivers batches; after each, one warm release.
     for _ in range(2 if smoke else 4):
-        log.append(next_batch(rng, template, 250 if smoke else 1_000))
+        batch = next_batch(rng, template, 250 if smoke else 1_000)
         started = time.perf_counter()
-        session.sync()  # incremental: O(batch), not O(N)
-        sync_ms = (time.perf_counter() - started) * 1e3
+        session.ingest(batch)  # incremental: O(batch), not O(N)
+        ingest_ms = (time.perf_counter() - started) * 1e3
         result = session.release(k=10, epsilon=1.0)
         top = result.itemsets[0]
         label = "{" + ", ".join(map(str, top.itemset)) + "}"
         print(
             f"  v{result.snapshot_version}: N={len(session.database)} "
-            f"(sync {sync_ms:5.1f} ms)  top {label} "
+            f"(ingest {ingest_ms:5.1f} ms)  top {label} "
             f"noisy f = {top.noisy_frequency:.3f}"
         )
 
     print(f"\nsession after the feed: {session!r}")
-    print(
-        f"releases pinned snapshots, ledger spans them all: "
-        f"epsilon_spent = {session.epsilon_spent:g} across "
-        f"{session.num_releases} releases "
-        f"(latest snapshot v{session.snapshot_version})"
-    )
-    # A historical snapshot is still addressable — audits can rerun
-    # exact counts against the data state any release saw.
-    pinned = log.snapshot(0)
+    # Versions are nested prefixes: every earlier data state is a
+    # prefix of the current one, so audits can rerun exact counts
+    # against the data state any release saw.
+    pinned = session.database.slice(0, initial.num_transactions)
     print(
         f"historical snapshot v0 still has N={pinned.num_transactions}"
     )

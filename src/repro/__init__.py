@@ -37,7 +37,7 @@ Serving many releases over one database?  Use a session::
 >>> warm = [session.release(k=25, epsilon=1.0) for _ in range(4)]
 """
 
-from repro.datasets import TransactionDatabase, TransactionLog, load_dataset
+from repro.datasets import TransactionDatabase, load_dataset
 from repro.errors import (
     BudgetError,
     BudgetExceededError,
@@ -67,7 +67,6 @@ __all__ = [
     "TenantRegistry",
     "ShardedBackend",
     "TransactionDatabase",
-    "TransactionLog",
     "ValidationError",
     "build_plan",
     "load_dataset",

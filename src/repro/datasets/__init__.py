@@ -20,7 +20,6 @@ from repro.datasets.registry import (
     load_dataset,
 )
 from repro.datasets.stats import DatasetStats, dataset_stats, topk_size_profile
-from repro.datasets.stream import LogSnapshot, TransactionLog
 from repro.datasets.synthetic import QuestConfig, generate_quest
 from repro.datasets.transactions import (
     Itemset,
@@ -31,10 +30,8 @@ from repro.datasets.transactions import (
 __all__ = [
     "DatasetStats",
     "Itemset",
-    "LogSnapshot",
     "QuestConfig",
     "TransactionDatabase",
-    "TransactionLog",
     "aol_like",
     "cached_top_k",
     "canonical_itemset",

@@ -412,9 +412,8 @@ class TransactionDatabase:
           one vectorized scatter pass — per-item tid-lists stay sorted
           because every appended tid exceeds every existing tid.
 
-        This is the substrate beneath
-        :class:`repro.datasets.stream.TransactionLog` snapshots and
-        the incremental ``extend`` path of the counting backends.
+        This is the substrate beneath the incremental ``extend`` path
+        of the counting backends.
         """
         if delta.num_items != self._num_items:
             raise ValidationError(

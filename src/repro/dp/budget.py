@@ -33,6 +33,13 @@ from repro.errors import (
 _REL_TOL = 1e-9
 
 
+def _admits(epsilon: float, spent: float, limit: float) -> bool:
+    """The one admission inequality: ``epsilon`` fits what ``limit``
+    leaves after ``spent``, up to a relative tolerance of the limit.
+    An infinite limit admits everything."""
+    return epsilon <= max(0.0, limit - spent) + _REL_TOL * limit
+
+
 @dataclass(frozen=True)
 class BudgetEntry:
     """A single recorded expenditure: ``(label, epsilon)``."""
@@ -100,10 +107,8 @@ class PrivacyBudget:
             raise ValidationError(
                 f"spend amount must be positive, got {epsilon!r}"
             )
-        if not math.isinf(self.epsilon):
-            tolerance = _REL_TOL * self.epsilon
-            if epsilon > self.remaining + tolerance:
-                raise BudgetExceededError(epsilon, self.remaining)
+        if not _admits(epsilon, self.spent, self.epsilon):
+            raise BudgetExceededError(epsilon, self.remaining)
         self._entries.append(BudgetEntry(label, float(epsilon)))
         return float(epsilon)
 

@@ -26,8 +26,8 @@ tail-shard growth, oracle append, snapshot-scoped cache invalidation)
 that is support-for-support identical to a cold rebuild on the
 concatenated database.  Sessions ride on it via
 :meth:`PrivBasisSession.ingest`, pinning a snapshot version on every
-release; the append-only source of truth is
-:class:`repro.datasets.stream.TransactionLog`.
+release; in the service, the dataset's ingest log
+(:class:`repro.store.logstore.DatasetLogStore`) numbers those versions.
 
 Choosing a backend: :class:`BitmapBackend` whenever the dataset fits
 in RAM; :class:`ShardedBackend` over an :class:`~repro.engine.mmap

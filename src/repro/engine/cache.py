@@ -3,9 +3,9 @@
 All four counting primitives (plus the exact top-k oracle) are pure
 functions of one immutable database *snapshot*, so their results can
 be memoized until the data advances: a streaming append
-(:meth:`CachedBackend.extend`) bumps the snapshot version and drops
-every memo, while the inner backend's warm structures survive the
-append incrementally.  :class:`CachedBackend` wraps any inner
+(:meth:`CachedBackend.extend`) drops every memo, while the inner
+backend's warm structures survive the append incrementally.
+:class:`CachedBackend` wraps any inner
 :class:`~repro.engine.backend.CountingBackend` and keeps:
 
 * the item-support vector (built once);
@@ -19,8 +19,8 @@ append incrementally.  :class:`CachedBackend` wraps any inner
 Only *exact* (non-private) quantities are ever cached.  Noise is drawn
 downstream per release, so cache reuse never reuses randomness and the
 DP guarantees of each release are unaffected; what is affected is the
-privacy *budget* bookkeeping across releases, which is the session's
-job (see :class:`repro.engine.session.PrivBasisSession`).
+privacy *budget* bookkeeping across releases, which belongs to
+whoever spends the ε (the service's per-tenant ledger journal).
 
 Every cache is size-capped (oldest entry evicted first) so a
 long-lived serving session holds bounded memory: bin histograms are
@@ -89,11 +89,6 @@ class CachedBackend(CountingBackend):
         self._topk_cache: Dict[Tuple[int, Optional[int]], object] = {}
         self._hits: Dict[str, int] = {}
         self._misses: Dict[str, int] = {}
-        #: Monotonic count of :meth:`extend` calls — every memoized
-        #: entry is implicitly scoped to this snapshot version, and an
-        #: append bumps it while dropping the now-stale memos (so it
-        #: doubles as the invalidation count for telemetry).
-        self._snapshot_version = 0
 
     @property
     def inner(self) -> CountingBackend:
@@ -112,11 +107,6 @@ class CachedBackend(CountingBackend):
     def num_items(self) -> int:
         return self._inner.num_items
 
-    @property
-    def snapshot_version(self) -> int:
-        """How many times this cache has been advanced by an append."""
-        return self._snapshot_version
-
     # -- streaming ingestion -------------------------------------------
     def extend(self, delta: TransactionDatabase) -> None:
         """Append ``delta`` through the inner backend, scoped safely.
@@ -125,13 +115,12 @@ class CachedBackend(CountingBackend):
         so an append *must* invalidate them — a stale bin histogram
         would silently misprice every later release.  The inner
         backend's warm state (extended bitmap pools, grown tail
-        shards) survives; only this wrapper's memos are dropped, and
-        the snapshot version advances so callers can tell which data
-        state an answer came from.
+        shards) survives; only this wrapper's memos are dropped.
+        Which version the new data state is served as is the session's
+        business, not the cache's.
         """
         self._inner.extend(delta)
         self.clear()
-        self._snapshot_version += 1
 
     # -- stats ----------------------------------------------------------
     def _record(self, kind: str, hit: bool) -> None:

@@ -49,17 +49,18 @@ One :class:`PrivBasisService` fronts one
   ``/metrics`` counts hits, misses, and ε saved; ``--no-reuse``
   (``reuse=False``) opts a deployment out entirely.
 
-* **One persistence path.**  Every ingest batch is logged with its
-  snapshot version and every released payload is stored under
-  ``(tenant, dataset, snapshot_version)`` in a
-  :class:`~repro.store.state.StateStore`, whose result store is also
-  the one owner of the per-tenant reuse indexes, and whose ledger
-  journal is every tenant's ε ledger.  With ``state_dir`` the store
-  is durable: every ε debit is written ahead
-  (durable *before* the noisy answer leaves the process), and a
-  restart restores the tenants' spent budgets, replays each dataset to
-  its pre-crash version, rehydrates serving counters and the
-  released-result history (``GET /v1/results``), and reports what it
+* **One persistence path, one owner per fact.**  A
+  :class:`~repro.store.state.StateStore` holds the serving state: its
+  dataset logs number every ingest batch's snapshot version (the
+  session serves the version it is handed), its result store keeps
+  every released payload under ``(tenant, dataset, snapshot_version)``
+  and owns the release counters and the per-tenant reuse indexes, and
+  its ledger journal is every tenant's ε ledger.  With ``state_dir``
+  the store is durable: every ε debit is written ahead (durable
+  *before* the noisy answer leaves the process), and a restart
+  restores the tenants' spent budgets, replays each dataset to its
+  pre-crash version, and keeps the release counters and the
+  released-result history (``GET /v1/results``), reporting what it
   recovered on ``/healthz``.  Without ``state_dir`` the same store
   runs in memory and writes nothing.  See ``docs/operations.md``.
 
@@ -352,7 +353,7 @@ class PrivBasisService:
         (``<state-dir>/shards/<dataset>/<pid>-<token>/`` when
         persistence is on, a tempdir otherwise).  A fresh spill per
         build is deliberate: WAL replay re-applies ingested deltas
-        through ``session.restore`` → ``backend.extend``, so reusing a
+        through ``session.ingest`` → ``backend.extend``, so reusing a
         previous build's segments would double-apply them; and cluster
         workers each build their own session, so a shared directory
         would race.  Nothing ever reopens a leaf, so :meth:`stop`
@@ -402,13 +403,6 @@ class PrivBasisService:
     # -- session lifecycle (coalesced cold starts) -----------------------
     async def _build_session(self, dataset: str) -> PrivBasisSession:
         loop = asyncio.get_running_loop()
-        # Snapshot the rehydration counters on the event loop thread:
-        # the result store's aggregates are mutated loop-side by
-        # _persist_release, and reading them from the executor while
-        # another dataset's release records could race the dicts.
-        results = self._store.results
-        restore_releases = results.release_counts().get(dataset, 0)
-        restore_epsilon = results.epsilon_by_dataset().get(dataset, 0.0)
 
         def build() -> PrivBasisSession:
             database = self._loader(dataset)
@@ -422,26 +416,28 @@ class PrivBasisService:
                 session = PrivBasisSession(backend)
             else:
                 session = PrivBasisSession(database)
-            session.warm_up()
-            # Warm restore: replay the dataset's ingested batches
-            # through the backend's O(Δ) extend path at their recorded
-            # version and rehydrate the serving counters from the
-            # result store — the session comes back where the crash
-            # left it, without recounting or respending.  An in-memory
-            # store replays nothing: a fresh session stays as it is.
+            # Replay the dataset's ingested rows through the backend's
+            # O(Δ) extend path, served at the version the log recorded
+            # — the session comes back where the crash left it.  An
+            # in-memory store replays nothing: the session serves the
+            # base data as version 0, and the log's watermark keeps the
+            # next batch's version past every number already used.
             version, rows = self._store.dataset_log(dataset).replay()
-            session.restore(
-                delta=rows if rows else None,
-                snapshot_version=version,
-                num_releases=restore_releases,
-                epsilon_spent=restore_epsilon,
-            )
+            if rows:
+                session.ingest(rows, version=version)
+            session.warm_up()
             self._store.recovery.note_dataset(dataset, version)
             return session
 
         session = await loop.run_in_executor(None, build)
         self._sessions[dataset] = session
         return session
+
+    def _forget_session(self, dataset: str) -> None:
+        """Drop ``dataset``'s session; the next request builds it anew
+        from the loader and the dataset log."""
+        self._sessions.pop(dataset, None)
+        self._coalescer.discard(dataset)
 
     async def get_session(self, dataset: str) -> PrivBasisSession:
         """The dataset's shared session; cold builds are coalesced."""
@@ -679,14 +675,14 @@ class PrivBasisService:
         self._admit()
         try:
             session = await self.get_session(tenant.dataset)
+            journaled: List[int] = []
 
             def append() -> Tuple[int, int]:
                 # Journal-before-apply, under the dataset's release
                 # lock (this closure runs inside it).  The batch is
                 # fully validated first — building the delta checks
                 # vocabulary bounds — so a bad batch answers 400 with
-                # neither store nor session touched; after that,
-                # journal and apply cannot diverge: if the WAL append
+                # neither store nor session touched.  If the WAL append
                 # fails the session was never advanced, and a crash
                 # before the sync barrier loses only an
                 # unacknowledged batch from both sides at once.
@@ -694,16 +690,22 @@ class PrivBasisService:
                 delta = TransactionDatabase(
                     transactions, num_items=session.backend.num_items
                 )
-                log_store.record_append(
-                    session.snapshot_version + 1, transactions
-                )
-                version = session.ingest(delta)
+                journaled.append(log_store.record_append(transactions))
+                version = session.ingest(delta, version=journaled[0])
                 log_store.sync()
                 return version, session.backend.num_transactions
 
-            version, total = await self._run_locked(
-                tenant.dataset, append
-            )
+            try:
+                version, total = await self._run_locked(
+                    tenant.dataset, append
+                )
+            except Exception:
+                if journaled:
+                    # The log holds a batch the session may lack, so
+                    # the session must not serve a later version:
+                    # the next request rebuilds it from the log.
+                    self._forget_session(tenant.dataset)
+                raise
         finally:
             self._release_slot()
         # Releases stored on older snapshots stop being reuse sources
@@ -742,7 +744,9 @@ class PrivBasisService:
                 "snapshot_version": session.snapshot_version,
                 "num_transactions": session.backend.num_transactions,
                 "num_items": session.backend.num_items,
-                "num_releases": session.num_releases,
+                "num_releases": self._store.results.release_counts().get(
+                    tenant.dataset, 0
+                ),
             }
 
     def handle_plan(self, query: Mapping[str, str]) -> Dict[str, Any]:
@@ -896,7 +900,10 @@ class PrivBasisService:
 
     def handle_metrics(self) -> Dict[str, Any]:
         """``GET /metrics`` — HTTP, pipeline, coalescer, and cache
-        telemetry."""
+        telemetry.  Each warm dataset's release counters come from the
+        result store, the one record of what was released."""
+        releases = self._store.results.release_counts()
+        epsilon = self._store.results.epsilon_by_dataset()
         return {
             "http": self._metrics.snapshot(),
             "in_flight": self._in_flight,
@@ -905,7 +912,11 @@ class PrivBasisService:
             "reuse": self._reuse_metrics.snapshot(),
             "coalescer": self._coalescer.stats(),
             "datasets": {
-                name: session.stats()
+                name: {
+                    "num_releases": releases.get(name, 0),
+                    "epsilon_spent": epsilon.get(name, 0.0),
+                    **session.stats(),
+                }
                 for name, session in sorted(self._sessions.items())
             },
             "store": {
@@ -1051,9 +1062,10 @@ class PrivBasisService:
         (and drops its mapped segments) of every mmap-plane dataset —
         before the spill directories this process built are removed.
         Those sessions are forgotten with their spill, so a later
-        :meth:`start` builds them again; without a state dir their
-        ingested rows are gone, and the store forgets their versions
-        and reuse entries with them.  A memory-plane session stays
+        :meth:`start` builds them again from the dataset log: a
+        durable one replays its ingested rows, an in-memory one serves
+        the base data as version 0 again and numbers its next batch
+        past every version already used.  A memory-plane session stays
         queryable after close and is kept, ingested rows included
         (an in-memory store could not replay them).
         """
@@ -1071,11 +1083,8 @@ class PrivBasisService:
         for session in self._sessions.values():
             session.close()
         if self._data_plane == "mmap":
-            for dataset in self._sessions:
-                self._coalescer.discard(dataset)
-                if not self._store.durable:
-                    self._store.forget_dataset(dataset)
-            self._sessions.clear()
+            for dataset in list(self._sessions):
+                self._forget_session(dataset)
         for directory in self._spill_dirs:
             shutil.rmtree(directory, ignore_errors=True)
         self._spill_dirs.clear()

@@ -21,6 +21,8 @@ from urllib.parse import parse_qs, urlsplit
 __all__ = [
     "HTTPRequest",
     "ProtocolError",
+    "encode_json",
+    "encode_response",
     "read_raw_response",
     "read_request",
     "read_response",
@@ -161,6 +163,34 @@ async def read_request(
     )
 
 
+def encode_json(payload: object) -> bytes:
+    """Compact JSON bytes for ``payload``.
+
+    ``NaN`` and ``±Infinity`` raise :class:`ValueError`: they are not
+    JSON, and a strict client cannot parse a body holding them.
+    """
+    return json.dumps(
+        payload, separators=(",", ":"), allow_nan=False
+    ).encode()
+
+
+def encode_response(status: int, payload: object) -> Tuple[int, bytes]:
+    """``(status, body)`` for a JSON response.
+
+    A payload with no JSON encoding answers a JSON 500 instead of
+    putting a non-JSON token on the wire.
+    """
+    try:
+        return status, encode_json(payload)
+    except ValueError as error:
+        return 500, encode_json(
+            {
+                "error": "internal_error",
+                "message": f"response has no JSON encoding: {error}",
+            }
+        )
+
+
 def write_response(
     writer: asyncio.StreamWriter,
     status: int,
@@ -168,17 +198,8 @@ def write_response(
     keep_alive: bool = True,
 ) -> None:
     """Serialize ``payload`` as a JSON response onto ``writer``."""
-    body = json.dumps(payload, separators=(",", ":")).encode()
-    reason = _STATUS_REASONS.get(status, "Unknown")
-    connection = "keep-alive" if keep_alive else "close"
-    head = (
-        f"HTTP/1.1 {status} {reason}\r\n"
-        f"Content-Type: application/json\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        f"Connection: {connection}\r\n"
-        f"\r\n"
-    )
-    writer.write(head.encode("latin-1") + body)
+    status, body = encode_response(status, payload)
+    write_raw_response(writer, status, body, keep_alive=keep_alive)
 
 
 def write_request(
@@ -188,11 +209,7 @@ def write_request(
     payload: Optional[object] = None,
 ) -> None:
     """Serialize one client request (JSON body optional)."""
-    body = (
-        b""
-        if payload is None
-        else json.dumps(payload, separators=(",", ":")).encode()
-    )
+    body = b"" if payload is None else encode_json(payload)
     head = (
         f"{method} {path} HTTP/1.1\r\n"
         f"Host: privbasis\r\n"

@@ -24,6 +24,7 @@ append — appends answer HTTP 403 ``ingest_forbidden``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
@@ -63,10 +64,16 @@ class Tenant:
                 f"tenant_id must be a non-empty string, "
                 f"got {self.tenant_id!r}"
             )
-        if not (self.epsilon_limit > 0):
+        # A bool is an int to Python but never a budget, and an
+        # infinite limit has no JSON encoding for /v1/budget to send.
+        if (
+            isinstance(self.epsilon_limit, bool)
+            or not (self.epsilon_limit > 0)
+            or not math.isfinite(self.epsilon_limit)
+        ):
             raise ValidationError(
                 f"epsilon_limit for tenant {self.tenant_id!r} must be "
-                f"positive, got {self.epsilon_limit!r}"
+                f"a positive finite number, got {self.epsilon_limit!r}"
             )
         self.epsilon_limit = float(self.epsilon_limit)
 
@@ -230,7 +237,9 @@ class TenantRegistry:
                 )
             try:
                 dataset = str(entry["dataset"])
-                epsilon_limit = float(entry["epsilon_limit"])  # type: ignore[arg-type]
+                epsilon_limit = entry["epsilon_limit"]
+                if not isinstance(epsilon_limit, bool):
+                    epsilon_limit = float(epsilon_limit)  # type: ignore[arg-type]
             except (KeyError, TypeError, ValueError):
                 raise ValidationError(
                     f"tenant {tenant_id!r} needs 'dataset' (str) and "

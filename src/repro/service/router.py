@@ -249,8 +249,9 @@ class ClusterRouter:
 
     @staticmethod
     def _unavailable_body(detail: str) -> bytes:
-        payload = error_to_wire(WorkerUnavailableError(detail))
-        return json.dumps(payload, separators=(",", ":")).encode()
+        return http.encode_json(
+            error_to_wire(WorkerUnavailableError(detail))
+        )
 
     async def _proxy(
         self, request: http.HTTPRequest
@@ -377,15 +378,9 @@ class ClusterRouter:
     ) -> Tuple[int, bytes]:
         """Answer or forward one parsed request (body stays raw)."""
         if request.path == "/healthz" and request.method == "GET":
-            body = json.dumps(
-                self.health_payload(), separators=(",", ":")
-            ).encode()
-            return 200, body
+            return http.encode_response(200, self.health_payload())
         if request.path == "/metrics" and request.method == "GET":
-            payload = await self.metrics_payload()
-            return 200, json.dumps(
-                payload, separators=(",", ":")
-            ).encode()
+            return http.encode_response(200, await self.metrics_payload())
         return await self._proxy(request)
 
     async def _handle_connection(

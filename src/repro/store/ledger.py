@@ -45,7 +45,7 @@ import os
 from pathlib import Path
 from typing import Dict, List, Tuple
 
-from repro.dp.budget import _REL_TOL
+from repro.dp.budget import _admits
 from repro.errors import (
     BudgetExceededError,
     StateStoreError,
@@ -67,12 +67,6 @@ LEDGER_SNAPSHOT = "ledger.snapshot.json"
 
 #: Lock file serializing cluster-shared ledger access.
 LEDGER_LOCK = "ledger.lock"
-
-
-def _admits(epsilon: float, spent: float, limit: float) -> bool:
-    """The tenant admission inequality: ``epsilon`` fits what ``limit``
-    leaves after ``spent``, up to a relative tolerance of the limit."""
-    return epsilon <= max(0.0, limit - spent) + _REL_TOL * limit
 
 
 def _require_debit(tenant_id: str, epsilon: float) -> None:

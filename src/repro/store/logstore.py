@@ -1,12 +1,14 @@
 """Durable streaming ingestion: per-dataset append WALs + checkpoints.
 
-The streaming layer (:mod:`repro.datasets.stream`) versions a
-dataset's data states: the base snapshot is version 0 and every
-ingested batch advances the version by one.  Those versions are part
-of the *public* serving contract — every release pins and reports the
-snapshot version it was computed on — so a restart must come back at
+A served dataset moves through versioned data states: the base
+snapshot is version 0 and every ingested batch gets the next version.
+Those versions are part of the *public* serving contract — every
+release pins and reports the snapshot version it was computed on — so
+a version must never name two data states: a restart comes back at
 the **same** version with the **same** data, or released results stop
-being attributable.
+being attributable.  :class:`DatasetLogStore` is the one owner of the
+numbering: :meth:`DatasetLogStore.record_append` assigns each batch
+its version and the serving session serves the number it is handed.
 
 :class:`DatasetLogStore` records exactly the information the loader
 cannot reproduce: the appended deltas.  The base dataset always comes
@@ -20,7 +22,11 @@ The store holds **no row data in memory** — the warm session's
 backend already owns a copy of everything ingested, and duplicating a
 long feed here would double resident memory without bound.  Live
 state is just the version watermark; :meth:`replay` (recovery) and
-:meth:`compact` re-read the checkpoint + WAL from disk on demand.
+:meth:`compact` re-read the checkpoint + WAL from disk on demand.  In
+memory the watermark is all there is: a session rebuilt without its
+ingested rows serves the base data as version 0 again, and its next
+batch still gets a version past the watermark — never one a lost data
+state used.
 
 Checkpoints fold the WAL into a single JSON file every
 ``checkpoint_interval`` appends, bounding replay cost for long feeds.
@@ -102,8 +108,8 @@ class DatasetLogStore:
     directory:
         The state root; this store owns
         ``logs/<dataset>.wal`` and ``logs/<dataset>.checkpoint.json``.
-        ``None`` keeps only the version watermark: appends are checked
-        and counted, nothing is written and nothing replays.
+        ``None`` keeps only the version watermark: appends are
+        numbered, nothing is written and nothing replays.
     dataset:
         The dataset name (sanitized for the filesystem).
     fsync:
@@ -230,9 +236,9 @@ class DatasetLogStore:
 
         ``rows`` is every appended transaction since the base
         snapshot, in ingest order, re-read from disk; the caller
-        extends its warm backend once with all of them and restores
-        ``version`` directly (the per-batch boundaries carry no
-        serving semantics beyond the final version number).
+        ingests them as one batch served at ``version`` (the per-batch
+        boundaries carry no serving semantics beyond the final
+        version number).
         """
         version, rows, _, _ = self._scan(collect=True)
         return version, rows
@@ -240,29 +246,22 @@ class DatasetLogStore:
     # ------------------------------------------------------------------
     # Live appends
     # ------------------------------------------------------------------
-    def record_append(
-        self, version: int, transactions: List[List[int]]
-    ) -> None:
-        """Journal one ingested batch that produced ``version``.
+    def record_append(self, transactions: List[List[int]]) -> int:
+        """Journal one ingested batch; returns the version it made.
 
-        Write-ahead relative to both the serving session *and* the
-        client acknowledgement: the service journals the validated
-        batch, applies it to the warm session, then calls
-        :meth:`sync` before answering.  Versions must advance by
-        exactly one — anything else means the caller and the store
-        disagree about the data's history.
+        The version is the watermark + 1, so no number is handed out
+        twice.  Write-ahead relative to both the serving session *and*
+        the client acknowledgement: the service journals the
+        validated batch, ingests it into the warm session at the
+        returned version, then calls :meth:`sync` before answering.
         """
-        if version != self._version + 1:
-            raise StateStoreError(
-                f"append for {self.dataset!r} carries version "
-                f"{version}, store is at {self._version}"
-            )
         if not transactions:
             raise ValidationError(
                 "cannot record an empty append (versions must advance "
                 "the data)"
             )
         rows = [[int(item) for item in row] for row in transactions]
+        version = self._version + 1
         self._wal.append(
             {
                 "type": "append",
@@ -275,6 +274,7 @@ class DatasetLogStore:
         self._wal_appends += 1
         if self._should_checkpoint():
             self.compact()
+        return version
 
     def _should_checkpoint(self) -> bool:
         """Amortized auto-checkpoint trigger.

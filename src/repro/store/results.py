@@ -7,11 +7,12 @@ post-processing under differential privacy.  Persisting released
 payloads therefore costs no privacy and buys two operational
 properties:
 
-* **warm restarts** — after a crash the service restores each
-  session's release counters and can answer "what did I already
-  publish for this tenant on this snapshot?" without recounting (or,
-  worse, without being tempted to re-run a mechanism and spend fresh
-  ε to reconstruct an answer that was already bought);
+* **warm restarts** — after a crash the service's release counters
+  (this store's aggregates are the only ones it keeps) come back, and
+  it can answer "what did I already publish for this tenant on this
+  snapshot?" without recounting (or, worse, without being tempted to
+  re-run a mechanism and spend fresh ε to reconstruct an answer that
+  was already bought);
 * **auditability** — the store is the operator's record tying every
   published output to the tenant that requested it, the ε it cost,
   and the exact data version it was computed on.
@@ -246,7 +247,8 @@ class ResultStore:
         return window
 
     def release_counts(self) -> Dict[str, int]:
-        """Per-dataset released-result counts (session rehydration).
+        """Per-dataset released-result counts — the service's one
+        release counter (``/metrics``, ``/v1/snapshot``).
 
         An O(1) copy of a running aggregate — safe to call from any
         thread (a dict copy is atomic under the GIL) and exact over
@@ -255,7 +257,7 @@ class ResultStore:
         return dict(self._counts)
 
     def epsilon_by_dataset(self) -> Dict[str, float]:
-        """Summed released ε per dataset (session ledger rehydration).
+        """Summed released ε per dataset (``/metrics``).
 
         Running aggregate of the ``epsilon`` field each wire payload
         carries (payloads without one contribute zero); same O(1) /

@@ -22,7 +22,7 @@ Without a directory (``StateStore(None)``, the service without
 ``--state-dir``) the same three stores run over
 :class:`~repro.store.wal.NullLog`: nothing is written or replayed, the
 result store keeps its bounded window, aggregates and per-tenant
-reuse indexes, and dataset logs only check and advance versions.
+reuse indexes, and dataset logs only number versions.
 
 Why the ledger is the load-bearing piece: the DP guarantee is
 sequential composition over *spent* ε, so the one invariant recovery
@@ -32,7 +32,6 @@ must never violate is **journaled spent ≥ released spent** — see
 
 from __future__ import annotations
 
-import sys
 from typing import Dict, List
 
 from repro.errors import StateStoreError
@@ -185,17 +184,6 @@ class StateStore:
             self._dataset_logs[dataset] = store
             self.recovery.torn_records += store.torn_records
         return store
-
-    def forget_dataset(self, dataset: str) -> None:
-        """Drop ``dataset``'s version watermark and reuse entries.
-
-        For a session whose ingested rows are lost and that an
-        in-memory store cannot replay: the rebuilt session starts
-        again at version 0 from the loader, and no snapshot version
-        or stored release may still name the lost data state.
-        """
-        self._dataset_logs.pop(dataset, None)
-        self.results.invalidate_reuse(dataset, sys.maxsize)
 
     def barrier(self) -> None:
         """One durability barrier over the ledger and result WALs.

@@ -157,7 +157,7 @@ def _frame(seq: int, payload: Dict[str, Any]) -> bytes:
     """Serialize one framed record line (canonical payload + CRC)."""
     try:
         body = json.dumps(
-            payload, sort_keys=True, separators=(",", ":")
+            payload, sort_keys=True, separators=(",", ":"), allow_nan=False
         )
     except (TypeError, ValueError) as error:
         raise ValidationError(
@@ -184,7 +184,12 @@ def _unframe(line: bytes) -> Optional[Tuple[int, Dict[str, Any]]]:
         return None
     if not isinstance(payload, dict):
         return None
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    try:
+        body = json.dumps(
+            payload, sort_keys=True, separators=(",", ":"), allow_nan=False
+        )
+    except ValueError:
+        return None  # NaN/Infinity: not a record _frame could write
     if zlib.crc32(body.encode("utf-8")) != crc:
         return None
     return seq, payload

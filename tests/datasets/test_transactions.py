@@ -170,6 +170,82 @@ class TestCanonicalItemset:
         assert canonical_itemset([]) == ()
 
 
+def random_rows(seed: int, count: int, num_items: int = 12):
+    rng = np.random.default_rng(seed)
+    member = rng.random((count, num_items)) < 0.35
+    return [np.flatnonzero(row).tolist() for row in member]
+
+
+class TestExtended:
+    """``extended`` — the append substrate beneath every backend's
+    incremental ``extend`` path."""
+
+    def test_base_survives_extension_bit_identical(self):
+        base = TransactionDatabase(random_rows(7, 8), num_items=12)
+        supports_before = base.item_supports()
+        grown = base.extended(
+            TransactionDatabase(random_rows(8, 5), num_items=12)
+        )
+        np.testing.assert_array_equal(
+            base.item_supports(), supports_before
+        )
+        assert base.num_transactions == 8
+        assert grown.num_transactions == 13
+
+    def test_warm_state_carries_over_and_matches_cold(self):
+        rows = random_rows(9, 30)
+        warm = TransactionDatabase(rows[:20], num_items=12)
+        warm.item_supports()
+        warm.tidlist(3)  # force the inverted index
+        warm = warm.extended(TransactionDatabase(rows[20:], num_items=12))
+        cold = TransactionDatabase(rows, num_items=12)
+        np.testing.assert_array_equal(
+            warm.item_supports(), cold.item_supports()
+        )
+        for item in range(12):
+            np.testing.assert_array_equal(
+                warm.tidlist(item), cold.tidlist(item)
+            )
+        assert warm.support([0, 3]) == cold.support([0, 3])
+
+    def test_prefix_slices_are_views_of_the_head(self):
+        rows = random_rows(10, 3)
+        head = TransactionDatabase(rows, num_items=12)
+        for seed in range(20):
+            head = head.extended(
+                TransactionDatabase(random_rows(100 + seed, 2), num_items=12)
+            )
+        old = head.slice(0, 3)
+        assert list(old) == [tuple(row) for row in rows]
+        assert np.shares_memory(old.items, head.items)
+
+    def test_preserves_labels_and_rejects_mismatch(self):
+        labels = [f"item{i}" for i in range(5)]
+        base = TransactionDatabase(
+            [[0, 1], [2]], num_items=5, item_labels=labels
+        )
+        grown = base.extended(
+            TransactionDatabase([[3, 4]], num_items=5)
+        )
+        assert grown.item_labels == tuple(labels)
+        assert grown.num_transactions == 3
+        with pytest.raises(ValidationError):
+            base.extended(TransactionDatabase([[0]], num_items=4))
+
+    def test_with_empty_sides(self):
+        base = TransactionDatabase([[0, 1]], num_items=3)
+        empty = TransactionDatabase([], num_items=3)
+        base.item_supports()
+        base.tidlist(0)
+        grown = base.extended(empty)
+        assert grown.num_transactions == 1
+        grown_other = empty.extended(base)
+        assert grown_other.num_transactions == 1
+        np.testing.assert_array_equal(
+            grown_other.item_supports(), base.item_supports()
+        )
+
+
 class TestHypothesisInvariants:
     @given(transactions=transactions_strategy)
     @settings(max_examples=60)

@@ -83,6 +83,42 @@ class TestSpending:
             budget.spend_all()
 
 
+class TestOneAdmissionInequality:
+    """The per-release ledger and the service's per-tenant journal
+    admit exactly the same spends: one inequality, one tolerance."""
+
+    @pytest.mark.parametrize(
+        "epsilon, spent, limit, admitted",
+        [
+            (0.2, 0.1, 0.3, True),  # 0.3 - 0.1 = 0.19999999999999998
+            (0.3, 0.0, 0.3, True),  # exact fit
+            (0.5, 0.5, 1.0, True),
+            (1.0 + 5e-10, 0.0, 1.0, True),  # inside the tolerance
+            (1.0 + 2e-9, 0.0, 1.0, False),  # just past it
+            (0.6, 0.5, 1.0, False),
+            (1e12, 3.0, math.inf, True),  # an infinite limit
+        ],
+    )
+    def test_budget_and_journal_agree(self, epsilon, spent, limit, admitted):
+        from repro.store.ledger import LedgerJournal
+
+        budget = PrivacyBudget(limit)
+        journal = LedgerJournal(None)
+        if spent:
+            budget.spend(spent)
+            journal.debit("t", spent)
+        assert journal.affords("t", epsilon, limit) is admitted
+        for spend in (
+            lambda: budget.spend(epsilon),
+            lambda: journal.debit_within_limit("t", epsilon, limit),
+        ):
+            if admitted:
+                spend()
+            else:
+                with pytest.raises(BudgetExceededError):
+                    spend()
+
+
 class TestSplit:
     def test_paper_alphas(self):
         budget = PrivacyBudget(2.0)

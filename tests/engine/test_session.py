@@ -20,7 +20,7 @@ from repro.engine import (
     CachedBackend,
     PrivBasisSession,
 )
-from repro.errors import BudgetExceededError, ValidationError
+from repro.errors import ValidationError
 from tests.engine.spill import spilled
 
 
@@ -167,62 +167,42 @@ class TestCacheBehavior:
             clear_caches()
 
 
-class TestBudgetAccounting:
-    def test_epsilon_accumulates(self, database):
-        session = PrivBasisSession(database)
-        session.release(k=5, epsilon=0.5, rng=1)
-        session.release(k=5, epsilon=0.25, rng=2)
-        assert session.epsilon_spent == pytest.approx(0.75)
-        assert session.num_releases == 2
+class TestBatchAllOrNothing:
+    """A batch or release that fails validation runs nothing: no
+    backend query, so no noise is drawn and nothing is published."""
 
-    def test_epsilon_limit_enforced(self, database):
-        session = PrivBasisSession(database, epsilon_limit=1.0)
-        session.release(k=5, epsilon=0.8, rng=1)
-        with pytest.raises(BudgetExceededError):
-            session.release(k=5, epsilon=0.3, rng=2)
-        # The failed release spent nothing.
-        assert session.epsilon_spent == pytest.approx(0.8)
-        session.release(k=5, epsilon=0.2, rng=3)  # exactly fits
+    def test_session_keeps_no_ledger(self, database):
+        # The service's per-tenant journal (or a caller's own
+        # PrivacyBudget) owns ε accounting; the session takes no limit.
+        with pytest.raises(TypeError):
+            PrivBasisSession(database, epsilon_limit=1.0)
 
-    def test_batch_charged_up_front(self, database):
-        session = PrivBasisSession(database, epsilon_limit=1.0)
-        with pytest.raises(BudgetExceededError):
-            session.release_batch([(5, 0.6), (5, 0.6)])
-        assert session.epsilon_spent == 0.0
-        assert session.num_releases == 0
-
-    def test_batch_validates_before_spending(self, database):
+    def test_batch_validates_before_any_release(self, database):
         # A bad epsilon or k anywhere in the batch must fail the whole
         # batch before any release runs (all-or-nothing contract).
-        session = PrivBasisSession(database, epsilon_limit=1.2)
+        session = PrivBasisSession(database)
         with pytest.raises(ValidationError):
             session.release_batch([(5, 1.0), (5, -0.5)])
         with pytest.raises(ValidationError):
             session.release_batch([(5, 0.5), (0, 0.5)])
-        assert session.epsilon_spent == 0.0
-        assert session.num_releases == 0
+        assert session.cache_info() == {}
 
     @pytest.mark.parametrize(
         "request_",
         [{"k": 5, "epsilon": "abc"}, (5, None), (2.7, 0.5), (True, 0.5)],
     )
     def test_batch_rejects_unconvertible_requests(self, database, request_):
-        session = PrivBasisSession(database, epsilon_limit=2.0)
+        session = PrivBasisSession(database)
         with pytest.raises(ValidationError):
             session.release_batch([(5, 0.5), request_])
-        assert session.epsilon_spent == 0.0
-        assert session.num_releases == 0
+        assert session.cache_info() == {}
 
     @pytest.mark.parametrize("k", [2.7, True])
     def test_release_never_truncates_k(self, database, k):
         session = PrivBasisSession(database)
         with pytest.raises(ValidationError):
             session.release(k=k, epsilon=0.1, rng=1)
-        assert session.epsilon_spent == 0.0
-
-    def test_invalid_epsilon_limit(self, database):
-        with pytest.raises(ValidationError):
-            PrivBasisSession(database, epsilon_limit=0.0)
+        assert session.cache_info() == {}
 
 
 class TestBatch:
@@ -235,7 +215,7 @@ class TestBatch:
             ]
         )
         assert [result.k for result in results] == [5, 8]
-        assert session.epsilon_spent == pytest.approx(1.5)
+        assert [result.epsilon for result in results] == [0.5, 1.0]
 
     def test_batch_empty(self, database):
         session = PrivBasisSession(database)

@@ -8,8 +8,9 @@ from scratch.  Appends are deliberately sized so the packed-bitmap
 path crosses (and lands on) non-byte-aligned boundaries.
 
 The session half: releases pin the snapshot version they were computed
-on, are deterministic per (seed, snapshot), and the caching layer
-invalidates per snapshot instead of serving stale answers.
+on, are deterministic per (seed, snapshot), a session serves the
+version it is handed, and the caching layer invalidates per snapshot
+instead of serving stale answers.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.datasets.stream import TransactionLog
 from repro.datasets.transactions import TransactionDatabase
 from repro.engine import (
     BitmapBackend,
@@ -182,11 +182,14 @@ class TestExtendMechanics:
         backend = CachedBackend(BitmapBackend(base))
         basis = [0, 2, 5]
         stale = backend.bin_counts(basis)
-        assert backend.snapshot_version == 0
+        assert backend.bin_counts(basis).sum() == 30  # memo hit
         delta = random_database(7, 12)
         backend.extend(delta)
-        assert backend.snapshot_version == 1
         fresh = backend.bin_counts(basis)
+        # The append dropped the memo: the post-append read missed.
+        assert backend.cache_info()["bin_counts"] == {
+            "hits": 1, "misses": 2,
+        }
         assert fresh.sum() == 42
         assert stale.sum() == 30  # the old copy was never mutated
         oracle = NaiveBackend(backend.database)
@@ -216,10 +219,7 @@ class TestSnapshotAwareSession:
     @pytest.mark.parametrize("seed", (1, 2))
     def test_release_is_deterministic_per_seed_and_snapshot(self, seed):
         def run():
-            log = TransactionLog.from_database(
-                random_database(12, 50)
-            )
-            session = PrivBasisSession(log, rng=seed)
+            session = PrivBasisSession(random_database(12, 50), rng=seed)
             results = [session.release(k=6, epsilon=1.0)]
             session.ingest(list(random_database(13, 8)))
             results.append(session.release(k=6, epsilon=1.0))
@@ -232,29 +232,35 @@ class TestSnapshotAwareSession:
         # Different snapshots of one run are genuinely different data.
         assert first[0].snapshot_version != first[1].snapshot_version
 
-    def test_session_follows_an_external_log_via_sync(self):
-        log = TransactionLog.from_database(random_database(14, 40))
-        session = PrivBasisSession(log, rng=0)
-        assert session.log is log
-        log.append(list(random_database(15, 6)))
-        log.append(list(random_database(16, 4)))
-        assert session.snapshot_version == 0  # not yet synced
-        assert session.sync() == 2
-        assert session.database.num_transactions == 50
-        # One extend covered both missed versions; data matches oracle.
-        oracle = NaiveBackend(log.snapshot().database)
+    def test_session_serves_the_version_it_is_handed(self):
+        base = random_database(14, 40)
+        session = PrivBasisSession(base, rng=0)
+        # A restart replays a log's two batches, flattened, in one
+        # call served at the log's version.
+        rows = list(random_database(15, 6)) + list(random_database(16, 4))
+        assert session.ingest(rows, version=2) == 2
+        assert session.snapshot_version == 2
+        oracle = NaiveBackend(
+            TransactionDatabase(list(base) + rows, num_items=14)
+        )
         np.testing.assert_array_equal(
             session.backend.item_supports(), oracle.item_supports()
         )
+        # Numbers a lost data state used may be skipped; a bare ingest
+        # then counts on from the version served.
+        assert session.ingest([[0, 1]], version=5) == 5
+        assert session.ingest([[2]]) == 6
+        assert session.release(k=5, epsilon=1.0).snapshot_version == 6
 
-    def test_ingest_consumes_no_budget(self):
-        session = PrivBasisSession(
-            random_database(17, 40), epsilon_limit=1.0, rng=0
-        )
-        session.release(k=5, epsilon=0.5)
-        session.ingest([[0, 1], [2]])
-        assert session.epsilon_spent == pytest.approx(0.5)
-        session.release(k=5, epsilon=0.5)  # still fits the limit
+    @pytest.mark.parametrize("version", (0, 1))
+    def test_ingest_version_must_advance(self, version):
+        session = PrivBasisSession(random_database(17, 40), rng=0)
+        session.ingest([[0, 1]])
+        with pytest.raises(ValidationError):
+            session.ingest([[2]], version=version)
+        # The refused batch touched nothing.
+        assert session.snapshot_version == 1
+        assert session.backend.num_transactions == 41
 
     def test_empty_ingest_is_rejected(self):
         session = PrivBasisSession(random_database(18, 20), rng=0)

@@ -23,7 +23,6 @@ from repro.core.construct_basis import construct_basis_set
 from repro.core.freq_elements import get_frequent_items, get_frequent_pairs
 from repro.core.lambda_select import get_lambda
 from repro.core.privbasis import privbasis
-from repro.datasets.stream import TransactionLog
 from repro.datasets.transactions import TransactionDatabase
 from repro.dp.budget import PrivacyBudget
 from repro.dp.rng import ensure_rng
@@ -221,16 +220,14 @@ class TestGoldenEquivalence:
         assert _fingerprint(staged) == legacy
 
     def test_streaming_session_snapshot_path(self):
-        """The snapshot-aware session over a live log stays equivalent
+        """The snapshot-aware session after an ingest stays equivalent
         to the legacy monolith on the pinned snapshot."""
-        log = TransactionLog(
-            4, [(0, 1, 2), (0, 1), (2, 3)] * 12
-        )
-        session = PrivBasisSession(log)
-        log.append([(0, 3), (1, 2)] * 10)
-        session.sync()
-        merged = log.snapshot().database
+        base = [(0, 1, 2), (0, 1), (2, 3)] * 12
+        delta = [(0, 3), (1, 2)] * 10
+        session = PrivBasisSession(TransactionDatabase(base, num_items=4))
+        version = session.ingest(delta)
+        merged = TransactionDatabase(base + delta, num_items=4)
         staged = session.release(k=5, epsilon=1.2, rng=21)
         legacy = _legacy_privbasis(merged, k=5, epsilon=1.2, rng=21)
         assert _fingerprint(staged) == legacy
-        assert staged.snapshot_version == log.version
+        assert staged.snapshot_version == version == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
@@ -142,6 +143,58 @@ class TestResponseRoundtrip:
         status, payload = asyncio.run(scenario())
         assert status == 403
         assert payload == {"error": "x"}
+
+    def test_non_json_float_answers_a_json_500(self):
+        written = []
+
+        class FakeWriter:
+            def write(self, data: bytes) -> None:
+                written.append(data)
+
+        http.write_response(FakeWriter(), 200, {"spent": float("inf")})
+        head, _, body = b"".join(written).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 500 ")
+        payload = json.loads(body, parse_constant=_refuse_constant)
+        assert payload["error"] == "internal_error"
+
+    def test_request_with_non_json_float_is_refused(self):
+        class FakeWriter:
+            def write(self, data: bytes) -> None:
+                raise AssertionError("nothing may be written")
+
+        with pytest.raises(ValueError):
+            http.write_request(
+                FakeWriter(), "POST", "/v1/release",
+                {"k": 5, "epsilon": float("nan")},
+            )
+
+
+def _refuse_constant(token: str):
+    raise AssertionError(f"non-JSON token {token!r} on the wire")
+
+
+class TestRouterEncoding:
+    """The router encodes its own answers as strictly as a worker."""
+
+    def test_healthz_and_metrics_never_emit_non_json_tokens(
+        self, monkeypatch
+    ):
+        from repro.service.router import ClusterRouter
+
+        router = ClusterRouter(
+            {"alice": "d"}, info=lambda: {"limit": float("inf")}
+        )
+
+        async def metrics_payload():
+            return {"workers": {"0": {"spent": float("nan")}}}
+
+        monkeypatch.setattr(router, "metrics_payload", metrics_payload)
+        for path in ("/healthz", "/metrics"):
+            request = http.HTTPRequest("GET", path)
+            status, body = asyncio.run(router.dispatch(request))
+            assert status == 500, path
+            payload = json.loads(body, parse_constant=_refuse_constant)
+            assert payload["error"] == "internal_error"
 
 
 class TestReleaseRequestValidation:

@@ -425,9 +425,10 @@ def test_restarted_memory_mmap_service_forgets_lost_ingests(
     tmp_path, monkeypatch
 ):
     """Without a state dir an mmap session's ingested rows go with its
-    spill at stop(); the dataset's version and reuse entries go too,
-    so ingesting after a restart answers 200 and no snapshot version
-    (reuse hits included) names two data states."""
+    spill at stop(): the restarted session serves the base data as
+    version 0 again, and the next ingest gets a version past the
+    dataset log's watermark, so no snapshot version (reuse hits
+    included) names two data states."""
     import tempfile
 
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
@@ -457,12 +458,12 @@ def test_restarted_memory_mmap_service_forgets_lost_ingests(
     assert stored["snapshot_version"] == 1
     assert restarted["snapshot_version"] == 0
     assert restarted["num_transactions"] == 200
-    assert ingested["snapshot_version"] == 1
+    # Version 1 named the lost data state; it is never handed out again.
+    assert ingested["snapshot_version"] == 2
     assert ingested["num_transactions"] == 202
-    # The release stored at the lost version 1 must not answer for
-    # the new version 1.
+    # The release stored at the lost version 1 answers for no other.
     assert dominated["reuse"]["hit"] is False
-    assert dominated["snapshot_version"] == 1
+    assert dominated["snapshot_version"] == 2
 
 
 @pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
@@ -549,3 +550,46 @@ def test_restarted_memory_service_keeps_ingested_rows():
     assert first["snapshot_version"] == 1
     assert second["snapshot_version"] == 2
     assert second["num_transactions"] == first["num_transactions"] + 1
+
+
+def test_failed_apply_after_journal_rebuilds_from_the_log(
+    tmp_path, monkeypatch
+):
+    """An ingest whose batch was journaled but never reached the
+    session (here: an injected extend failure) must not leave the
+    session serving later versions without that batch: the session is
+    dropped and rebuilt from the log, so the live data state at every
+    version is the one a restart replays."""
+    from repro.engine.cache import CachedBackend
+
+    real_extend = CachedBackend.extend
+    failures = []
+
+    def extend_failing_once(self, delta):
+        if not failures:
+            failures.append(delta)
+            raise OSError("injected extend failure")
+        return real_extend(self, delta)
+
+    async def scenario():
+        service = make_service(tmp_path)
+        await service.handle_snapshot("alice")
+        monkeypatch.setattr(CachedBackend, "extend", extend_failing_once)
+        with pytest.raises(OSError):
+            await service.handle_ingest(
+                {"tenant": "alice", "transactions": [[3]]}
+            )
+        await service.handle_ingest(
+            {"tenant": "alice", "transactions": [[3, 4]]}
+        )
+        live = await service.handle_snapshot("alice")
+        monkeypatch.setattr(CachedBackend, "extend", real_extend)
+        await service.stop()
+        restarted = make_service(tmp_path)
+        replayed = await restarted.handle_snapshot("alice")
+        await restarted.stop()
+        return live, replayed
+
+    live, replayed = asyncio.run(scenario())
+    assert live["snapshot_version"] == replayed["snapshot_version"] == 2
+    assert live["num_transactions"] == replayed["num_transactions"] == 202

@@ -129,11 +129,13 @@ class TestTwoTenantScenario:
             assert [
                 entry["epsilon"] for entry in snapshot["ledger"]["entries"]
             ] == [pytest.approx(0.5)]
-        # The shared session saw both releases (dataset-level total).
+        # The result store counted both releases (dataset-level
+        # total); no session-level limit exists to report.
         assert metrics["datasets"][DATASET]["num_releases"] == 2
         assert metrics["datasets"][DATASET]["epsilon_spent"] == (
             pytest.approx(1.0)
         )
+        assert "epsilon_limit" not in metrics["datasets"][DATASET]
 
     def test_warm_requests_hit_caches_without_rebuilds(self):
         async def scenario():

@@ -7,9 +7,11 @@ it is bound to (the service binds its store's journal at startup).
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.errors import BudgetExceededError
+from repro.errors import BudgetExceededError, ValidationError
 from repro.service.registry import Tenant, TenantRegistry
 from repro.store import LedgerJournal
 
@@ -78,3 +80,27 @@ class TestTenantLedger:
                 "entries": [{"label": "release k=5", "epsilon": 0.5}],
             },
         }
+
+
+class TestTenantLimit:
+    """A limit ``/v1/budget`` could not encode as JSON, or a config
+    ``true`` Python would read as 1.0, is refused at startup."""
+
+    @pytest.mark.parametrize(
+        "limit", [float("inf"), float("nan"), True],
+        ids=["infinity", "nan", "bool"],
+    )
+    def test_non_finite_and_bool_limits_are_refused(self, limit):
+        with pytest.raises(ValidationError, match="finite"):
+            Tenant("alice", "d", limit)
+        with pytest.raises(ValidationError, match="finite"):
+            TenantRegistry.from_mapping(
+                {"alice": {"dataset": "d", "epsilon_limit": limit}}
+            )
+
+    def test_config_infinity_is_refused(self):
+        config = json.loads(
+            '{"alice": {"dataset": "d", "epsilon_limit": Infinity}}'
+        )
+        with pytest.raises(ValidationError):
+            TenantRegistry.from_mapping(config)

@@ -113,8 +113,7 @@ class CrashHarness:
 
     def ingest(self, dataset, rows, crash_at=None) -> None:
         log = self.store.dataset_log(dataset)
-        version = self.acked_versions[dataset] + 1
-        log.record_append(version, rows)
+        version = log.record_append(rows)
         if crash_at == "after_append":
             raise CrashNow()
         log.sync()

@@ -143,8 +143,8 @@ class TestDatasetLogStore:
         self, tmp_path
     ):
         store = DatasetLogStore(tmp_path, "mushroom")
-        store.record_append(1, [[1, 2], [3]])
-        store.record_append(2, [[4]])
+        store.record_append([[1, 2], [3]])
+        store.record_append([[4]])
         store.sync()
         store.close()
 
@@ -153,25 +153,28 @@ class TestDatasetLogStore:
         assert version == 2
         assert rows == [[1, 2], [3], [4]]
 
-    def test_version_must_advance_by_exactly_one(self, tmp_path):
+    def test_record_append_numbers_the_versions(self, tmp_path):
+        # The log is the one owner of the numbering: each batch gets
+        # the watermark + 1, and a reopened log counts on from disk.
         store = DatasetLogStore(tmp_path, "mushroom")
-        store.record_append(1, [[1]])
-        with pytest.raises(StateStoreError, match="version"):
-            store.record_append(3, [[2]])
-        with pytest.raises(StateStoreError, match="version"):
-            store.record_append(1, [[2]])
+        assert store.record_append([[1]]) == 1
+        assert store.record_append([[2]]) == 2
+        store.close()
+        reopened = DatasetLogStore(tmp_path, "mushroom")
+        assert reopened.version == 2
+        assert reopened.record_append([[3]]) == 3
 
     def test_empty_appends_are_rejected(self, tmp_path):
         store = DatasetLogStore(tmp_path, "mushroom")
         with pytest.raises(ValidationError, match="empty"):
-            store.record_append(1, [])
+            store.record_append([])
 
     def test_checkpoint_interval_folds_the_wal(self, tmp_path):
         store = DatasetLogStore(
             tmp_path, "mushroom", checkpoint_interval=3
         )
         for version in range(1, 5):
-            store.record_append(version, [[version]])
+            store.record_append([[version]])
         store.close()
 
         recovered = DatasetLogStore(tmp_path, "mushroom")
@@ -184,8 +187,8 @@ class TestDatasetLogStore:
         # crash between the two leaves WAL records the checkpoint
         # already covers; replay must not double-append them.
         store = DatasetLogStore(tmp_path, "mushroom")
-        store.record_append(1, [[1]])
-        store.record_append(2, [[2]])
+        store.record_append([[1]])
+        store.record_append([[2]])
         wal_bytes = (
             tmp_path / "logs" / "mushroom.wal"
         ).read_bytes()
@@ -206,7 +209,7 @@ class TestDatasetLogStore:
             tmp_path, "mushroom", checkpoint_interval=None
         )
         for version in range(1, 200):
-            store.record_append(version, [[version % 5]])
+            store.record_append([[version % 5]])
         store.close()
         assert not (
             tmp_path / "logs" / "mushroom.checkpoint.json"
@@ -217,7 +220,7 @@ class TestDatasetLogStore:
         ) as facade:
             log = facade.dataset_log("d")
             for version in range(1, 100):
-                log.record_append(version, [[1]])
+                log.record_append([[1]])
         assert not (
             tmp_path / "facade" / "logs" / "d.checkpoint.json"
         ).exists()
@@ -227,7 +230,7 @@ class TestDatasetLogStore:
     ):
         assert "/" not in sanitize_dataset_name("../../etc/passwd")
         store = DatasetLogStore(tmp_path, "../evil")
-        store.record_append(1, [[1]])
+        store.record_append([[1]])
         store.close()
         inside = list((tmp_path / "logs").iterdir())
         assert inside  # files landed inside logs/, nowhere else
@@ -298,7 +301,7 @@ class TestStateStoreFacade:
         with StateStore(tmp_path) as store:
             store.ledger.debit("alice", 0.5, "r")
             store.results.record("alice", "d", 0, {"epsilon": 0.5})
-            store.dataset_log("d").record_append(1, [[1]])
+            store.dataset_log("d").record_append([[1]])
             store.barrier()
 
         with StateStore(tmp_path) as recovered:
@@ -314,7 +317,7 @@ class TestStateStoreFacade:
         self, tmp_path
     ):
         with StateStore(tmp_path) as store:
-            store.dataset_log("kosarak").record_append(1, [[5]])
+            store.dataset_log("kosarak").record_append([[5]])
             store.barrier()
 
         # A fresh facade that never touched the dataset still compacts
@@ -362,19 +365,17 @@ class TestInMemoryStateStore:
         with StateStore(None) as store:
             store.ledger.debit("alice", 0.5, "r")
             store.results.record("alice", "d", 0, {"epsilon": 0.5})
-            store.dataset_log("d").record_append(1, [[1]])
+            store.dataset_log("d").record_append([[1]])
             store.barrier()
         assert list(tmp_path.iterdir()) == []
 
-    def test_dataset_log_checks_versions_and_holds_no_rows(self):
+    def test_dataset_log_numbers_versions_and_holds_no_rows(self):
         log = StateStore(None).dataset_log("d")
         # Past the default checkpoint interval: nothing to fold.
         for version in range(1, 71):
-            log.record_append(version, [[1, 2], [3]])
+            assert log.record_append([[1, 2], [3]]) == version
         assert log.version == 70
         assert log.replay() == (0, [])
-        with pytest.raises(StateStoreError):
-            log.record_append(72, [[5]])
 
     def test_results_keep_window_aggregates_and_reuse(self):
         results = StateStore(None).results
@@ -400,25 +401,22 @@ class TestInMemoryStateStore:
         monkeypatch.setattr(os, "fsync", no_fsync)
         store = StateStore(None)
         store.results.record("alice", "d", 0, {"epsilon": 0.5})
-        store.dataset_log("d").record_append(1, [[1]])
+        store.dataset_log("d").record_append([[1]])
         store.barrier()
         store.dataset_log("d").sync()
         assert store.ledger.stats()["fsyncs"] == 0
 
-    def test_forget_dataset_drops_its_version_and_reuse_entries(self):
+    def test_watermark_outlives_close(self):
+        # What a restarted service relies on: rows an in-memory store
+        # never held replay as (0, []), yet the next batch still gets
+        # a version no earlier data state used.
         store = StateStore(None)
-        store.dataset_log("d").record_append(1, [[1]])
-        store.dataset_log("e").record_append(1, [[1]])
-        payload = {"k": 2, "epsilon": 1.0, "itemsets": [[[1], 5.0]]}
-        store.results.record("alice", "d", 1, payload)
-        store.results.record("alice", "e", 1, payload)
-        store.forget_dataset("d")
-        assert store.dataset_log("d").version == 0
-        assert store.dataset_log("e").version == 1
-        assert not store.results.reuse_lookup("alice", "d", 1, 2, 0.5).hit
-        assert store.results.reuse_lookup("alice", "e", 1, 2, 0.5).hit
+        store.dataset_log("d").record_append([[1]])
+        store.close()
+        assert store.dataset_log("d").replay() == (0, [])
+        assert store.dataset_log("d").record_append([[2]]) == 2
 
     def test_colliding_dataset_stems_are_allowed(self):
         store = StateStore(None)
-        store.dataset_log("retail/a").record_append(1, [[1]])
+        store.dataset_log("retail/a").record_append([[1]])
         assert store.dataset_log("retail_a").version == 0

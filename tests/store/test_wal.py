@@ -9,6 +9,8 @@ real on-disk bytes.
 
 from __future__ import annotations
 
+import zlib
+
 import pytest
 
 from repro.errors import StateStoreError, ValidationError
@@ -57,6 +59,14 @@ class TestAppendReplay:
         with pytest.raises(ValidationError, match="JSON-serializable"):
             wal.append({"bad": object()})
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_json_float_is_rejected(self, tmp_path, value):
+        wal = WriteAheadLog(tmp_path / "a.wal")
+        with pytest.raises(ValidationError, match="JSON-serializable"):
+            wal.append({"epsilon": value})
+        wal.close()
+        assert (tmp_path / "a.wal").read_bytes() == b""
+
     # "never" is refused too: a barrier without fsync could let a
     # power loss under-count journaled ε.
     @pytest.mark.parametrize("policy", ["sometimes", "never"])
@@ -93,6 +103,22 @@ class TestTornTails:
 
         replay = reopened(path).replay()
         assert [record["n"] for record in replay] == [0, 1]
+        assert replay.torn_records == 1
+
+    def test_non_json_float_record_counts_as_damage(self, tmp_path):
+        # A well-framed line whose payload holds Infinity is no record
+        # this WAL could have written.
+        path = tmp_path / "a.wal"
+        self._write(path, count=1)
+        body = '{"epsilon":Infinity}'
+        crc = zlib.crc32(body.encode("utf-8"))
+        with open(path, "ab") as handle:
+            handle.write(
+                f'{{"seq":1,"crc":{crc},"payload":{body}}}\n'.encode()
+            )
+
+        replay = reopened(path).replay()
+        assert [record["n"] for record in replay] == [0]
         assert replay.torn_records == 1
 
     def test_damage_in_the_middle_drops_everything_after(self, tmp_path):

@@ -56,7 +56,7 @@ class TestExamples:
 
     def test_streaming_ingest(self):
         out = run_example("streaming_ingest.py", "--smoke")
-        assert "log at v0" in out
+        assert "session at v0" in out
         assert "v2:" in out  # releases advanced with the feed
         assert "historical snapshot v0" in out
 
