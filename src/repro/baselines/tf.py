@@ -216,7 +216,9 @@ def _mine_explicit(
 
     Support floor = ``ceil(truncation·N)``, raised (degenerate regime)
     until the *a-priori bound* ``Σ_{i≤m} C(|items ≥ floor|, i)`` on the
-    mined set fits ``explicit_cap``.
+    mined set fits ``explicit_cap``.  Keys come in ascending tuple
+    order: both selection variants draw their noise in key order, so
+    seeded releases do not depend on how the miner walks the lattice.
     """
     backend = resolve_backend(backend)
     database = backend.database
@@ -228,8 +230,10 @@ def _mine_explicit(
     entry = _EXPLICIT_MINING_CACHE.get(key)
     if entry is not None and entry[0] is database:
         return entry[1]
-    mined = fpgrowth(database, min_support=floor, max_length=m,
-                     backend=backend)
+    mined = dict(sorted(
+        fpgrowth(database, min_support=floor, max_length=m,
+                 backend=backend).items()
+    ))
     if len(_EXPLICIT_MINING_CACHE) >= _EXPLICIT_MINING_CACHE_LIMIT:
         _EXPLICIT_MINING_CACHE.clear()
     _EXPLICIT_MINING_CACHE[key] = (database, mined)
