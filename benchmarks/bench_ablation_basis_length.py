@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from conftest import run_once
-
 from repro.core.basis import BasisSet
 from repro.core.basis_freq import noisy_bin_counts
 from repro.core.error_variance import singleton_grouping_ev
@@ -56,7 +54,7 @@ def _empirical_item_variance(database, group_size, rng):
     return squared_error / samples
 
 
-def bench_ablation_basis_length(benchmark):
+def bench_ablation_basis_length(run_once):
     config = QuestConfig(
         num_transactions=400,
         num_items=NUM_ITEMS,
@@ -71,7 +69,7 @@ def bench_ablation_basis_length(benchmark):
             for size in GROUP_SIZES
         }
 
-    measured = run_once(benchmark, measure)
+    measured = run_once(measure)
     analytic = {
         size: singleton_grouping_ev(size, NUM_ITEMS)
         for size in GROUP_SIZES

@@ -12,8 +12,6 @@ uses (no split logic is re-implemented here).
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.datasets.registry import load_dataset
 from repro.experiments.runner import pb_spec, run_trials
 from repro.pipeline import AdaptivePlanner, CustomPlanner, PaperPlanner
@@ -35,7 +33,7 @@ EPSILON = 0.5
 TRIALS = 5
 
 
-def bench_ablation_budget(benchmark, root_seed):
+def bench_ablation_budget(run_once, root_seed):
     database = load_dataset("mushroom")
 
     def measure():
@@ -58,7 +56,7 @@ def bench_ablation_budget(benchmark, root_seed):
             )
         return rows
 
-    rows = run_once(benchmark, measure)
+    rows = run_once(measure)
 
     print()
     print(

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from conftest import run_once
-
 from repro.core.postprocess import enforce_consistency, is_consistent
 from repro.core.privbasis import privbasis
 from repro.datasets.registry import load_dataset
@@ -39,7 +37,7 @@ def _absolute_errors(database, release, repaired):
     )
 
 
-def bench_ablation_consistency(benchmark, root_seed):
+def bench_ablation_consistency(run_once, root_seed):
     database = load_dataset("mushroom")
     n = database.num_transactions
 
@@ -81,7 +79,7 @@ def bench_ablation_consistency(benchmark, root_seed):
             )
         return rows
 
-    rows = run_once(benchmark, measure)
+    rows = run_once(measure)
 
     print()
     print(

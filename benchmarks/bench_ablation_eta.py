@@ -17,8 +17,6 @@ paper's qualitative argument:
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.datasets.registry import load_dataset
 from repro.experiments.runner import pb_spec, run_trials
 
@@ -28,7 +26,7 @@ EPSILON = 0.5
 TRIALS = 6
 
 
-def bench_ablation_eta(benchmark, root_seed):
+def bench_ablation_eta(run_once, root_seed):
     database = load_dataset("retail")
 
     def measure():
@@ -47,7 +45,7 @@ def bench_ablation_eta(benchmark, root_seed):
             )
         return rows
 
-    rows = run_once(benchmark, measure)
+    rows = run_once(measure)
 
     print()
     print(

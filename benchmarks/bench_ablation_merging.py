@@ -16,8 +16,6 @@ worse than the raw one, and end-to-end utility should not regress.
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.core.error_variance import average_case_ev
 from repro.datasets.registry import load_dataset
 from repro.experiments.runner import pb_spec, run_trials
@@ -27,7 +25,7 @@ EPSILON = 0.5
 TRIALS = 5
 
 
-def bench_ablation_merging(benchmark, root_seed):
+def bench_ablation_merging(run_once, root_seed):
     database = load_dataset("retail")
 
     def measure():
@@ -47,7 +45,7 @@ def bench_ablation_merging(benchmark, root_seed):
             )
         return results
 
-    results = run_once(benchmark, measure)
+    results = run_once(measure)
 
     # Geometry comparison on one deterministic release of each kind.
     from repro.core.privbasis import privbasis

@@ -12,8 +12,6 @@ releases are required.
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.datasets.registry import load_dataset
 from repro.experiments.runner import pb_spec, run_trials
 
@@ -22,7 +20,7 @@ EPSILONS = (0.1, 0.5, 1.0)
 TRIALS = 5
 
 
-def bench_ablation_noise(benchmark, root_seed):
+def bench_ablation_noise(run_once, root_seed):
     database = load_dataset("mushroom")
 
     def measure():
@@ -45,7 +43,7 @@ def bench_ablation_noise(benchmark, root_seed):
             rows.append(row)
         return rows
 
-    rows = run_once(benchmark, measure)
+    rows = run_once(measure)
 
     print()
     print(

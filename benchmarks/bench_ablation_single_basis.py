@@ -17,8 +17,6 @@ with the paper presenting it as a default, not a tuned choice.
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.datasets.registry import load_dataset
 from repro.experiments.runner import pb_spec, run_trials
 
@@ -32,7 +30,7 @@ EPSILON = 0.5
 TRIALS = 6
 
 
-def bench_ablation_single_basis(benchmark, root_seed):
+def bench_ablation_single_basis(run_once, root_seed):
     database = load_dataset("mushroom")
 
     def measure():
@@ -51,7 +49,7 @@ def bench_ablation_single_basis(benchmark, root_seed):
             )
         return rows
 
-    rows = run_once(benchmark, measure)
+    rows = run_once(measure)
 
     print()
     print(

@@ -21,8 +21,7 @@ This bench reproduces that analysis quantitatively:
 from __future__ import annotations
 
 import numpy as np
-
-from conftest import run_once
+import pytest
 
 from repro.baselines.dpsynth import dpsynth_release, dpsynth_top_k
 from repro.core.privbasis import privbasis
@@ -73,14 +72,15 @@ def _evaluate(database, label):
     }
 
 
-def bench_dpsynth(benchmark):
+@pytest.mark.slow
+def bench_dpsynth(run_once):
     def measure():
         rows = [_evaluate(_msnbc_like(), "msnbc-like")]
         for name in ("mushroom", "retail"):
             rows.append(_evaluate(load_dataset(name), name))
         return rows
 
-    rows = run_once(benchmark, measure)
+    rows = run_once(measure)
 
     print()
     print(

@@ -20,7 +20,8 @@ Two questions, matching the engine subsystem's two claims:
    correctly.
 
 Run standalone:  ``PYTHONPATH=src python benchmarks/bench_engine_serving.py``
-or under pytest-benchmark: ``pytest benchmarks/bench_engine_serving.py -s``.
+or under pytest (serving check only):
+``PYTHONPATH=src python -m pytest benchmarks/bench_engine_serving.py -s``.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def _best_of(function, repeats: int = 3) -> float:
     return best
 
 
-def bench_serving() -> dict:
+def measure_serving() -> dict:
     """Cold vs warm throughput on the repeated-(k, ε) workload."""
     database = generate_quest(SERVING_CONFIG, rng=3)
     rows = [
@@ -114,7 +115,7 @@ def bench_serving() -> dict:
     }
 
 
-def bench_backends() -> dict:
+def measure_backends() -> dict:
     """Per-primitive latency, bitmap vs sharded over a spilled store."""
     database = generate_quest(BACKEND_CONFIG, rng=3)
     with tempfile.TemporaryDirectory(prefix="bench-engine-") as root:
@@ -168,7 +169,7 @@ def main() -> None:
         f"(k={K}, eps={EPSILON}) over "
         f"N={SERVING_CONFIG.num_transactions} =="
     )
-    serving = bench_serving()
+    serving = measure_serving()
     print(f"cold per release: {serving['cold_per_release_s']*1e3:8.2f} ms")
     print(f"warm per release: {serving['warm_per_release_s']*1e3:8.2f} ms")
     print(f"speedup:          {serving['speedup']:8.2f}x  (bar: >= 3x)")
@@ -178,7 +179,7 @@ def main() -> None:
         f"\n== backends over N={BACKEND_CONFIG.num_transactions} "
         f"(basis length {12}, pool {30}) =="
     )
-    for name, numbers in bench_backends().items():
+    for name, numbers in measure_backends().items():
         print(
             f"{name:28s} setup {numbers['setup_s']*1e3:8.2f} ms   "
             f"bin_counts {numbers['bin_counts_s']*1e3:7.2f} ms   "
@@ -190,11 +191,9 @@ def main() -> None:
     )
 
 
-def bench_engine_serving(benchmark):
-    """pytest-benchmark entry point (single timed run)."""
-    from conftest import run_once
-
-    result = run_once(benchmark, bench_serving)
+def bench_engine_serving(run_once):
+    """pytest entry point: one timed serving run, warm ≥ 3× cold."""
+    result = run_once(measure_serving)
     print(f"\nwarm speedup: {result['speedup']:.2f}x")
     assert result["speedup"] >= 3.0
 

@@ -11,13 +11,13 @@ Paper shape to reproduce:
 
 from __future__ import annotations
 
-from conftest import final_point, run_once, series_by_label
+from conftest import final_point, series_by_label
 
 from repro.experiments.figures import run_figure
 
 
-def bench_fig1_mushroom(benchmark, root_seed):
-    result = run_once(benchmark, run_figure, "fig1", seed=root_seed)
+def bench_fig1_mushroom(run_once, root_seed):
+    result = run_once(run_figure, "fig1", seed=root_seed)
     print()
     print(result.render())
 

@@ -10,13 +10,15 @@ Paper shape to reproduce:
 
 from __future__ import annotations
 
-from conftest import final_point, run_once, series_by_label
+import pytest
+from conftest import final_point, series_by_label
 
 from repro.experiments.figures import run_figure
 
 
-def bench_fig2_pumsb_star(benchmark, root_seed):
-    result = run_once(benchmark, run_figure, "fig2", seed=root_seed)
+@pytest.mark.slow
+def bench_fig2_pumsb_star(run_once, root_seed):
+    result = run_once(run_figure, "fig2", seed=root_seed)
     print()
     print(result.render())
 

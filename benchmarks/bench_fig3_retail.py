@@ -12,13 +12,13 @@ Paper shape to reproduce:
 
 from __future__ import annotations
 
-from conftest import final_point, mean_over_grid, run_once, series_by_label
+from conftest import final_point, mean_over_grid, series_by_label
 
 from repro.experiments.figures import run_figure
 
 
-def bench_fig3_retail(benchmark, root_seed):
-    result = run_once(benchmark, run_figure, "fig3", seed=root_seed)
+def bench_fig3_retail(run_once, root_seed):
+    result = run_once(run_figure, "fig3", seed=root_seed)
     print()
     print(result.render())
 

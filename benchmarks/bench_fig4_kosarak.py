@@ -11,13 +11,15 @@ Paper shape to reproduce (2×2 panel grid):
 
 from __future__ import annotations
 
-from conftest import final_point, run_once, series_by_label
+import pytest
+from conftest import final_point, series_by_label
 
 from repro.experiments.figures import run_figure
 
 
-def bench_fig4_kosarak(benchmark, root_seed):
-    result = run_once(benchmark, run_figure, "fig4", seed=root_seed)
+@pytest.mark.slow
+def bench_fig4_kosarak(run_once, root_seed):
+    result = run_once(run_figure, "fig4", seed=root_seed)
     print()
     print(result.render())
 

@@ -13,13 +13,15 @@ Paper shape to reproduce:
 
 from __future__ import annotations
 
-from conftest import final_point, mean_over_grid, run_once, series_by_label
+import pytest
+from conftest import final_point, mean_over_grid, series_by_label
 
 from repro.experiments.figures import run_figure
 
 
-def bench_fig5_aol(benchmark, root_seed):
-    result = run_once(benchmark, run_figure, "fig5", seed=root_seed)
+@pytest.mark.slow
+def bench_fig5_aol(run_once, root_seed):
+    result = run_once(run_figure, "fig5", seed=root_seed)
     print()
     print(result.render())
 

@@ -55,11 +55,10 @@ TIER_PLANS: Dict[str, Dict[str, int]] = {
 }
 
 #: Counting workload sizes (paper regimes: λ-pool pairwise sweep,
-#: length-≤8 bases, a k-sized conjunction batch, one extension sweep).
+#: length-≤8 bases, a k-sized conjunction batch).
 POOL_SIZE = 20
 NUM_BASES, BASIS_LENGTH = 5, 6
 NUM_CONJUNCTIONS = 50
-NUM_CANDIDATES = 40
 
 
 def make_queries(num_items: int, seed: int):
@@ -78,9 +77,7 @@ def make_queries(num_items: int, seed: int):
         tuple(pick(int(size)))
         for size in rng.integers(1, 4, size=NUM_CONJUNCTIONS)
     ]
-    base = pick(2)
-    candidates = pick(min(NUM_CANDIDATES, num_items))
-    return pool, bases, itemsets, base, candidates
+    return pool, bases, itemsets
 
 
 def digest_answers(answers) -> str:
@@ -102,9 +99,7 @@ def digest_answers(answers) -> str:
 
 
 def run_workload(backend, num_items: int) -> Dict[str, object]:
-    pool, bases, itemsets, base, candidates = make_queries(
-        num_items, seed=2012
-    )
+    pool, bases, itemsets = make_queries(num_items, seed=2012)
     timings: Dict[str, float] = {}
     started = time.perf_counter()
     items = backend.item_supports()
@@ -118,12 +113,7 @@ def run_workload(backend, num_items: int) -> Dict[str, object]:
     started = time.perf_counter()
     conjunctions = backend.conjunction_supports(itemsets)
     timings["conjunction_supports_s"] = time.perf_counter() - started
-    started = time.perf_counter()
-    extensions = backend.extension_supports(base, candidates)
-    timings["extension_supports_s"] = time.perf_counter() - started
-    digest = digest_answers(
-        [items, pairs, bins, conjunctions, extensions]
-    )
+    digest = digest_answers([items, pairs, bins, conjunctions])
     return {"timings": timings, "digest": digest}
 
 

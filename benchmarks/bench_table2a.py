@@ -12,13 +12,11 @@ the paper's narrative depends on:
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.experiments.tables import render_table2a, table2a
 
 
-def bench_table2a(benchmark):
-    rows = run_once(benchmark, table2a)
+def bench_table2a(run_once):
+    rows = run_once(table2a)
     print()
     print(render_table2a(rows))
 

@@ -9,13 +9,11 @@ vacuous exactly where large-k mining matters.
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.experiments.tables import render_table2b, table2b
 
 
-def bench_table2b(benchmark):
-    rows = run_once(benchmark, table2b)
+def bench_table2b(run_once):
+    rows = run_once(table2b)
     print()
     print(render_table2b(rows))
 

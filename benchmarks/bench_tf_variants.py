@@ -12,8 +12,6 @@ load-bearing.
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.datasets.registry import load_dataset
 from repro.experiments.runner import run_trials, tf_spec
 
@@ -23,7 +21,7 @@ EPSILONS = (0.25, 0.5, 1.0)
 TRIALS = 5
 
 
-def bench_tf_variants(benchmark, root_seed):
+def bench_tf_variants(run_once, root_seed):
     database = load_dataset("mushroom")
 
     def measure():
@@ -46,7 +44,7 @@ def bench_tf_variants(benchmark, root_seed):
             rows.append(row)
         return rows
 
-    rows = run_once(benchmark, measure)
+    rows = run_once(measure)
 
     print()
     print(

@@ -1,11 +1,14 @@
 """Shared benchmark helpers.
 
-Every benchmark regenerates one paper artefact (table, figure, or
-ablation).  The experiment itself runs exactly once per session —
-``benchmark.pedantic(rounds=1, iterations=1)`` reports wall time
-without re-running multi-minute sweeps — and the regenerated artefact
-is printed so `pytest benchmarks/ --benchmark-only -s` doubles as the
-reproduction report.
+Every paper artefact (table, figure or ablation) is one ``bench_*``
+function that regenerates it exactly once, prints it with its wall
+time, and asserts the paper's claim about it.  ``pytest.ini`` in this
+directory collects them, so one command is the reproduction report::
+
+    PYTHONPATH=src python -m pytest benchmarks/ -s
+
+``-m "not slow"`` leaves out the artefacts that take over 10 s under
+the quick profile.
 
 Profiles (set ``REPRO_BENCH_PROFILE``):
 
@@ -16,13 +19,24 @@ Profiles (set ``REPRO_BENCH_PROFILE``):
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 
-def run_once(benchmark, func, *args, **kwargs):
-    """Run ``func`` exactly once under the benchmark timer."""
-    return benchmark.pedantic(func, args=args, kwargs=kwargs,
-                              rounds=1, iterations=1)
+@pytest.fixture
+def run_once(request):
+    """``run_once(func, *args, **kwargs)``: call ``func`` once and print
+    its wall time under the artefact's name."""
+
+    def run(func, *args, **kwargs):
+        started = time.perf_counter()
+        result = func(*args, **kwargs)
+        elapsed = time.perf_counter() - started
+        print(f"\n[{request.node.name}] wall time {elapsed:.2f} s")
+        return result
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ import sys
 
 from repro import load_dataset
 from repro.core.threshold import privbasis_threshold
-from repro.fim.fpgrowth import fpgrowth
+from repro.fim.topk import frequent_itemsets
 
 THETA = float(sys.argv[1]) if len(sys.argv) > 1 else 0.02
 
@@ -31,7 +31,7 @@ def main() -> None:
     )
 
     # Ground truth (what a non-private miner would publish).
-    exact = fpgrowth(database, min_support=int(THETA * n) or 1)
+    exact = frequent_itemsets(database, min_support=int(THETA * n) or 1)
     exact_sets = set(exact)
     print(
         f"exact theta-frequent itemsets at theta = {THETA}: "

@@ -20,7 +20,7 @@ Public API layers:
 * :mod:`repro.engine` — counting backends (bitmap / sharded) and the
   cached :class:`~repro.engine.session.PrivBasisSession` serving layer.
 * :mod:`repro.baselines` — the TF comparison method (Bhaskar et al.).
-* :mod:`repro.fim` — exact mining (FP-Growth, top-k oracle).
+* :mod:`repro.fim` — exact mining (top-k and frequent-itemset miners).
 * :mod:`repro.datasets` — transaction databases, FIMI I/O, generators.
 * :mod:`repro.pipeline` — the staged release pipeline: stages,
   pluggable budget planners, dry-run plans, per-stage traces.

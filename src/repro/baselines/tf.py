@@ -53,8 +53,8 @@ from repro.dp.laplace import laplace_noise
 from repro.dp.rng import RngLike, ensure_rng
 from repro.engine.backend import CountingBackend, resolve_backend
 from repro.errors import ValidationError
-from repro.fim.fpgrowth import fpgrowth
 from repro.fim.itemsets import Itemset
+from repro.fim.topk import frequent_itemsets
 
 #: Default bound on the explicitly mined candidate set (see module
 #: docstring; only binds in TF's degenerate no-pruning regime).
@@ -230,10 +230,7 @@ def _mine_explicit(
     entry = _EXPLICIT_MINING_CACHE.get(key)
     if entry is not None and entry[0] is database:
         return entry[1]
-    mined = dict(sorted(
-        fpgrowth(database, min_support=floor, max_length=m,
-                 backend=backend).items()
-    ))
+    mined = frequent_itemsets(database, min_support=floor, max_length=m)
     if len(_EXPLICIT_MINING_CACHE) >= _EXPLICIT_MINING_CACHE_LIMIT:
         _EXPLICIT_MINING_CACHE.clear()
     _EXPLICIT_MINING_CACHE[key] = (database, mined)

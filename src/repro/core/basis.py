@@ -130,12 +130,12 @@ class BasisSet:
         Non-private (scans the data); used in tests and diagnostics,
         never inside the DP pipeline.
         """
-        from repro.fim.fpgrowth import fpgrowth
+        from repro.fim.topk import frequent_itemsets
 
         if not 0 < theta <= 1:
             raise ValidationError(f"theta must be in (0, 1], got {theta}")
         min_support = _ceil_support(theta, database.num_transactions)
-        frequent = fpgrowth(database, max(1, min_support))
+        frequent = frequent_itemsets(database, max(1, min_support))
         return all(self.covers(itemset) for itemset in frequent)
 
     # ------------------------------------------------------------------

@@ -1,14 +1,21 @@
 """The counting-backend protocol — the one data-access seam.
 
 Every data access in PrivBasis funnels through four counting
-primitives: single-item supports, pairwise supports over a small pool,
-conjunction (itemset) support, and the ``2^ℓ`` bin histogram of paper
-Algorithm 1.  :class:`CountingBackend` names those primitives as an
-abstract interface so that the physical counting strategy — one
-in-process bitmap scan, a sharded scan over spilled segments, a remote store — can
-vary without touching the algorithm layer, and so that the DP
-accounting stays auditable: the mechanisms in :mod:`repro.core` only
-ever see counts that came through this surface.
+primitives: single-item supports (:meth:`~CountingBackend.item_supports`),
+pairwise supports over a small pool
+(:meth:`~CountingBackend.pairwise_supports`), conjunction (itemset)
+support (:meth:`~CountingBackend.conjunction_support`), and the ``2^ℓ``
+bin histogram of paper Algorithm 1 (:meth:`~CountingBackend.bin_counts`),
+plus the batched forms of the last two
+(:meth:`~CountingBackend.conjunction_supports`,
+:meth:`~CountingBackend.bin_counts_batch`) and the exact top-k oracle
+(:meth:`~CountingBackend.top_k`).  :class:`CountingBackend` names
+those primitives as an abstract interface so that the physical counting
+strategy — one in-process bitmap scan, a sharded scan over spilled
+segments, a remote store — can vary without touching the algorithm
+layer, and so that the DP accounting stays auditable: the mechanisms
+in :mod:`repro.core` only ever see counts that came through this
+surface.
 
 Implementations in this package:
 
@@ -56,13 +63,21 @@ class CountingBackend(abc.ABC):
     counts — noise is always added downstream by the DP mechanisms, so
     two correct backends are interchangeable bit-for-bit.
 
-    Beyond the four scalar/vector primitives, the protocol carries
-    **batched** forms (:meth:`conjunction_supports`,
-    :meth:`bin_counts_batch`, :meth:`extension_supports`) so a release
-    stage issues one call for all its queries — the difference between
-    one and ``O(queries)`` shard fan-outs for the sharded backend —
-    and a :meth:`close` lifecycle hook for backends that own OS
-    resources such as mapped segment files.
+    The primitives:
+
+    * :meth:`item_supports`, :meth:`pairwise_supports`,
+      :meth:`conjunction_support` and :meth:`bin_counts` — the four
+      queries every implementation answers;
+    * :meth:`conjunction_supports` and :meth:`bin_counts_batch` — their
+      **batched** forms, so a release stage issues one call for all its
+      queries (the difference between one and ``O(queries)`` shard
+      fan-outs for the sharded backend);
+    * :meth:`top_k` — the exact top-k itemsets (ground truth for
+      GetLambda and TF), and :meth:`item_frequencies`, derived from
+      :meth:`item_supports`;
+    * :meth:`extend` — streaming ingestion, and :meth:`close` — a
+      lifecycle hook for backends that own OS resources such as mapped
+      segment files.
     """
 
     # -- identity ------------------------------------------------------
@@ -174,22 +189,6 @@ class CountingBackend(abc.ABC):
         """
         return [self.bin_counts(basis) for basis in bases]
 
-    def extension_supports(
-        self, base: Sequence[int], candidates: Sequence[int]
-    ) -> np.ndarray:
-        """Supports of ``base ∧ {c}`` for every candidate ``c``.
-
-        Returns an int64 array aligned with ``candidates`` — the
-        vectorized one-item-extension query behind lattice miners.
-        """
-        return np.array(
-            [
-                self.conjunction_support(tuple(base) + (int(item),))
-                for item in candidates
-            ],
-            dtype=np.int64,
-        )
-
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
         """Release external resources (mapped segment files).
@@ -213,17 +212,6 @@ class CountingBackend(abc.ABC):
         if n == 0:
             return np.zeros(self.num_items, dtype=float)
         return self.item_supports() / float(n)
-
-    def frequency(self, items: Iterable[int]) -> float:
-        """Frequency ``f(X) = support(X) / N``."""
-        n = self.num_transactions
-        if n == 0:
-            return 0.0
-        return self.conjunction_support(items) / float(n)
-
-    def supports(self, itemsets: Sequence[Iterable[int]]) -> List[int]:
-        """Support counts for many itemsets (convenience wrapper)."""
-        return self.conjunction_supports(list(itemsets))
 
     def top_k(self, k: int, max_length: Optional[int] = None):
         """Exact (non-private) top-``k`` itemsets with supports.

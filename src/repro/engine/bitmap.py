@@ -136,25 +136,3 @@ class BitmapBackend(CountingBackend):
 
     def bin_counts(self, basis: Sequence[int]) -> np.ndarray:
         return bin_counts_for_items(self._database, basis)
-
-    def extension_supports(
-        self, base: Sequence[int], candidates: Sequence[int]
-    ) -> np.ndarray:
-        """One AND+popcount sweep over a pooled bitmap set.
-
-        Reuses any memoized pool covering ``base ∪ candidates`` (the
-        top-k miner's pops all sit under the pool its first pop
-        builds), building a fresh pool only on a cold start.
-        """
-        if not len(candidates):
-            return np.zeros(0, dtype=np.int64)
-        needed = {int(item) for item in base} | {
-            int(item) for item in candidates
-        }
-        bitmaps = self._covering_pool(frozenset(needed))
-        if bitmaps is None:
-            bitmaps = self.bitmaps(sorted(needed))
-        base_row = bitmaps.conjunction_row(
-            sorted({int(item) for item in base})
-        )
-        return bitmaps.extension_supports(base_row, candidates)

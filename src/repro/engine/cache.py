@@ -264,13 +264,6 @@ class CachedBackend(CountingBackend):
                 self._bin_cache[key] = counts
         return [values[key].copy() for key in keys]
 
-    def extension_supports(
-        self, base: Sequence[int], candidates: Sequence[int]
-    ) -> np.ndarray:
-        """Pass through: candidate sets rarely repeat exactly, so a
-        memo would only hold dead arrays."""
-        return self._inner.extension_supports(base, candidates)
-
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
         """Forward to the inner backend (spill-store teardown)."""

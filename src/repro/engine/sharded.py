@@ -86,24 +86,6 @@ def shard_bin_counts_batch(
     return [bin_counts_for_items(shard, basis) for basis in bases]
 
 
-def shard_extension_supports(
-    shard: TransactionDatabase,
-    base: Sequence[int],
-    candidates: Sequence[int],
-) -> np.ndarray:
-    """Supports of ``base ∧ {c}`` for every candidate, one shard.
-
-    One vectorized AND+popcount sweep over a bitmap pool covering the
-    base and the candidates — the same kernel the exact top-k miner
-    uses per heap pop.
-    """
-    pool = sorted({int(item) for item in base}
-                  | {int(item) for item in candidates})
-    bitmaps = ItemBitmaps(shard, pool)
-    base_row = bitmaps.conjunction_row(sorted({int(i) for i in base}))
-    return bitmaps.extension_supports(base_row, candidates)
-
-
 class ShardedBackend(CountingBackend):
     """Parallel counting over the shards of a spilled store.
 
@@ -279,19 +261,6 @@ class ShardedBackend(CountingBackend):
             )
             for index in range(len(bases))
         ]
-
-    def extension_supports(
-        self, base: Sequence[int], candidates: Sequence[int]
-    ) -> np.ndarray:
-        candidates = [int(item) for item in candidates]
-        if not candidates:
-            return np.zeros(0, dtype=np.int64)
-        parts = self._map_kernel(
-            shard_extension_supports,
-            tuple(int(item) for item in base),
-            tuple(candidates),
-        )
-        return np.sum(parts, axis=0, dtype=np.int64)
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:

@@ -9,8 +9,6 @@ from repro.fim.counting import (
     naive_superset_sum,
     superset_sum_transform,
 )
-from repro.fim.fpgrowth import fpgrowth
-from repro.fim.fptree import FPNode, FPTree
 from repro.fim.itemsets import (
     Itemset,
     all_nonempty_subsets,
@@ -22,6 +20,7 @@ from repro.fim.itemsets import (
 )
 from repro.fim.topk import (
     exact_topk_itemset_set,
+    frequent_itemsets,
     kth_frequency,
     pairs_in_topk,
     size_n_in_topk,
@@ -31,8 +30,6 @@ from repro.fim.topk import (
 
 __all__ = [
     "DEFAULT_MAX_BASIS_LENGTH",
-    "FPNode",
-    "FPTree",
     "ItemBitmaps",
     "MAX_BIN_BASIS_LENGTH",
     "Itemset",
@@ -42,7 +39,7 @@ __all__ = [
     "database_of",
     "exact_topk_itemset_set",
     "format_itemset",
-    "fpgrowth",
+    "frequent_itemsets",
     "itemset_to_mask",
     "kth_frequency",
     "mask_to_itemset",

@@ -35,6 +35,11 @@ DEFAULT_MAX_BASIS_LENGTH = 12
 MAX_BIN_BASIS_LENGTH = 25
 
 
+#: Items packed per block when :class:`ItemBitmaps` builds its rows:
+#: the unpacked scratch is at most this many rows of ``N`` booleans.
+_PACK_BLOCK_ROWS = 256
+
+
 def database_of(source) -> TransactionDatabase:
     """Unwrap a :class:`TransactionDatabase` from ``source``.
 
@@ -55,6 +60,17 @@ def database_of(source) -> TransactionDatabase:
         f"expected a TransactionDatabase or a counting backend, "
         f"got {type(source).__name__}"
     )
+
+
+def _membership(
+    database: TransactionDatabase, items: Sequence[int]
+) -> np.ndarray:
+    """Boolean ``(len(items), N)`` matrix: row ``i`` marks the
+    transactions that contain ``items[i]``."""
+    rows = np.zeros((len(items), database.num_transactions), dtype=bool)
+    for position, item in enumerate(items):
+        rows[position, database.tidlist(item)] = True
+    return rows
 
 
 class ItemBitmaps:
@@ -79,18 +95,26 @@ class ItemBitmaps:
         self._position: Dict[int, int] = {
             item: position for position, item in enumerate(self._items)
         }
-        rows = np.zeros(
-            (len(self._items), self._num_transactions), dtype=bool
-        )
-        for position, item in enumerate(self._items):
-            rows[position, database.tidlist(item)] = True
         # Shape: (num_items_in_pool, ceil(N / 8)) of uint8.  ``_packed``
         # is a column-slice view into ``_buffer``, whose spare capacity
         # lets :meth:`extend` append bytes in place (amortized O(Δ)).
+        # Rows are packed in blocks, so a wide pool (a frequent-itemset
+        # mine over hundreds of items) never holds its unpacked boolean
+        # matrix at once; a pool of one block (the common case, and the
+        # empty pool) keeps its rows without a copy.
+        blocks = [
+            np.packbits(
+                _membership(
+                    database, self._items[start:start + _PACK_BLOCK_ROWS]
+                ),
+                axis=1,
+            )
+            for start in range(
+                0, max(len(self._items), 1), _PACK_BLOCK_ROWS
+            )
+        ]
         self._buffer = (
-            np.packbits(rows, axis=1)
-            if self._items
-            else np.zeros((0, 0), dtype=np.uint8)
+            blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
         )
         self._packed = self._buffer
 
@@ -122,9 +146,7 @@ class ItemBitmaps:
         if not self._items:
             self._num_transactions += count
             return
-        delta_bits = np.zeros((len(self._items), count), dtype=bool)
-        for position, item in enumerate(self._items):
-            delta_bits[position, delta.tidlist(item)] = True
+        delta_bits = _membership(delta, self._items)
         old_n = self._num_transactions
         new_n = old_n + count
         old_cols = (old_n + 7) // 8

@@ -1,21 +1,27 @@
-"""Exact top-k frequent itemset mining.
+"""Exact frequent itemset miners over packed item rows.
 
-Best-first lattice search: a max-heap over candidate itemsets keyed by
-(−support, itemset), expanded in canonical order (children extend an
-itemset only with larger item ids), so each itemset is generated once
-and the heap maximum is always the globally next-most-frequent itemset.
-Support is anti-monotone, so when an itemset is popped nothing later can
-beat it — after ``k`` pops the answer is exact.
+Both miners count with one :class:`repro.fim.counting.ItemBitmaps`
+pool: the support of ``X ∪ {i}`` for every candidate ``i`` at once is
+one vectorized AND+popcount sweep of ``X``'s row against the
+candidates' rows.  Children extend an itemset only with larger item
+ids, so each itemset is generated once.
 
-The search universe is pre-pruned to items whose own support reaches the
-support of the k-th most frequent *item*: any itemset containing a rarer
-item is dominated by the k guaranteed singletons, so it cannot enter the
-top k.  Extension supports are computed with one vectorized
-bitmap sweep per pop (:class:`repro.fim.counting.ItemBitmaps`).
+* :func:`top_k_itemsets` — best-first lattice search: a max-heap over
+  candidate itemsets keyed by (−support, itemset), so the heap maximum
+  is always the globally next-most-frequent itemset.  Support is
+  anti-monotone, so when an itemset is popped nothing later can beat
+  it — after ``k`` pops the answer is exact.  The search universe is
+  pre-pruned to items whose own support reaches the support of the
+  k-th most frequent *item*: any itemset containing a rarer item is
+  dominated by the k guaranteed singletons.
+* :func:`frequent_itemsets` — every itemset above a support floor
+  (optionally of bounded length), walked depth-first, so memory is one
+  row per level rather than one per frontier itemset.
 
-This module is the library's ground-truth oracle: the utility metrics
-(FNR, relative error), GetLambda's ``f_{k·η}``, and the TF baseline's
-``f_k`` all derive from it.
+These are the library's ground-truth oracles: the utility metrics
+(FNR, relative error), GetLambda's ``f_{k·η}``, the TF baseline's
+``f_k`` and its explicit candidate set, and the θ-basis check all
+derive from them.
 """
 
 from __future__ import annotations
@@ -31,13 +37,13 @@ from repro.fim.counting import ItemBitmaps, database_of
 from repro.fim.itemsets import Itemset
 
 TopKResult = List[Tuple[Itemset, int]]
+MiningResult = Dict[Itemset, int]
 
 
 def top_k_itemsets(
     database: TransactionDatabase,
     k: int,
     max_length: Optional[int] = None,
-    backend=None,
 ) -> TopKResult:
     """Return the ``k`` most frequent itemsets with their supports.
 
@@ -52,35 +58,20 @@ def top_k_itemsets(
     max_length:
         If given, restrict to itemsets of at most this many items (the
         TF baseline's candidate family, paper Section 3).
-    backend:
-        Optional :class:`repro.engine.CountingBackend` (also accepted
-        in the ``database`` slot); singleton supports route through
-        it, the lattice search uses the unified bitmap kernels.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if max_length is not None and max_length < 1:
         raise ValidationError(f"max_length must be >= 1, got {max_length}")
 
-    source = backend if backend is not None else database
-    database = database_of(source)
-
-    universe = _pruned_universe(source, k)
+    database = database_of(database)
+    supports = database.item_supports()
+    universe = _pruned_universe(supports, k)
     if not universe:
         return []
-    # With an explicit backend the per-pop extension sweep ships as the
-    # backend's batched ``extension_supports`` primitive (one fan-out on
-    # the sharded/process backends, a pooled sweep on the bitmap one);
-    # bare databases keep the local single-pool fast path.
-    use_backend_extensions = backend is not None
-    bitmaps = (
-        None
-        if use_backend_extensions
-        else ItemBitmaps(database, universe)
-    )
+    bitmaps = ItemBitmaps(database, universe)
     position_of = {item: index for index, item in enumerate(universe)}
 
-    supports = source.item_supports()
     # Heap entries: (−support, itemset). Itemsets are tuples of items
     # sorted ascending; children only append larger universe positions.
     heap: List[Tuple[int, Itemset]] = [
@@ -101,15 +92,10 @@ def top_k_itemsets(
         extensions = universe[last_position + 1:]
         if not extensions:
             continue
-        if use_backend_extensions:
-            extension_supports = source.extension_supports(
-                itemset, extensions
-            )
-        else:
-            base_row = bitmaps.conjunction_row(itemset)
-            extension_supports = bitmaps.extension_supports(
-                base_row, extensions
-            )
+        base_row = bitmaps.conjunction_row(itemset)
+        extension_supports = bitmaps.extension_supports(
+            base_row, extensions
+        )
         for offset, extension_support in enumerate(extension_supports):
             if extension_support > 0:
                 child = itemset + (extensions[offset],)
@@ -117,15 +103,91 @@ def top_k_itemsets(
     return result
 
 
-def _pruned_universe(source, k: int) -> List[int]:
+def frequent_itemsets(
+    database: TransactionDatabase,
+    min_support: int,
+    max_length: Optional[int] = None,
+) -> MiningResult:
+    """Every itemset with support ≥ ``min_support``, with its support.
+
+    Returns a dict itemset (sorted tuple) → support count whose keys
+    come in ascending tuple order.  ``min_support`` is an absolute
+    count and must be at least 1 (a threshold of 0 would enumerate the
+    powerset).  ``max_length``, when given, keeps only itemsets of at
+    most that many items; ``max_length=1`` is a mask on the item
+    supports and builds no bitmap pool.
+    """
+    if min_support < 1:
+        raise ValidationError(
+            f"min_support must be >= 1, got {min_support}"
+        )
+    if max_length is not None and max_length < 1:
+        raise ValidationError(
+            f"max_length must be >= 1, got {max_length}"
+        )
+
+    database = database_of(database)
+    supports = database.item_supports()
+    frequent = np.flatnonzero(supports >= min_support)
+    if max_length == 1:
+        return {(int(item),): int(supports[item]) for item in frequent}
+    items = [int(item) for item in frequent]
+    result: MiningResult = {}
+    if items:
+        _grow(
+            ItemBitmaps(database, items), (), None, items,
+            supports[frequent], min_support,
+            max_length if max_length is not None else len(items),
+            result,
+        )
+    return result
+
+
+def _grow(
+    bitmaps: ItemBitmaps,
+    prefix: Itemset,
+    prefix_row: Optional[np.ndarray],
+    candidates: List[int],
+    candidate_supports: np.ndarray,
+    min_support: int,
+    max_length: int,
+    result: MiningResult,
+) -> None:
+    """Emit ``prefix + (c,)`` for every frequent candidate ``c``, each
+    followed by its own extensions.
+
+    ``candidates`` ascend, so this pre-order walk emits keys in
+    ascending tuple order.  A child extends only with the candidates
+    after it that were frequent beside ``prefix``: any other extension
+    is infrequent by anti-monotonicity.  ``prefix_row`` is ``None`` for
+    the empty prefix.
+    """
+    for index, item in enumerate(candidates):
+        itemset = prefix + (item,)
+        result[itemset] = int(candidate_supports[index])
+        later = candidates[index + 1:]
+        if len(itemset) >= max_length or not later:
+            continue
+        row = bitmaps.row(item)
+        if prefix_row is not None:
+            row = row & prefix_row
+        counts = bitmaps.extension_supports(row, later)
+        kept = np.flatnonzero(counts >= min_support)
+        if kept.size:
+            _grow(
+                bitmaps, itemset, row, [later[i] for i in kept],
+                counts[kept], min_support, max_length, result,
+            )
+
+
+def _pruned_universe(supports: np.ndarray, k: int) -> List[int]:
     """Items that could appear in a top-``k`` itemset, sorted by id.
 
     Keeps items with support ≥ support of the k-th most frequent item
     (all items when fewer than k have positive support).  Rarer items
     are dominated: any itemset containing one has support below at
-    least k singleton itemsets.  ``source`` is a database or backend.
+    least k singleton itemsets.
     """
-    supports = source.item_supports()
     positive = np.flatnonzero(supports > 0)
     if positive.size == 0:
         return []

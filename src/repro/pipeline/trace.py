@@ -169,12 +169,6 @@ class QueryCountingBackend(CountingBackend):
         self._tally("bin_counts", len(bases))
         return self._inner.bin_counts_batch(bases)
 
-    def extension_supports(
-        self, base: Sequence[int], candidates: Sequence[int]
-    ) -> np.ndarray:
-        self._tally("extension_supports", max(len(candidates), 1))
-        return self._inner.extension_supports(base, candidates)
-
     def close(self) -> None:
         self._inner.close()
 

@@ -493,16 +493,22 @@ class PrivBasisService:
             )
         return self._registry.get(tenant_id)
 
-    async def _run_locked(self, dataset: str, call: Callable[[], Any]) -> Any:
-        """Run blocking mining work off-loop, serialized per dataset.
+    async def _run_locked(
+        self, dataset: str, call: Callable[[PrivBasisSession], Any]
+    ) -> Any:
+        """Run ``call(session)`` off-loop, serialized per dataset.
 
         The lock keeps concurrent releases from mutating one session's
         caches from two executor threads at once; releases against
-        *different* datasets still run in parallel.
+        *different* datasets still run in parallel.  The session is
+        looked up once the lock is held, so a request queued behind an
+        ingest that dropped the session runs on its rebuild, never on
+        the dropped one.
         """
         loop = asyncio.get_running_loop()
         async with self._lock_for(dataset):
-            return await loop.run_in_executor(None, call)
+            session = await self.get_session(dataset)
+            return await loop.run_in_executor(None, call, session)
 
     def _persist_release(self, tenant: Tenant, result: Any) -> None:
         """Record one released payload: the result WAL (no fsync), the
@@ -589,11 +595,10 @@ class PrivBasisService:
                 request["epsilon"],
                 label=f"release k={request['k']}",
             )
+            rng = _fresh_rng()
             result = await self._run_locked(
                 tenant.dataset,
-                functools.partial(
-                    session.release, rng=_fresh_rng(), **request
-                ),
+                lambda locked: locked.release(rng=rng, **request),
             )
         finally:
             self._release_slot()
@@ -621,7 +626,10 @@ class PrivBasisService:
         total = sum(request["epsilon"] for request in requests)
         self._admit(weight=len(requests))
         try:
-            session = await self.get_session(tenant.dataset)
+            # Build the session before charging, so a loader failure
+            # costs no ε; the batch itself runs on the session looked
+            # up again under the lock.
+            await self.get_session(tenant.dataset)
             # All-or-nothing admission against the journaled spent
             # value (tenant.remaining), so a freshly recovered ledger
             # and a long-running one refuse an oversized batch through
@@ -637,8 +645,7 @@ class PrivBasisService:
                 {**request, "rng": _fresh_rng()} for request in requests
             ]
             results = await self._run_locked(
-                tenant.dataset,
-                functools.partial(session.release_batch, seeded),
+                tenant.dataset, lambda locked: locked.release_batch(seeded)
             )
         finally:
             self._release_slot(weight=len(requests))
@@ -674,10 +681,9 @@ class PrivBasisService:
         transactions = parse_ingest_request(body)
         self._admit()
         try:
-            session = await self.get_session(tenant.dataset)
             journaled: List[int] = []
 
-            def append() -> Tuple[int, int]:
+            def append(session: PrivBasisSession) -> Tuple[int, int]:
                 # Journal-before-apply, under the dataset's release
                 # lock (this closure runs inside it).  The batch is
                 # fully validated first — building the delta checks
@@ -736,8 +742,8 @@ class PrivBasisService:
                 "snapshot queries need a ?tenant=<id> parameter"
             )
         tenant = self._registry.get(tenant_id)
-        session = await self.get_session(tenant.dataset)
         async with self._lock_for(tenant.dataset):
+            session = await self.get_session(tenant.dataset)
             return {
                 "tenant": tenant.tenant_id,
                 "dataset": tenant.dataset,

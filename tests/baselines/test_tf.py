@@ -115,6 +115,29 @@ class TestDegenerateRegime:
         assert len(result.itemsets) == 10
 
 
+class TestExplicitCandidates:
+    """TF draws its selection noise in the explicit set's key order, so
+    the set is every candidate above the floor, keyed in tuple order."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_equals_apriori_in_tuple_order(self, dense_db, m):
+        from repro.baselines.tf import (
+            _mine_explicit,
+            clear_explicit_mining_cache,
+        )
+        from tests.fim.apriori_reference import apriori
+
+        clear_explicit_mining_cache()
+        truncation = 0.2
+        explicit = _mine_explicit(
+            dense_db, m=m, truncation=truncation, explicit_cap=10**6
+        )
+        floor = math.ceil(truncation * dense_db.num_transactions)
+        assert explicit == apriori(dense_db, floor, max_length=m)
+        assert list(explicit) == sorted(explicit)
+        clear_explicit_mining_cache()
+
+
 class TestRaiseFloor:
     def test_no_raise_needed(self):
         supports = np.array([10, 8, 5, 1])

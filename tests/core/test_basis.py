@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.basis import BasisSet, single_basis
 from repro.datasets.transactions import TransactionDatabase
 from repro.errors import ValidationError
-from repro.fim.fpgrowth import fpgrowth
+from repro.fim.topk import frequent_itemsets
 
 
 class TestShape:
@@ -85,6 +85,19 @@ class TestThetaBasisVerification:
         basis_set = single_basis(frequent_items)
         assert basis_set.width == 1
         assert basis_set.is_theta_basis_for(dense_db, theta)
+
+    def test_mined_itemsets_form_a_theta_basis(self, dense_db):
+        # The θ-frequent itemsets, each its own basis, cover every
+        # θ-frequent itemset; without a longest one (no other frequent
+        # itemset contains it) the set stops being a θ-basis.
+        theta = 0.3
+        min_support = int(theta * dense_db.num_transactions + 0.999)
+        frequent = list(frequent_itemsets(dense_db, min_support))
+        longest = max(frequent, key=len)
+        assert len(longest) > 1
+        assert BasisSet(frequent).is_theta_basis_for(dense_db, theta)
+        rest = [itemset for itemset in frequent if itemset != longest]
+        assert not BasisSet(rest).is_theta_basis_for(dense_db, theta)
 
     def test_insufficient_basis_detected(self, dense_db):
         # A basis missing the planted block cannot cover θ = 0.3.

@@ -7,8 +7,7 @@ from repro.core.threshold import (
     select_k_for_threshold,
 )
 from repro.errors import ValidationError
-from repro.fim.fpgrowth import fpgrowth
-from repro.fim.topk import top_k_itemsets
+from repro.fim.topk import frequent_itemsets, top_k_itemsets
 
 HUGE_EPSILON = 1e7
 
@@ -69,7 +68,7 @@ class TestPrivBasisThreshold:
         )
         exact = {
             itemset
-            for itemset, count in fpgrowth(
+            for itemset, count in frequent_itemsets(
                 dense_db, min_support=int(theta * n)
             ).items()
             if count / n >= theta

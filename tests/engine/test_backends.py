@@ -30,6 +30,7 @@ from repro.fim.counting import (
     bin_counts_for_items,
     database_of,
 )
+from repro.pipeline.trace import QueryCountingBackend
 from tests.engine.spill import spilled
 
 
@@ -167,6 +168,19 @@ class TestEdgeCases:
             spilled(database, max_workers=0)
 
 
+class TestProtocolSurface:
+    def test_no_backend_answers_deleted_primitives(self):
+        # Lattice extension is the miners' own bitmap sweep, and the
+        # frequency helpers had no caller; no backend keeps them.
+        database = random_database(3)
+        backends = backends_under_test(database)
+        backends.append(QueryCountingBackend(BitmapBackend(database)))
+        for backend in backends:
+            for name in ("extension_supports", "frequency", "supports"):
+                assert not hasattr(backend, name), (repr(backend), name)
+            backend.close()
+
+
 class TestResolution:
     def test_as_backend_wraps_database(self):
         database = random_database(4)
@@ -240,23 +254,11 @@ class TestBatchedPrimitives:
                                               replace=False)]
             for size in (1, 3, 5)
         ]
-        base = [int(item) for item in rng.choice(16, size=2,
-                                                 replace=False)]
-        candidates = [
-            int(item) for item in range(16) if item not in base
-        ]
         oracle = NaiveBackend(database)
         expected_conjunctions = [
             oracle.conjunction_support(itemset) for itemset in itemsets
         ]
         expected_bins = [oracle.bin_counts(basis) for basis in bases]
-        expected_extensions = np.array(
-            [
-                oracle.conjunction_support(tuple(base) + (candidate,))
-                for candidate in candidates
-            ],
-            dtype=np.int64,
-        )
         backends = [
             oracle,
             BitmapBackend(database),
@@ -273,16 +275,6 @@ class TestBatchedPrimitives:
                 np.testing.assert_array_equal(
                     got, want, err_msg=repr(backend)
                 )
-            np.testing.assert_array_equal(
-                backend.extension_supports(base, candidates),
-                expected_extensions,
-                err_msg=repr(backend),
-            )
-            np.testing.assert_array_equal(
-                backend.extension_supports(base, []),
-                np.zeros(0, dtype=np.int64),
-                err_msg=repr(backend),
-            )
             backend.close()
 
     def test_cached_batches_only_misses(self):

@@ -6,9 +6,10 @@ frequent (paper Section 2.2).  Candidate generation and subset pruning
 follow the classic join step; support counting intersects the
 database's vertical tid-lists.
 
-FP-Growth (:func:`repro.fim.fpgrowth.fpgrowth`) is the library's one
-exact miner.  Apriori shares no code with it, which makes it the
-independent oracle ``test_miners.py`` checks FP-Growth against.
+:func:`repro.fim.topk.frequent_itemsets` is the library's one exact
+threshold miner; it walks the lattice depth-first over packed item
+rows.  Apriori shares no code with it, which makes it the independent
+oracle ``test_miners.py`` checks it against.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ def apriori(
 ) -> MiningResult:
     """Mine all itemsets with support count ≥ ``min_support``.
 
-    Same contract as :func:`repro.fim.fpgrowth.fpgrowth`: returns a
+    Same contract as :func:`repro.fim.topk.frequent_itemsets`: returns a
     mapping itemset (sorted tuple) → support count, restricted to at
     most ``max_length`` items when that is given.  ``min_support`` must
     be at least 1 — a threshold of 0 would enumerate the powerset.

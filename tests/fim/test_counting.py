@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datasets.transactions import TransactionDatabase
 from repro.errors import ValidationError
+from repro.fim import counting
 from repro.fim.counting import (
     ItemBitmaps,
     bin_counts_for_items,
@@ -51,6 +52,31 @@ class TestItemBitmaps:
     def test_empty_pool(self, tiny_db):
         bitmaps = ItemBitmaps(tiny_db, [])
         assert bitmaps.pairwise_supports() == {}
+
+    def test_pool_wider_than_a_pack_block(self, small_db, monkeypatch):
+        # Rows packed three at a time equal rows packed in one block.
+        pool = list(range(0, 40, 3))
+        whole = ItemBitmaps(small_db, pool)
+        monkeypatch.setattr(counting, "_PACK_BLOCK_ROWS", 3)
+        blocked = ItemBitmaps(small_db, pool)
+        for item in pool:
+            np.testing.assert_array_equal(blocked.row(item), whole.row(item))
+        assert blocked.pairwise_supports() == whole.pairwise_supports()
+
+    def test_extend_after_block_packing(self, small_db, monkeypatch):
+        monkeypatch.setattr(counting, "_PACK_BLOCK_ROWS", 2)
+        pool = [1, 4, 9, 16, 25]
+        grown = ItemBitmaps(small_db.slice(0, 101), pool)
+        grown.extend(small_db.slice(101, small_db.num_transactions))
+        cold = ItemBitmaps(small_db, pool)
+        for item in pool:
+            np.testing.assert_array_equal(grown.row(item), cold.row(item))
+
+    def test_pool_over_no_transactions(self):
+        database = TransactionDatabase([], num_items=3)
+        bitmaps = ItemBitmaps(database, [0, 2])
+        assert bitmaps.support([0]) == 0
+        assert bitmaps.pairwise_supports() == {(0, 2): 0}
 
 
 class TestBinCounts:

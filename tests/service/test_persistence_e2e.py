@@ -593,3 +593,74 @@ def test_failed_apply_after_journal_rebuilds_from_the_log(
     live, replayed = asyncio.run(scenario())
     assert live["snapshot_version"] == replayed["snapshot_version"] == 2
     assert live["num_transactions"] == replayed["num_transactions"] == 202
+
+
+class TestQueuedBehindFailedIngest:
+    """A request queued on the dataset lock behind an ingest that fails
+    after journaling runs on the session rebuilt from the log, not on
+    the session the failure dropped (which lacks the journaled batch)."""
+
+    @staticmethod
+    def run_queued(tmp_path, monkeypatch, queued):
+        from repro.engine.cache import CachedBackend
+
+        real_extend = CachedBackend.extend
+        failures = []
+
+        def extend_failing_once(self, delta):
+            if not failures:
+                failures.append(delta)
+                raise OSError("injected extend failure")
+            return real_extend(self, delta)
+
+        async def scenario():
+            service = make_service(tmp_path)
+            await service.handle_snapshot("alice")
+            monkeypatch.setattr(CachedBackend, "extend", extend_failing_once)
+            failed, answer = await asyncio.gather(
+                service.handle_ingest(
+                    {"tenant": "alice", "transactions": [[3]]}
+                ),
+                queued(service),
+                return_exceptions=True,
+            )
+            monkeypatch.setattr(CachedBackend, "extend", real_extend)
+            await service.stop()
+            return failed, answer
+
+        failed, answer = asyncio.run(scenario())
+        assert isinstance(failed, OSError)
+        return answer
+
+    def test_queued_ingest_numbers_on_the_journaled_data(
+        self, tmp_path, monkeypatch
+    ):
+        answer = self.run_queued(
+            tmp_path, monkeypatch,
+            lambda service: service.handle_ingest(
+                {"tenant": "alice", "transactions": [[3, 4]]}
+            ),
+        )
+        assert answer["snapshot_version"] == 2
+        assert answer["num_transactions"] == 202
+
+    def test_queued_release_runs_on_the_journaled_data(
+        self, tmp_path, monkeypatch
+    ):
+        answer = self.run_queued(
+            tmp_path, monkeypatch,
+            lambda service: service.handle_release(
+                {"tenant": "alice", "k": 5, "epsilon": 0.5}
+            ),
+        )
+        assert answer["snapshot_version"] == 1
+
+    def test_queued_snapshot_reads_the_journaled_data(
+        self, tmp_path, monkeypatch
+    ):
+        answer = self.run_queued(
+            tmp_path, monkeypatch,
+            lambda service: service.handle_snapshot("alice"),
+        )
+        assert answer["snapshot_version"] == 1
+        assert answer["num_transactions"] == 201
