@@ -55,10 +55,9 @@ TIER_PLANS: Dict[str, Dict[str, int]] = {
 }
 
 #: Counting workload sizes (paper regimes: λ-pool pairwise sweep,
-#: length-≤8 bases, a k-sized conjunction batch).
+#: length-≤8 bases).
 POOL_SIZE = 20
 NUM_BASES, BASIS_LENGTH = 5, 6
-NUM_CONJUNCTIONS = 50
 
 
 def make_queries(num_items: int, seed: int):
@@ -73,11 +72,7 @@ def make_queries(num_items: int, seed: int):
     bases = [
         pick(min(BASIS_LENGTH, num_items)) for _ in range(NUM_BASES)
     ]
-    itemsets = [
-        tuple(pick(int(size)))
-        for size in rng.integers(1, 4, size=NUM_CONJUNCTIONS)
-    ]
-    return pool, bases, itemsets
+    return pool, bases
 
 
 def digest_answers(answers) -> str:
@@ -99,7 +94,7 @@ def digest_answers(answers) -> str:
 
 
 def run_workload(backend, num_items: int) -> Dict[str, object]:
-    pool, bases, itemsets = make_queries(num_items, seed=2012)
+    pool, bases = make_queries(num_items, seed=2012)
     timings: Dict[str, float] = {}
     started = time.perf_counter()
     items = backend.item_supports()
@@ -110,10 +105,7 @@ def run_workload(backend, num_items: int) -> Dict[str, object]:
     started = time.perf_counter()
     bins = backend.bin_counts_batch(bases)
     timings["bin_counts_batch_s"] = time.perf_counter() - started
-    started = time.perf_counter()
-    conjunctions = backend.conjunction_supports(itemsets)
-    timings["conjunction_supports_s"] = time.perf_counter() - started
-    digest = digest_answers([items, pairs, bins, conjunctions])
+    digest = digest_answers([items, pairs, bins])
     return {"timings": timings, "digest": digest}
 
 

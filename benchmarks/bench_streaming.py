@@ -110,8 +110,8 @@ def warm(backend, pool) -> None:
 def refresh_queries(backend, pool) -> int:
     """The post-append queries every strategy must answer."""
     supports = backend.item_supports()
-    head = backend.conjunction_support(pool[:2])
-    return int(supports.sum()) + head
+    pairs = backend.pairwise_supports(pool)
+    return int(supports.sum()) + sum(pairs.values())
 
 
 def run_incremental(
@@ -159,22 +159,16 @@ def run_cold(backend_factory, base, deltas, pool) -> Dict[str, object]:
     }
 
 
-def check_equivalence(incremental, cold) -> None:
+def check_equivalence(incremental, cold, pool) -> None:
     """Pin incremental == cold rebuild == naive oracle supports."""
     final = incremental["backend"]
     oracle = NaiveBackend(final.database)
     np.testing.assert_array_equal(
         final.item_supports(), oracle.item_supports()
     )
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        itemset = sorted(
-            int(i)
-            for i in rng.choice(final.num_items, size=3, replace=False)
-        )
-        expected = oracle.conjunction_support(itemset)
-        assert final.conjunction_support(itemset) == expected, itemset
-        assert cold["backend"].conjunction_support(itemset) == expected
+    expected = oracle.pairwise_supports(pool)
+    assert final.pairwise_supports(pool) == expected
+    assert cold["backend"].pairwise_supports(pool) == expected
     assert incremental["checksum"] == cold["checksum"]
 
 
@@ -225,7 +219,7 @@ def main(argv: List[str] | None = None) -> int:
         for name, factory in factories.items():
             incremental = run_incremental(factory, base, deltas, pool)
             cold = run_cold(factory, base, deltas, pool)
-            check_equivalence(incremental, cold)
+            check_equivalence(incremental, cold, pool)
             for run in (incremental, cold):
                 run["backend"].close()
             inc_median = statistics.median(incremental["per_batch_s"])

@@ -143,16 +143,14 @@ def tf_method(
         selected, explicit, database, m, generator
     )
 
-    # Phase 2 (ε/2): noisy frequencies of the selected itemsets.  All
-    # exact supports ship as one batched backend call; noise is then
-    # drawn per itemset in selection order — the same RNG consumption
-    # order as the historical per-itemset loop, so seeded runs are
-    # bit-identical.
+    # Phase 2 (ε/2): noisy frequencies of the selected itemsets, noise
+    # drawn per itemset in selection order.  The k exact supports are
+    # tid-list intersections on the database; PrivBasis itself never
+    # asks for an itemset's support, so the backend has no such query.
     scale = 2.0 * k / (epsilon * n)
-    exact_supports = backend.conjunction_supports(selected)
     itemsets: List[NoisyItemset] = []
-    for itemset, support in zip(selected, exact_supports):
-        true_frequency = support / n
+    for itemset in selected:
+        true_frequency = database.support(itemset) / n
         noisy_frequency = float(
             true_frequency + laplace_noise(scale, rng=generator)
         )

@@ -43,7 +43,6 @@ from repro.pipeline.planner import (
     SINGLE_BASIS_LAMBDA,
     PlannerSpec,
     default_eta,
-    pair_budget_size,
 )
 
 __all__ = [
@@ -52,9 +51,6 @@ __all__ = [
     "default_eta",
     "privbasis",
 ]
-
-#: Back-compat alias — the λ₂ heuristic now lives in the planner layer.
-_pair_budget_size = pair_budget_size
 
 
 def privbasis(

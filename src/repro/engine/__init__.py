@@ -3,8 +3,9 @@
 This package is the data-access seam of the library.  Layering:
 
 1. :mod:`repro.engine.backend` — the :class:`CountingBackend`
-   protocol: item supports, pairwise supports, conjunction support,
-   and the ``2^ℓ`` bin histogram of paper Algorithm 1.  Every
+   protocol: item supports, pairwise supports and the batched
+   ``2^ℓ`` bin histograms of paper Algorithm 1, plus the exact top-k
+   oracle.  Every
    mechanism in :mod:`repro.core` and every baseline counts through a
    backend, which keeps the DP accounting auditable (one inspectable
    surface) and the physical counting strategy swappable.
@@ -15,7 +16,9 @@ This package is the data-access seam of the library.  Layering:
    thread pool through a budget-bounded cache), and
    :class:`NaiveBackend` (pure-Python oracle for the equivalence
    tests).
-3. :class:`CachedBackend` — memoizes every exact query result.
+3. :class:`CachedBackend` — memoizes every exact query result and
+   counts every query; each release runs on one, and its counters
+   are the release trace's per-stage query counts.
 4. :class:`PrivBasisSession` — one database + one cached backend
    serving repeated ``release(k, epsilon)`` calls; the repeated-query
    serving layer the ROADMAP's production north-star asks for.

@@ -1,14 +1,12 @@
 """The counting-backend protocol — the one data-access seam.
 
-Every data access in PrivBasis funnels through four counting
-primitives: single-item supports (:meth:`~CountingBackend.item_supports`),
-pairwise supports over a small pool
-(:meth:`~CountingBackend.pairwise_supports`), conjunction (itemset)
-support (:meth:`~CountingBackend.conjunction_support`), and the ``2^ℓ``
-bin histogram of paper Algorithm 1 (:meth:`~CountingBackend.bin_counts`),
-plus the batched forms of the last two
-(:meth:`~CountingBackend.conjunction_supports`,
-:meth:`~CountingBackend.bin_counts_batch`) and the exact top-k oracle
+PrivBasis reads the data in exactly three ways (paper Algorithms 1
+and 3): single-item supports (:meth:`~CountingBackend.item_supports`,
+for GetLambda and GetFreqItems), pairwise supports over a small pool
+(:meth:`~CountingBackend.pairwise_supports`, for GetFreqPairs), and
+the ``2^ℓ`` bin histograms of BasisFreq
+(:meth:`~CountingBackend.bin_counts_batch`, one call for the whole
+basis set), plus the exact top-k oracle
 (:meth:`~CountingBackend.top_k`).  :class:`CountingBackend` names
 those primitives as an abstract interface so that the physical counting
 strategy — one in-process bitmap scan, a sharded scan over spilled
@@ -27,8 +25,9 @@ Implementations in this package:
   with resident memory bounded by the store's budget.
 * :class:`repro.engine.naive.NaiveBackend` — a pure-Python oracle used
   by the equivalence test-suite.
-* :class:`repro.engine.cache.CachedBackend` — a memoizing wrapper used
-  by :class:`repro.engine.session.PrivBasisSession`.
+* :class:`repro.engine.cache.CachedBackend` — the memoizing wrapper
+  every release runs on (a session's own, or a fresh one per bare
+  release); its hit/miss counters are the trace's query counts.
 
 Backend selection guidance: stay with :class:`BitmapBackend` while
 the database fits in RAM — it was as fast as or faster than sharding
@@ -37,14 +36,14 @@ on every measured workload.  Use
 not stay resident: it spills to segment files and trades a little
 merge overhead for bounded memory.  For repeated
 releases over one database, wrap either in a
-:class:`~repro.engine.session.PrivBasisSession`, which adds the
-memoization layer.
+:class:`~repro.engine.session.PrivBasisSession`, which keeps one
+memoization layer warm across releases.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,21 +56,20 @@ __all__ = ["CountingBackend", "as_backend", "resolve_backend"]
 class CountingBackend(abc.ABC):
     """Abstract counting primitives over one transaction database.
 
-    All exact (non-private) data access used by PrivBasis and the
-    baselines is expressible in these four queries; concrete backends
-    decide *how* they are answered.  Implementations must return exact
-    counts — noise is always added downstream by the DP mechanisms, so
-    two correct backends are interchangeable bit-for-bit.
+    All exact (non-private) data access used by PrivBasis is
+    expressible in these queries; concrete backends decide *how* they
+    are answered.  Implementations must return exact counts — noise is
+    always added downstream by the DP mechanisms, so two correct
+    backends are interchangeable bit-for-bit.
 
     The primitives:
 
-    * :meth:`item_supports`, :meth:`pairwise_supports`,
-      :meth:`conjunction_support` and :meth:`bin_counts` — the four
-      queries every implementation answers;
-    * :meth:`conjunction_supports` and :meth:`bin_counts_batch` — their
-      **batched** forms, so a release stage issues one call for all its
-      queries (the difference between one and ``O(queries)`` shard
-      fan-outs for the sharded backend);
+    * :meth:`item_supports`, :meth:`pairwise_supports` and
+      :meth:`bin_counts_batch` — the three queries every
+      implementation answers; bins come **batched** so BasisFreq
+      issues one call for its whole basis set (one shard fan-out
+      instead of one per basis for the sharded backend), and
+      :meth:`bin_counts` is the one-basis convenience over it;
     * :meth:`top_k` — the exact top-k itemsets (ground truth for
       GetLambda and TF), and :meth:`item_frequencies`, derived from
       :meth:`item_supports`;
@@ -133,7 +131,7 @@ class CountingBackend(abc.ABC):
             )
         return delta
 
-    # -- the four counting primitives ----------------------------------
+    # -- the counting primitives ----------------------------------------
     @abc.abstractmethod
     def item_supports(self) -> np.ndarray:
         """Support count of every single item, shape ``(num_items,)``."""
@@ -149,45 +147,22 @@ class CountingBackend(abc.ABC):
         """
 
     @abc.abstractmethod
-    def conjunction_support(self, items: Iterable[int]) -> int:
-        """Support count of the conjunction (itemset) ``items``."""
-
-    @abc.abstractmethod
-    def bin_counts(self, basis: Sequence[int]) -> np.ndarray:
-        """Exact bin histogram for ``basis`` (paper Algorithm 1).
-
-        ``counts[mask]`` is the number of transactions ``t`` with
-        ``t ∩ basis`` equal to the subset encoded by ``mask`` (bit
-        ``j`` ↔ ``basis[j]``); ``counts.sum() == N``.
-        """
-
-    # -- batched primitives --------------------------------------------
-    # The per-query primitives above pay one dispatch (and, for the
-    # sharded backend, one fan-out over every shard) per call.  The
-    # batched forms let hot callers ship a whole stage's queries at
-    # once; defaults degrade to per-query loops, so every
-    # backend supports them and answers are bit-identical either way.
-    def conjunction_supports(
-        self, itemsets: Sequence[Iterable[int]]
-    ) -> List[int]:
-        """Support count of every itemset, aligned with ``itemsets``.
-
-        One batched call per stage instead of per-itemset round-trips;
-        backends that can amortize dispatch (the sharded thread pool)
-        override this with a single fan-out.
-        """
-        return [self.conjunction_support(itemset) for itemset in itemsets]
-
     def bin_counts_batch(
         self, bases: Sequence[Sequence[int]]
     ) -> List[np.ndarray]:
-        """Exact bin histograms for many bases, aligned with ``bases``.
+        """Exact bin histograms (paper Algorithm 1), aligned with ``bases``.
 
-        BasisFreq's data access is one of these calls for the whole
-        basis set (the noise is drawn afterwards, in basis order, so
-        batching does not perturb any random stream).
+        For each basis, ``counts[mask]`` is the number of transactions
+        ``t`` with ``t ∩ basis`` equal to the subset encoded by ``mask``
+        (bit ``j`` ↔ ``basis[j]``); ``counts.sum() == N``.  BasisFreq's
+        data access is one of these calls for the whole basis set (the
+        noise is drawn afterwards, in basis order, so batching does not
+        perturb any random stream).
         """
-        return [self.bin_counts(basis) for basis in bases]
+
+    def bin_counts(self, basis: Sequence[int]) -> np.ndarray:
+        """The bin histogram of one basis (see :meth:`bin_counts_batch`)."""
+        return self.bin_counts_batch([basis])[0]
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:

@@ -1,16 +1,14 @@
 """The default in-process backend over the packed-bitmap kernels.
 
-:class:`BitmapBackend` answers the four counting primitives with the
-same kernels the library has always used — the CSR tid-list index of
+:class:`BitmapBackend` answers the counting primitives with the
+same kernels the library has always used — the CSR item supports of
 :class:`~repro.datasets.transactions.TransactionDatabase`, the packed
-:class:`~repro.fim.counting.ItemBitmaps` sweeps, and the scatter-add
-bin kernel — but *pools* the expensive intermediates so repeated
-queries reuse them:
+:class:`~repro.fim.counting.ItemBitmaps` pair sweeps, and the
+scatter-add bin kernel — but *pools* the expensive intermediates so
+repeated queries reuse them:
 
 * the item-support vector is computed once;
-* bitmap pools are memoized keyed by their (frozen) item set, and a
-  conjunction query is answered from any pooled bitmap whose item set
-  covers it before falling back to tid-list intersection.
+* bitmap pools are memoized keyed by their (frozen) item set.
 
 The backend is exact and stateless from the caller's point of view
 (the database is immutable), so memoization never changes results.
@@ -18,14 +16,11 @@ The backend is exact and stateless from the caller's point of view
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.datasets.transactions import (
-    TransactionDatabase,
-    canonical_itemset,
-)
+from repro.datasets.transactions import TransactionDatabase
 from repro.engine.backend import CountingBackend
 from repro.fim.counting import ItemBitmaps, bin_counts_for_items
 
@@ -42,9 +37,8 @@ class BitmapBackend(CountingBackend):
     max_pools:
         Cap on memoized bitmap pools (each pool is
         ``|items| × N/8`` bytes); the **least recently used** pool is
-        evicted first — any hit, including a covering-pool hit on a
-        conjunction query, refreshes recency, so a hot pool survives
-        a stream of one-off pools.
+        evicted first — any hit refreshes recency, so a hot pool
+        survives a stream of one-off pools.
     """
 
     def __init__(
@@ -99,22 +93,7 @@ class BitmapBackend(CountingBackend):
         self._pools[key] = pool
         return pool
 
-    def _covering_pool(
-        self, items: FrozenSet[int]
-    ) -> Optional[ItemBitmaps]:
-        """Any memoized pool whose item set covers ``items``.
-
-        A covering hit counts as a *use*: the pool is moved to the
-        most-recently-used position so conjunction traffic keeps its
-        pool resident (LRU, not insertion-order, eviction).
-        """
-        for key, pool in self._pools.items():
-            if items <= key:
-                self._pools[key] = self._pools.pop(key)
-                return pool
-        return None
-
-    # -- the four primitives --------------------------------------------
+    # -- the primitives -------------------------------------------------
     def item_supports(self) -> np.ndarray:
         if self._item_supports is None:
             self._item_supports = self._database.item_supports()
@@ -125,14 +104,9 @@ class BitmapBackend(CountingBackend):
     ) -> Dict[Tuple[int, int], int]:
         return self.bitmaps(items).pairwise_supports()
 
-    def conjunction_support(self, items: Iterable[int]) -> int:
-        itemset = canonical_itemset(items)
-        if not itemset:
-            return self._database.num_transactions
-        pool = self._covering_pool(frozenset(itemset))
-        if pool is not None:
-            return pool.support(itemset)
-        return self._database.support(itemset)
-
-    def bin_counts(self, basis: Sequence[int]) -> np.ndarray:
-        return bin_counts_for_items(self._database, basis)
+    def bin_counts_batch(
+        self, bases: Sequence[Sequence[int]]
+    ) -> List[np.ndarray]:
+        return [
+            bin_counts_for_items(self._database, basis) for basis in bases
+        ]

@@ -1,7 +1,7 @@
 """Memoizing backend wrapper — the cache behind a serving session.
 
-All four counting primitives (plus the exact top-k oracle) are pure
-functions of one immutable database *snapshot*, so their results can
+Every counting primitive (plus the exact top-k oracle) is a pure
+function of one immutable database *snapshot*, so their results can
 be memoized until the data advances: a streaming append
 (:meth:`CachedBackend.extend`) drops every memo, while the inner
 backend's warm structures survive the append incrementally.
@@ -10,7 +10,6 @@ backend's warm structures survive the append incrementally.
 
 * the item-support vector (built once);
 * pairwise-support dicts keyed by the (frozen) item pool;
-* conjunction supports keyed by the canonical itemset;
 * bin histograms keyed by the basis tuple — the big win: a repeated
   release that lands on a basis already counted skips the full data
   scan of Algorithm 1 entirely;
@@ -28,32 +27,32 @@ up to ``2^ℓ`` int64 each and would otherwise accumulate one array per
 distinct basis ever released.
 
 Per-kind hit/miss counters are exposed via :meth:`cache_info` so tests
-and dashboards can verify reuse is actually happening.
+and dashboards can verify reuse is actually happening.  Every query
+is one hit or one miss, so the counters double as the query count:
+the pipeline executor runs each release on a :class:`CachedBackend`
+and reports the per-stage change in hits + misses as the stage's
+queries.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.datasets.transactions import (
-    TransactionDatabase,
-    canonical_itemset,
-)
+from repro.datasets.transactions import TransactionDatabase
 from repro.engine.backend import CountingBackend
+from repro.errors import ValidationError
 
 __all__ = ["CachedBackend"]
 
 Itemset = Tuple[int, ...]
 
 #: Default per-cache entry caps.  Bins and top-k results are the large
-#: entries (2^ℓ int64 per basis, k tuples per mining result);
-#: conjunctions are scalars and can afford a much larger pool.
+#: entries (2^ℓ int64 per basis, k tuples per mining result).
 DEFAULT_CACHE_LIMITS = {
     "bin_counts": 64,
     "pairwise_supports": 32,
-    "conjunction_support": 4096,
     "top_k": 64,
 }
 
@@ -76,15 +75,18 @@ class CachedBackend(CountingBackend):
         inner: CountingBackend,
         cache_limits: Optional[Dict[str, int]] = None,
     ) -> None:
+        unknown = sorted(set(cache_limits or ()) - set(DEFAULT_CACHE_LIMITS))
+        if unknown:
+            raise ValidationError(
+                f"unknown cache kinds {unknown}; "
+                f"expected some of {sorted(DEFAULT_CACHE_LIMITS)}"
+            )
         self._inner = inner
-        self._limits = dict(DEFAULT_CACHE_LIMITS)
-        if cache_limits:
-            self._limits.update(cache_limits)
+        self._limits = {**DEFAULT_CACHE_LIMITS, **(cache_limits or {})}
         self._item_supports: Optional[np.ndarray] = None
         self._pair_cache: Dict[
             FrozenSet[int], Dict[Tuple[int, int], int]
         ] = {}
-        self._conjunction_cache: Dict[Itemset, int] = {}
         self._bin_cache: Dict[Itemset, np.ndarray] = {}
         self._topk_cache: Dict[Tuple[int, Optional[int]], object] = {}
         self._hits: Dict[str, int] = {}
@@ -142,7 +144,6 @@ class CachedBackend(CountingBackend):
         """Drop every memoized result (counters are kept)."""
         self._item_supports = None
         self._pair_cache.clear()
-        self._conjunction_cache.clear()
         self._bin_cache.clear()
         self._topk_cache.clear()
 
@@ -171,74 +172,20 @@ class CachedBackend(CountingBackend):
             self._record("pairwise_supports", hit=True)
         return dict(cached)
 
-    def conjunction_support(self, items: Iterable[int]) -> int:
-        key = canonical_itemset(items)
-        cached = self._conjunction_cache.get(key)
-        if cached is None:
-            self._record("conjunction_support", hit=False)
-            cached = self._inner.conjunction_support(key)
-            _evict_oldest(
-                self._conjunction_cache,
-                self._limits["conjunction_support"],
-            )
-            self._conjunction_cache[key] = cached
-        else:
-            self._record("conjunction_support", hit=True)
-        return cached
-
+    # Defined here, not inherited, because perfbench times both bin
+    # forms by patching this class's own attributes.
     def bin_counts(self, basis: Sequence[int]) -> np.ndarray:
-        key = tuple(int(item) for item in basis)
-        cached = self._bin_cache.get(key)
-        if cached is None:
-            self._record("bin_counts", hit=False)
-            cached = self._inner.bin_counts(key)
-            _evict_oldest(self._bin_cache, self._limits["bin_counts"])
-            self._bin_cache[key] = cached
-        else:
-            self._record("bin_counts", hit=True)
-        return cached.copy()
-
-    # -- batched primitives (memoized per key, misses batched) ---------
-    def conjunction_supports(
-        self, itemsets: Sequence[Iterable[int]]
-    ) -> list:
-        """Per-key memo check, then one inner batch for the misses.
-
-        Hit/miss counters advance exactly as the per-query loop would
-        (first occurrence of a new key is the miss; repeats, including
-        within the batch, are hits), so cache telemetry stays stable
-        under batching.
-        """
-        keys = [canonical_itemset(itemset) for itemset in itemsets]
-        values: Dict[Itemset, int] = {}
-        missing: list = []
-        for key in keys:
-            if key in values:
-                self._record("conjunction_support", hit=True)
-                continue
-            cached = self._conjunction_cache.get(key)
-            if cached is None:
-                self._record("conjunction_support", hit=False)
-                missing.append(key)
-                values[key] = -1  # placeholder until the batch lands
-            else:
-                self._record("conjunction_support", hit=True)
-                values[key] = cached
-        if missing:
-            counts = self._inner.conjunction_supports(missing)
-            for key, count in zip(missing, counts):
-                count = int(count)
-                values[key] = count
-                _evict_oldest(
-                    self._conjunction_cache,
-                    self._limits["conjunction_support"],
-                )
-                self._conjunction_cache[key] = count
-        return [values[key] for key in keys]
+        return self.bin_counts_batch([basis])[0]
 
     def bin_counts_batch(
         self, bases: Sequence[Sequence[int]]
-    ) -> list:
+    ) -> List[np.ndarray]:
+        """Per-basis memo check, then one inner batch for the misses.
+
+        Hit/miss counters advance exactly as a per-basis loop would
+        (first occurrence of a new basis is the miss; repeats,
+        including within the batch, are hits).
+        """
         keys = [tuple(int(item) for item in basis) for basis in bases]
         values: Dict[Itemset, Optional[np.ndarray]] = {}
         missing: list = []

@@ -13,7 +13,7 @@ workloads; it is O(N·|t|) Python per query.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -67,15 +67,12 @@ class NaiveBackend(CountingBackend):
                 supports[pair] += 1
         return supports
 
-    def conjunction_support(self, items: Iterable[int]) -> int:
-        itemset = frozenset(canonical_itemset(items))
-        return sum(
-            1
-            for transaction in self._transactions
-            if itemset <= transaction
-        )
+    def bin_counts_batch(
+        self, bases: Sequence[Sequence[int]]
+    ) -> List[np.ndarray]:
+        return [self._bin_counts(basis) for basis in bases]
 
-    def bin_counts(self, basis: Sequence[int]) -> np.ndarray:
+    def _bin_counts(self, basis: Sequence[int]) -> np.ndarray:
         basis = [int(item) for item in basis]
         counts = np.zeros(1 << len(basis), dtype=np.int64)
         for transaction in self._transactions:

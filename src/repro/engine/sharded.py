@@ -9,7 +9,7 @@ a thread pool and merges in the caller:
 
 * item-support vectors and bin histograms add elementwise (the bins of
   a basis partition each shard exactly as they partition ``D``);
-* pairwise/conjunction supports add as scalars per key.
+* pairwise supports add as scalars per pair.
 
 Counts are additive over any partition of the transactions, so the
 merged answers equal the single-scan answers exactly — the
@@ -30,16 +30,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -70,13 +61,6 @@ def shard_pairwise_supports(
 ) -> Dict[Tuple[int, int], int]:
     """All pairwise supports over ``pool`` within one shard."""
     return ItemBitmaps(shard, pool).pairwise_supports()
-
-
-def shard_conjunction_batch(
-    shard: TransactionDatabase, itemsets: Sequence[Sequence[int]]
-) -> List[int]:
-    """Support of every itemset in ``itemsets`` within one shard."""
-    return [shard.support(itemset) for itemset in itemsets]
 
 
 def shard_bin_counts_batch(
@@ -160,7 +144,7 @@ class ShardedBackend(CountingBackend):
         """Append ``delta`` to the spilled segments, not resharding.
 
         The store rewrites only its partial tail segment (atomically,
-        under a bumped generation) and adds new segments for the rest;
+        under its own file name) and adds new segments for the rest;
         full segments are untouched.  The cached item-support vector is
         advanced by adding ``delta``'s supports.
         """
@@ -206,7 +190,7 @@ class ShardedBackend(CountingBackend):
         """Run a per-shard ``kernel(shard, *args)`` on every shard."""
         return self._map_shards(lambda shard: kernel(shard, *args))
 
-    # -- the four primitives --------------------------------------------
+    # -- the primitives --------------------------------------------
     def item_supports(self) -> np.ndarray:
         if self._item_supports is None:
             parts = self._map_kernel(shard_item_supports)
@@ -223,27 +207,6 @@ class ShardedBackend(CountingBackend):
             for pair, count in part.items():
                 merged[pair] = merged.get(pair, 0) + count
         return merged
-
-    def conjunction_support(self, items: Iterable[int]) -> int:
-        return self.conjunction_supports([items])[0]
-
-    def bin_counts(self, basis: Sequence[int]) -> np.ndarray:
-        return self.bin_counts_batch([basis])[0]
-
-    # -- batched primitives ---------------------------------------------
-    def conjunction_supports(
-        self, itemsets: Sequence[Iterable[int]]
-    ) -> List[int]:
-        """One fan-out for the whole batch: each shard task answers
-        every itemset over its shard, the caller sums per itemset."""
-        canonical = [canonical_itemset(itemset) for itemset in itemsets]
-        if not canonical:
-            return []
-        parts = self._map_kernel(shard_conjunction_batch, canonical)
-        return [
-            int(sum(part[index] for part in parts))
-            for index in range(len(canonical))
-        ]
 
     def bin_counts_batch(
         self, bases: Sequence[Sequence[int]]

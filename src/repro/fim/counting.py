@@ -3,10 +3,10 @@
 Two kernels back the rest of the library:
 
 * :class:`ItemBitmaps` — packed per-item bit vectors over the ``N``
-  transactions.  Conjunction support is bitwise-AND + popcount, and all
-  pairwise supports over a small item pool vectorize to one matrix
-  operation per item.  Used by the exact top-k miner and by the
-  frequent-pairs step of PrivBasis.
+  transactions.  A conjunction's row is a bitwise AND (its support a
+  popcount of that row), and all pairwise supports over a small item
+  pool vectorize to one matrix operation per item.  Used by the exact
+  top-k miner and by the frequent-pairs step of PrivBasis.
 * :func:`bin_counts_for_items` — the scatter-add histogram of paper
   Algorithm 1: for a basis ``B`` it returns, for each of the
   ``2^{|B|}`` subsets ``X ⊆ B``, the number of transactions ``t`` with
@@ -194,12 +194,6 @@ class ItemBitmaps:
         for item in items[1:]:
             np.bitwise_and(result, self.row(item), out=result)
         return result
-
-    def support(self, items: Sequence[int]) -> int:
-        """Support count of the conjunction of ``items``."""
-        if not items:
-            return self._num_transactions
-        return int(np.bitwise_count(self.conjunction_row(items)).sum())
 
     def extension_supports(
         self, base_row: np.ndarray, candidate_items: Sequence[int]

@@ -54,11 +54,7 @@ from repro.pipeline.stages import (
     Stage,
     StageContext,
 )
-from repro.pipeline.trace import (
-    QueryCountingBackend,
-    ReleaseTrace,
-    StageTrace,
-)
+from repro.pipeline.trace import ReleaseTrace, StageTrace
 
 __all__ = [
     "AdaptivePlanner",
@@ -71,7 +67,6 @@ __all__ = [
     "PIPELINE_STAGES",
     "PaperPlanner",
     "PlannedStage",
-    "QueryCountingBackend",
     "ReleasePlan",
     "ReleaseTrace",
     "ReuseDecision",

@@ -58,13 +58,21 @@ def validate_k(k) -> int:
 
 def validate_epsilon(epsilon) -> float:
     """``epsilon`` as a positive finite ``float``, or
-    :class:`ValidationError`."""
+    :class:`ValidationError`.
+
+    ``True`` is not an ε (as it is not a k), and an integer too large
+    for a float is not finite.
+    """
+    if isinstance(epsilon, bool):
+        raise ValidationError(f"epsilon must be a number, got {epsilon!r}")
     try:
         value = float(epsilon)
     except (TypeError, ValueError):
         raise ValidationError(
             f"epsilon must be a number, got {epsilon!r}"
         ) from None
+    except OverflowError:
+        value = float("inf")
     if not (0 < value < float("inf")):
         raise ValidationError(
             f"epsilon must be positive and finite, got {epsilon!r}"

@@ -18,12 +18,13 @@ and the service all route through.
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.core.result import PrivBasisResult
 from repro.dp.budget import PrivacyBudget
 from repro.dp.rng import RngLike, ensure_rng
 from repro.engine.backend import CountingBackend, resolve_backend
+from repro.engine.cache import CachedBackend
 from repro.pipeline.plan import ReleasePlan, build_plan
 from repro.pipeline.planner import PlannerSpec
 from repro.pipeline.stages import (
@@ -35,11 +36,7 @@ from repro.pipeline.stages import (
     Stage,
     StageContext,
 )
-from repro.pipeline.trace import (
-    QueryCountingBackend,
-    ReleaseTrace,
-    StageTrace,
-)
+from repro.pipeline.trace import ReleaseTrace, StageTrace
 
 __all__ = ["execute_plan", "planned_release"]
 
@@ -52,6 +49,14 @@ _LEDGER_LABELS = {
     "select_pairs": "get_frequent_pairs",
     "basis_freq": "basis_freq",
 }
+
+
+def _queries(backend: CachedBackend) -> Dict[str, int]:
+    """Queries ``backend`` has answered so far per kind (hits + misses)."""
+    return {
+        kind: counters["hits"] + counters["misses"]
+        for kind, counters in backend.cache_info().items()
+    }
 
 
 def execute_plan(
@@ -68,9 +73,18 @@ def execute_plan(
     ``rng`` in stage order, spends exactly ``plan.epsilon`` in total,
     and carries its :class:`~repro.pipeline.trace.ReleaseTrace` on
     ``result.trace``.
+
+    The release runs on a :class:`~repro.engine.cache.CachedBackend`:
+    the one passed in (a session's), or a fresh one around a bare
+    backend.  Each stage's trace ``queries`` are the change in the
+    cache's hits + misses across the stage, so two releases must not
+    share one cache concurrently — the service already serializes a
+    dataset's releases under its per-dataset lock.
     """
     planner = plan.planner
-    counting = QueryCountingBackend(resolve_backend(database, backend))
+    counting = resolve_backend(database, backend)
+    if not isinstance(counting, CachedBackend):
+        counting = CachedBackend(counting)
     generator = ensure_rng(rng)
     budget = PrivacyBudget(plan.epsilon)
     alpha1_eps, alpha2_eps, alpha3_eps = budget.split(planner.alphas)
@@ -94,13 +108,13 @@ def execute_plan(
     )
 
     def run_stage(stage: Stage, epsilon: float, note: str = "") -> None:
-        before = counting.counts()
+        before = _queries(counting)
         started = time.perf_counter()
         stage.run(ctx, epsilon)
         elapsed = time.perf_counter() - started
         if epsilon > 0:
             budget.spend(epsilon, _LEDGER_LABELS[stage.name])
-        after = counting.counts()
+        after = _queries(counting)
         queries = {
             kind: count - before.get(kind, 0)
             for kind, count in after.items()

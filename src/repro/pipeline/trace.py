@@ -9,23 +9,18 @@ contain only quantities that are either public parameters (ε splits,
 timings) or already-released DP outputs (λ, the branch), so exposing
 them on the service wire leaks nothing beyond the release itself.
 
-Query counts come from :class:`QueryCountingBackend`, a transparent
-proxy the executor wraps around whatever backend serves the release;
-it delegates every primitive unchanged (memo caches underneath keep
-hitting), so counting is observationally free.
+Query counts come from the :class:`~repro.engine.cache.CachedBackend`
+every release runs on: each query is one cache hit or one miss, so a
+stage's queries are the change in hits + misses per kind across the
+stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
-import numpy as np
-
-from repro.datasets.transactions import TransactionDatabase
-from repro.engine.backend import CountingBackend
-
-__all__ = ["QueryCountingBackend", "ReleaseTrace", "StageTrace"]
+__all__ = ["ReleaseTrace", "StageTrace"]
 
 
 @dataclass(frozen=True)
@@ -98,83 +93,3 @@ class ReleaseTrace:
             "stages": [stage.to_wire() for stage in self.stages],
         }
 
-
-class QueryCountingBackend(CountingBackend):
-    """Transparent counting proxy over any backend.
-
-    Forwards every primitive to ``inner`` unchanged and tallies calls
-    per primitive name; the executor diffs :meth:`counts` around each
-    stage to attribute queries.  Explicit delegation (rather than the
-    base class defaults) matters for :meth:`top_k`, which must reach a
-    wrapped :class:`~repro.engine.cache.CachedBackend`'s memo instead
-    of the global oracle.
-    """
-
-    def __init__(self, inner: CountingBackend) -> None:
-        self._inner = inner
-        self._counts: Dict[str, int] = {}
-
-    @property
-    def inner(self) -> CountingBackend:
-        """The wrapped backend."""
-        return self._inner
-
-    @property
-    def database(self) -> TransactionDatabase:
-        return self._inner.database
-
-    def counts(self) -> Dict[str, int]:
-        """Cumulative primitive call counts since construction."""
-        return dict(self._counts)
-
-    def _tally(self, kind: str, count: int = 1) -> None:
-        self._counts[kind] = self._counts.get(kind, 0) + count
-
-    def extend(self, delta: TransactionDatabase) -> None:
-        self._inner.extend(delta)
-
-    def item_supports(self) -> np.ndarray:
-        self._tally("item_supports")
-        return self._inner.item_supports()
-
-    def pairwise_supports(
-        self, items: Sequence[int]
-    ) -> Dict[Tuple[int, int], int]:
-        self._tally("pairwise_supports")
-        return self._inner.pairwise_supports(items)
-
-    def conjunction_support(self, items: Iterable[int]) -> int:
-        self._tally("conjunction_support")
-        return self._inner.conjunction_support(items)
-
-    def bin_counts(self, basis: Sequence[int]) -> np.ndarray:
-        self._tally("bin_counts")
-        return self._inner.bin_counts(basis)
-
-    # Batched forms forward as batches (so the inner backend's one-
-    # fan-out overrides fire) but tally under the per-query kind names:
-    # the trace records how many *queries* a stage asked, regardless of
-    # how they were shipped.
-    def conjunction_supports(
-        self, itemsets: Sequence[Iterable[int]]
-    ) -> List[int]:
-        itemsets = list(itemsets)
-        self._tally("conjunction_support", len(itemsets))
-        return self._inner.conjunction_supports(itemsets)
-
-    def bin_counts_batch(
-        self, bases: Sequence[Sequence[int]]
-    ) -> List[np.ndarray]:
-        bases = list(bases)
-        self._tally("bin_counts", len(bases))
-        return self._inner.bin_counts_batch(bases)
-
-    def close(self) -> None:
-        self._inner.close()
-
-    def top_k(self, k: int, max_length: Optional[int] = None):
-        self._tally("top_k")
-        return self._inner.top_k(k, max_length=max_length)
-
-    def __repr__(self) -> str:
-        return f"QueryCountingBackend({self._inner!r})"

@@ -100,6 +100,68 @@ class TestEndToEnd:
             )
 
 
+#: Seeded TF releases (k=5, ε=1, rng=m) on ``dense_db``, recorded when
+#: phase 2 still read supports through a backend conjunction batch.
+#: Phase 2 now reads ``database.support`` directly; the selection, the
+#: exact supports and the noise order must all be unchanged.
+TF_PINS = {
+    ("laplace", 1): [
+        ((0,), 0.6072009211422376),
+        ((4,), 0.5840476503455151),
+        ((1,), 0.583587069144726),
+        ((5,), 0.5719953500282631),
+        ((3,), 0.5656734249016968),
+    ],
+    ("laplace", 2): [
+        ((0, 2), 0.5698047041895431),
+        ((3, 4), 0.5568011730241573),
+        ((0, 4), 0.5538640262686991),
+        ((3,), 0.5426999142648774),
+        ((0, 5), 0.5372031264752732),
+    ],
+    ("laplace", 3): [
+        ((5,), 0.584639097005256),
+        ((2, 5), 0.5771174991365114),
+        ((1, 3), 0.5641118763344803),
+        ((0, 5), 0.5572414493649221),
+        ((1, 4), 0.5520704688827941),
+    ],
+    ("em", 1): [
+        ((2,), 0.6079872148668477),
+        ((0,), 0.5883034723003334),
+        ((4,), 0.5871775666379234),
+        ((3,), 0.5323629764775911),
+        ((5,), 0.5312808224288079),
+    ],
+    ("em", 2): [
+        ((1, 4), 0.5968656707594345),
+        ((4,), 0.5942311178999884),
+        ((5,), 0.5801892535935724),
+        ((1,), 0.562093611736312),
+        ((1, 2), 0.5088930705544915),
+    ],
+    ("em", 3): [
+        ((2, 5), 0.5629331051754601),
+        ((1, 2, 5), 0.5587520829800625),
+        ((1, 3, 4), 0.5491133350424846),
+        ((1, 5), 0.5417017044131412),
+        ((0, 2, 4), 0.5382609330798893),
+    ],
+}
+
+
+class TestSeededPins:
+    @pytest.mark.parametrize("variant, m", sorted(TF_PINS))
+    def test_release_is_bit_identical(self, dense_db, variant, m):
+        result = tf_method(dense_db, k=5, epsilon=1.0, m=m,
+                           variant=variant, rng=m)
+        released = [
+            (entry.itemset, entry.noisy_frequency)
+            for entry in result.itemsets
+        ]
+        assert released == TF_PINS[(variant, m)]
+
+
 class TestDegenerateRegime:
     def test_tiny_epsilon_still_runs(self, dense_db):
         # γ ≫ f_k: no pruning; the implicit pool dominates.  The run

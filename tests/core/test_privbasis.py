@@ -2,14 +2,11 @@
 
 import pytest
 
-from repro.core.privbasis import (
-    _pair_budget_size,
-    default_eta,
-    privbasis,
-)
+from repro.core.privbasis import default_eta, privbasis
 from repro.datasets.transactions import TransactionDatabase
 from repro.errors import ValidationError
 from repro.fim.topk import top_k_itemsets
+from repro.pipeline import pair_budget_size
 
 HUGE_EPSILON = 1e9
 
@@ -130,14 +127,14 @@ class TestPairBudgetHeuristic:
     def test_paper_worked_example(self):
         # Paper Section 4.4: pumsb-star, k = 100, η = 1.2, λ = 20
         # → λ₂ = 44.
-        assert _pair_budget_size(20, 100, 1.2) == 44
+        assert pair_budget_size(20, 100, 1.2) == 44
 
     def test_no_pairs_when_lambda_exceeds_eta_k(self):
-        assert _pair_budget_size(130, 100, 1.2) == 0
+        assert pair_budget_size(130, 100, 1.2) == 0
 
     def test_undamped_when_ratio_small(self):
         # λ₂' = 1.2·100 − 110 = 10 < λ → no damping.
-        assert _pair_budget_size(110, 100, 1.2) == 10
+        assert pair_budget_size(110, 100, 1.2) == 10
 
 
 class TestArbitraryBudgetSplits:

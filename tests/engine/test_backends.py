@@ -6,7 +6,7 @@ backend-independent by construction.  These tests pin
 :class:`BitmapBackend` and :class:`ShardedBackend` (spilled stores of
 several shard sizes, several thread-pool widths) against the pure-Python
 :class:`NaiveBackend` oracle on random small databases, plus the edge
-cases (empty transactions, empty pools, the empty itemset) and the
+cases (empty transactions, empty pools, the empty basis) and the
 batched primitives.
 """
 
@@ -19,6 +19,7 @@ from repro.datasets.transactions import TransactionDatabase
 from repro.engine import (
     BitmapBackend,
     CachedBackend,
+    CountingBackend,
     NaiveBackend,
     as_backend,
     resolve_backend,
@@ -30,7 +31,6 @@ from repro.fim.counting import (
     bin_counts_for_items,
     database_of,
 )
-from repro.pipeline.trace import QueryCountingBackend
 from tests.engine.spill import spilled
 
 
@@ -83,22 +83,6 @@ class TestBackendEquivalence:
                 backend
             )
 
-    def test_conjunction_supports_match(self, seed):
-        database = random_database(seed)
-        rng = np.random.default_rng(seed + 200)
-        oracle, *others = backends_under_test(database)
-        itemsets = [
-            sorted(rng.choice(database.num_items, size=size,
-                              replace=False))
-            for size in (1, 2, 3, 5)
-        ] + [()]  # the empty itemset has support N
-        for itemset in itemsets:
-            expected = oracle.conjunction_support(itemset)
-            for backend in others:
-                assert (
-                    backend.conjunction_support(itemset) == expected
-                ), (repr(backend), itemset)
-
     def test_bin_counts_match(self, seed):
         database = random_database(seed)
         rng = np.random.default_rng(seed + 300)
@@ -121,14 +105,14 @@ class TestBackendEquivalence:
 
     def test_top_k_matches_oracle_supports(self, seed):
         database = random_database(seed)
-        oracle, *others = backends_under_test(database)
+        rows = [set(transaction) for transaction in database]
+        _, *others = backends_under_test(database)
         for backend in others:
             top = backend.top_k(10)
             assert len(top) == 10
             for itemset, support in top:
-                assert (
-                    oracle.conjunction_support(itemset) == support
-                ), repr(backend)
+                expected = sum(1 for row in rows if set(itemset) <= row)
+                assert expected == support, repr(backend)
 
 
 class TestEdgeCases:
@@ -136,8 +120,7 @@ class TestEdgeCases:
         database = TransactionDatabase([], num_items=4)
         for backend in backends_under_test(database):
             assert backend.item_supports().tolist() == [0, 0, 0, 0]
-            assert backend.conjunction_support((0, 1)) == 0
-            assert backend.conjunction_support(()) == 0
+            assert backend.pairwise_supports((0, 1)) == {(0, 1): 0}
             np.testing.assert_array_equal(
                 backend.bin_counts((0, 2)), np.zeros(4, dtype=np.int64)
             )
@@ -145,7 +128,7 @@ class TestEdgeCases:
     def test_all_empty_transactions(self):
         database = TransactionDatabase([(), (), ()], num_items=3)
         for backend in backends_under_test(database):
-            assert backend.conjunction_support(()) == 3
+            np.testing.assert_array_equal(backend.bin_counts(()), [3])
             bins = backend.bin_counts((0, 1))
             assert bins[0] == 3 and bins.sum() == 3
 
@@ -169,14 +152,29 @@ class TestEdgeCases:
 
 
 class TestProtocolSurface:
+    def test_abstract_primitives_are_what_a_release_reads(self):
+        assert CountingBackend.__abstractmethods__ == {
+            "database",
+            "extend",
+            "item_supports",
+            "pairwise_supports",
+            "bin_counts_batch",
+        }
+
     def test_no_backend_answers_deleted_primitives(self):
-        # Lattice extension is the miners' own bitmap sweep, and the
-        # frequency helpers had no caller; no backend keeps them.
+        # Lattice extension is the miners' own bitmap sweep, the
+        # frequency helpers had no caller, and only the TF baseline
+        # read itemset supports (now straight from the database).
         database = random_database(3)
-        backends = backends_under_test(database)
-        backends.append(QueryCountingBackend(BitmapBackend(database)))
-        for backend in backends:
-            for name in ("extension_supports", "frequency", "supports"):
+        deleted = (
+            "extension_supports",
+            "frequency",
+            "supports",
+            "conjunction_support",
+            "conjunction_supports",
+        )
+        for backend in backends_under_test(database):
+            for name in deleted:
                 assert not hasattr(backend, name), (repr(backend), name)
             backend.close()
 
@@ -240,24 +238,12 @@ class TestBatchedPrimitives:
         database = random_database(seed + 20, num_transactions=60,
                                    num_items=16)
         rng = np.random.default_rng(seed)
-        itemsets = [
-            tuple(
-                sorted(
-                    int(item)
-                    for item in rng.choice(16, size=size, replace=False)
-                )
-            )
-            for size in (1, 2, 3, 2, 1)
-        ] + [()]
         bases = [
             [int(item) for item in rng.choice(16, size=size,
                                               replace=False)]
             for size in (1, 3, 5)
         ]
         oracle = NaiveBackend(database)
-        expected_conjunctions = [
-            oracle.conjunction_support(itemset) for itemset in itemsets
-        ]
         expected_bins = [oracle.bin_counts(basis) for basis in bases]
         backends = [
             oracle,
@@ -266,9 +252,6 @@ class TestBatchedPrimitives:
             CachedBackend(BitmapBackend(database)),
         ]
         for backend in backends:
-            assert backend.conjunction_supports(itemsets) == (
-                expected_conjunctions
-            ), repr(backend)
             for got, want in zip(
                 backend.bin_counts_batch(bases), expected_bins
             ):
@@ -291,9 +274,12 @@ class TestBatchedPrimitives:
         for got, want in zip(second[:2], first):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(second[2], first[0])
-        # Conjunctions: repeats inside one batch count as hits, and the
-        # inner backend only ever sees each distinct key once.
-        supports = backend.conjunction_supports([(1,), (1,), (2, 3)])
-        assert supports[0] == supports[1]
-        info = backend.cache_info()["conjunction_support"]
-        assert info == {"hits": 1, "misses": 2}
+        # The one-basis form shares the batch's memo and counters.
+        np.testing.assert_array_equal(backend.bin_counts([3, 4]), first[1])
+        info = backend.cache_info()["bin_counts"]
+        assert info == {"hits": 4, "misses": 2}
+
+    def test_cached_rejects_unknown_cache_kinds(self):
+        inner = BitmapBackend(random_database(31))
+        with pytest.raises(ValidationError):
+            CachedBackend(inner, cache_limits={"conjunction_support": 9})

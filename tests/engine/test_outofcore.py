@@ -88,30 +88,18 @@ def queries_for(num_items: int, seed: int):
         int(i) for i in rng.choice(num_items, size=6, replace=False)
     )
     bases = [pool[:4], pool[2:6], [pool[0]]]
-    itemsets = [
-        tuple(
-            sorted(
-                int(i)
-                for i in rng.choice(num_items, size=s, replace=False)
-            )
-        )
-        for s in (1, 2, 3, 2)
-    ]
-    return pool, bases, itemsets
+    return pool, bases
 
 
 def assert_backends_equivalent(candidate, reference, seed: int):
-    """All four primitives and their batched forms, bit for bit."""
+    """Every counting primitive, bit for bit."""
     num_items = reference.num_items
-    pool, bases, itemsets = queries_for(num_items, seed)
+    pool, bases = queries_for(num_items, seed)
     np.testing.assert_array_equal(
         candidate.item_supports(), reference.item_supports()
     )
     assert candidate.pairwise_supports(pool) == (
         reference.pairwise_supports(pool)
-    )
-    assert candidate.conjunction_supports(itemsets) == (
-        reference.conjunction_supports(itemsets)
     )
     for got, want in zip(
         candidate.bin_counts_batch(bases),
@@ -311,7 +299,7 @@ def test_spilled_backend_never_builds_rows(tmp_path, monkeypatch):
     """Every primitive over a store counts from the mapped CSR."""
     backend, database = spilled_backend(tmp_path, 23)
     reference = BitmapBackend(database)
-    pool, bases, _ = queries_for(database.num_items, 23)
+    pool, bases = queries_for(database.num_items, 23)
     want_bins = reference.bin_counts_batch(bases)
     want_pairs = reference.pairwise_supports(pool)
     _forbid_row_views(monkeypatch)

@@ -189,7 +189,8 @@ class TestBatchAllOrNothing:
 
     @pytest.mark.parametrize(
         "request_",
-        [{"k": 5, "epsilon": "abc"}, (5, None), (2.7, 0.5), (True, 0.5)],
+        [{"k": 5, "epsilon": "abc"}, (5, None), (2.7, 0.5), (True, 0.5),
+         (5, True), (5, 10**400)],
     )
     def test_batch_rejects_unconvertible_requests(self, database, request_):
         session = PrivBasisSession(database)

@@ -15,15 +15,21 @@ from repro.fim.counting import (
 )
 
 
+def popcount(row: np.ndarray) -> int:
+    return int(np.bitwise_count(row).sum())
+
+
 class TestItemBitmaps:
-    def test_support_matches_database(self, tiny_db):
+    def test_conjunction_row_matches_database(self, tiny_db):
         bitmaps = ItemBitmaps(tiny_db, [0, 1, 2, 3, 4])
         for itemset in [(0,), (0, 1), (0, 1, 2), (0, 4)]:
-            assert bitmaps.support(itemset) == tiny_db.support(itemset)
+            assert popcount(bitmaps.conjunction_row(itemset)) == (
+                tiny_db.support(itemset)
+            )
 
     def test_empty_conjunction_is_n(self, tiny_db):
         bitmaps = ItemBitmaps(tiny_db, [0, 1])
-        assert bitmaps.support([]) == 8
+        assert popcount(bitmaps.conjunction_row([])) == 8
 
     def test_duplicate_items_rejected(self, tiny_db):
         with pytest.raises(ValidationError):
@@ -32,7 +38,7 @@ class TestItemBitmaps:
     def test_item_outside_pool(self, tiny_db):
         bitmaps = ItemBitmaps(tiny_db, [0, 1])
         with pytest.raises(ValidationError):
-            bitmaps.support([3])
+            bitmaps.conjunction_row([3])
 
     def test_pairwise_supports(self, tiny_db):
         bitmaps = ItemBitmaps(tiny_db, [0, 1, 2, 3])
@@ -75,7 +81,7 @@ class TestItemBitmaps:
     def test_pool_over_no_transactions(self):
         database = TransactionDatabase([], num_items=3)
         bitmaps = ItemBitmaps(database, [0, 2])
-        assert bitmaps.support([0]) == 0
+        assert popcount(bitmaps.conjunction_row([0])) == 0
         assert bitmaps.pairwise_supports() == {(0, 2): 0}
 
 

@@ -107,10 +107,6 @@ class SealableBackend(CountingBackend):
         self._check()
         return self._inner.pairwise_supports(items)
 
-    def conjunction_support(self, items) -> int:
+    def bin_counts_batch(self, bases):
         self._check()
-        return self._inner.conjunction_support(items)
-
-    def bin_counts(self, basis):
-        self._check()
-        return self._inner.bin_counts(basis)
+        return self._inner.bin_counts_batch(bases)

@@ -13,11 +13,12 @@ import pytest
 
 from repro.core.privbasis import privbasis
 from repro.engine.bitmap import BitmapBackend
+from repro.engine.cache import CachedBackend
+from repro.engine.session import PrivBasisSession
 from repro.errors import ValidationError
 from repro.pipeline import (
     AdaptivePlanner,
     PaperPlanner,
-    QueryCountingBackend,
     build_plan,
     execute_plan,
     planned_release,
@@ -78,9 +79,13 @@ class TestPlanPricing:
         plan = build_plan(np.int64(5), 1.0)
         assert plan.k == 5 and type(plan.k) is int
 
-    @pytest.mark.parametrize("epsilon", ["abc", None, [1.0]])
-    def test_plan_rejects_unconvertible_epsilon(self, epsilon):
-        with pytest.raises(ValidationError, match="number"):
+    @pytest.mark.parametrize(
+        "epsilon, message",
+        [("abc", "number"), (None, "number"), ([1.0], "number"),
+         (True, "number"), (10**400, "finite")],
+    )
+    def test_plan_rejects_unconvertible_epsilon(self, epsilon, message):
+        with pytest.raises(ValidationError, match=message):
             build_plan(10, epsilon)
 
     def test_plan_is_data_free(self):
@@ -125,6 +130,35 @@ class TestReleaseTrace:
         construct = result.trace.stage("construct_basis")
         assert construct.queries == {}
         assert construct.touches_data is False
+
+    @pytest.mark.parametrize(
+        "k, seed, branch, bins",
+        [(10, 0, "single_basis", 1), (50, 1, "pairs", 10),
+         (100, 1, "pairs", 16)],
+    )
+    def test_exact_stage_queries(self, small_db, k, seed, branch, bins):
+        # Recorded when a counting proxy still tallied every backend
+        # call; the cache's hit + miss deltas must read the same, for
+        # a bare release and for a warm session's repeat (all hits).
+        expected = {
+            "get_lambda": {"top_k": 1, "item_supports": 1},
+            "select_items": {"item_supports": 1},
+            "construct_basis": {},
+            "basis_freq": {"bin_counts": bins},
+        }
+        if branch == "pairs":
+            expected["select_pairs"] = {"pairwise_supports": 1}
+        session = PrivBasisSession(small_db)
+        session.release(k=k, epsilon=1.0, rng=seed)
+        for result in (
+            privbasis(small_db, k=k, epsilon=1.0, rng=seed),
+            session.release(k=k, epsilon=1.0, rng=seed),
+        ):
+            assert result.trace.branch == branch
+            queries = {
+                stage.name: stage.queries for stage in result.trace.stages
+            }
+            assert queries == expected
 
     def test_pairs_branch_traces_select_pairs(self, dense_db):
         result = privbasis(
@@ -175,29 +209,34 @@ class TestReleaseTrace:
         assert first.itemset_set() == second.itemset_set()
 
 
-class TestQueryCountingBackend:
-    def test_counts_and_delegates(self, dense_db):
-        probe = QueryCountingBackend(BitmapBackend(dense_db))
-        supports = probe.item_supports()
-        assert supports.sum() > 0
-        probe.conjunction_support((0, 1))
-        probe.bin_counts((0, 1, 2))
-        probe.top_k(5)
-        assert probe.counts() == {
-            "item_supports": 1,
-            "conjunction_support": 1,
-            "bin_counts": 1,
-            "top_k": 1,
-        }
+class TestCacheCountedQueries:
+    def test_trace_sums_to_the_cache_counters(self, small_db):
+        backend = CachedBackend(BitmapBackend(small_db))
+        for seed in (1, 1, 2):
+            before = backend.cache_info()
+            result = privbasis(
+                small_db, k=50, epsilon=1.0, rng=seed, backend=backend
+            )
+            traced = {}
+            for stage in result.trace.stages:
+                for kind, count in stage.queries.items():
+                    traced[kind] = traced.get(kind, 0) + count
+            answered = {
+                kind: sum(counters.values())
+                - sum(before.get(kind, {}).values())
+                for kind, counters in backend.cache_info().items()
+            }
+            assert traced == {
+                kind: count for kind, count in answered.items() if count
+            }
 
-    def test_paper_planner_results_unchanged_by_probe(self, dense_db):
-        backend = BitmapBackend(dense_db)
+    def test_results_unchanged_by_cache_wrapping(self, dense_db):
         direct = privbasis(dense_db, k=8, epsilon=0.7, rng=5)
-        probed = privbasis(
-            dense_db,
-            k=8,
-            epsilon=0.7,
-            rng=5,
-            backend=QueryCountingBackend(backend),
-        )
-        assert direct.itemset_set() == probed.itemset_set()
+        for backend in (
+            BitmapBackend(dense_db),
+            CachedBackend(BitmapBackend(dense_db)),
+        ):
+            wrapped = privbasis(
+                dense_db, k=8, epsilon=0.7, rng=5, backend=backend
+            )
+            assert wrapped.itemsets == direct.itemsets
