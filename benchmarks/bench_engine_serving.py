@@ -31,6 +31,8 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro.core.privbasis import privbasis
 from repro.datasets.registry import clear_caches
 from repro.datasets.synthetic import QuestConfig, generate_quest
@@ -156,9 +158,13 @@ def _time_backends(database, variants) -> dict:
         }
     reference = BitmapBackend(database)
     for name, backend in variants.items():
-        assert (
-            backend.bin_counts(basis) == reference.bin_counts(basis)
-        ).all(), name
+        assert np.array_equal(
+            backend.bin_counts(basis), reference.bin_counts(basis)
+        ), name
+        assert np.array_equal(
+            backend.pairwise_supports(pool),
+            reference.pairwise_supports(pool),
+        ), name
     return results
 
 

@@ -24,7 +24,9 @@ Run standalone::
 
 ``--smoke`` restricts the sweep to the tiny tier so CI exercises the
 generate → spill → attach → count → compare path in seconds; it
-writes no file unless ``--output`` names one.
+writes no file unless ``--output`` names one.  Every run also checks
+each tier's digest against the one committed in
+``BENCH_outofcore.json``: the counts are exact and the tiers seeded.
 """
 
 from __future__ import annotations
@@ -41,7 +43,9 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+REPO_DIR = Path(__file__).resolve().parent.parent
+SRC_DIR = REPO_DIR / "src"
+RESULTS_PATH = REPO_DIR / "BENCH_outofcore.json"
 
 #: Per-tier mmap-plane configuration: resident shard-cache budget and
 #: the peak-RSS target the large tier is asserted against.  The RSS
@@ -94,14 +98,23 @@ def digest_answers(answers) -> str:
 
 
 def run_workload(backend, num_items: int) -> Dict[str, object]:
+    import numpy as np
+
     pool, bases = make_queries(num_items, seed=2012)
     timings: Dict[str, float] = {}
     started = time.perf_counter()
     items = backend.item_supports()
     timings["item_supports_s"] = time.perf_counter() - started
     started = time.perf_counter()
-    pairs = backend.pairwise_supports(pool)
+    supports = backend.pairwise_supports(pool)
     timings["pairwise_supports_s"] = time.perf_counter() - started
+    # Digest the sorted ``(pair, count)`` list, read from the matrix's
+    # upper triangle: the form the committed digests were taken over.
+    firsts, seconds = np.triu_indices(len(pool), 1)
+    pairs = [
+        ((pool[first], pool[second]), int(supports[first, second]))
+        for first, second in zip(firsts, seconds)
+    ]
     started = time.perf_counter()
     bins = backend.bin_counts_batch(bases)
     timings["bin_counts_batch_s"] = time.perf_counter() - started
@@ -165,6 +178,17 @@ def child_main(arguments) -> int:
     return 0
 
 
+def committed_digests() -> Dict[str, str]:
+    """Tier → digest of the committed results (the counts are exact
+    and the tiers seeded, so every run must reproduce them)."""
+    if not RESULTS_PATH.exists():
+        return {}
+    committed = json.loads(RESULTS_PATH.read_text(encoding="utf-8"))
+    return {
+        record["tier"]: record["digest"] for record in committed["results"]
+    }
+
+
 def run_child(
     tier: str, plane: str, budget_mb: int
 ) -> Dict[str, object]:
@@ -214,6 +238,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.datasets.registry import ensure_tier_file, tier_names
 
     tiers = ["tier-tiny"] if arguments.smoke else list(tier_names())
+    committed = committed_digests()
     results: List[Dict[str, object]] = []
     failures: List[str] = []
     for tier in tiers:
@@ -226,6 +251,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         if records["memory"]["digest"] != records["mmap"]["digest"]:
             failures.append(
                 f"{tier}: memory and mmap planes answered differently"
+            )
+        if tier in committed and records["memory"]["digest"] != (
+            committed[tier]
+        ):
+            failures.append(
+                f"{tier}: answers differ from the digest committed in "
+                f"{RESULTS_PATH.name}"
             )
         target_mb = plan["rss_target_mb"]
         mmap_rss = records["mmap"]["peak_rss_bytes"]
@@ -247,11 +279,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     # A smoke run must not overwrite the committed full-scale results.
     if arguments.output or not arguments.smoke:
-        output = Path(
-            arguments.output
-            or Path(__file__).resolve().parent.parent
-            / "BENCH_outofcore.json"
-        )
+        output = Path(arguments.output or RESULTS_PATH)
         output.write_text(
             json.dumps(
                 {
@@ -269,7 +297,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
-    print("planes bit-identical on every tier; RSS targets met")
+    print("planes bit-identical on every tier and equal to the committed "
+          "digests; RSS targets met")
     return 0
 
 

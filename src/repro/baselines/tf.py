@@ -55,6 +55,7 @@ from repro.engine.backend import CountingBackend, resolve_backend
 from repro.errors import ValidationError
 from repro.fim.itemsets import Itemset
 from repro.fim.topk import frequent_itemsets
+from repro.pipeline.plan import validate_epsilon, validate_k
 
 #: Default bound on the explicitly mined candidate set (see module
 #: docstring; only binds in TF's degenerate no-pruning regime).
@@ -90,12 +91,10 @@ def tf_method(
         mining, phase-2 measurement); defaults to a
         :class:`~repro.engine.bitmap.BitmapBackend`.
     """
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
+    k = validate_k(k)
+    epsilon = validate_epsilon(epsilon)
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
-    if not (epsilon > 0):
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
     if not 0 < rho < 1:
         raise ValidationError(f"rho must be in (0, 1), got {rho}")
     if variant not in ("laplace", "em"):

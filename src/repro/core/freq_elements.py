@@ -91,24 +91,23 @@ def get_frequent_pairs(
     The candidate pool ``U`` is all (λ choose 2) pairs of the selected
     frequent items — small, which is the point of Step 2 (paper
     Section 4.4).  Pair supports are counted exactly once through the
-    backend (one bitmap sweep in the default backend, a merged
-    per-shard sweep in :class:`~repro.engine.sharded.ShardedBackend`);
-    the counts then feed the exponential mechanism.
+    backend, as one support matrix over the sorted pool (one bitmap
+    sweep in the default backend, per-shard matrices added together in
+    :class:`~repro.engine.sharded.ShardedBackend`).  Its upper
+    triangle, read row by row, lists the pairs in sorted order; those
+    counts feed the exponential mechanism.
     """
     pool = canonical_itemset(items)
     if len(pool) < 2:
         raise ValidationError(
             f"need at least 2 items to form pairs, got {len(pool)}"
         )
-    backend = resolve_backend(database, backend)
-    support_by_pair = backend.pairwise_supports(pool)
-    pairs = sorted(support_by_pair)
-    counts = np.array(
-        [support_by_pair[pair] for pair in pairs], dtype=float
-    )
-    if how_many > len(pairs):
+    firsts, seconds = np.triu_indices(len(pool), 1)
+    if how_many > len(firsts):
         raise ValidationError(
-            f"cannot select {how_many} pairs from {len(pairs)} candidates"
+            f"cannot select {how_many} pairs from {len(firsts)} candidates"
         )
+    backend = resolve_backend(database, backend)
+    counts = backend.pairwise_supports(pool)[firsts, seconds]
     indices = select_top_by_count(counts, how_many, epsilon, rng)
-    return [pairs[index] for index in indices]
+    return [(pool[firsts[index]], pool[seconds[index]]) for index in indices]

@@ -2,8 +2,8 @@
 
 PrivBasis reads the data in exactly three ways (paper Algorithms 1
 and 3): single-item supports (:meth:`~CountingBackend.item_supports`,
-for GetLambda and GetFreqItems), pairwise supports over a small pool
-(:meth:`~CountingBackend.pairwise_supports`, for GetFreqPairs), and
+for GetLambda and GetFreqItems), the pairwise-support matrix of a small
+pool (:meth:`~CountingBackend.pairwise_supports`, for GetFreqPairs), and
 the ``2^ℓ`` bin histograms of BasisFreq
 (:meth:`~CountingBackend.bin_counts_batch`, one call for the whole
 basis set), plus the exact top-k oracle
@@ -43,7 +43,7 @@ memoization layer warm across releases.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -137,13 +137,15 @@ class CountingBackend(abc.ABC):
         """Support count of every single item, shape ``(num_items,)``."""
 
     @abc.abstractmethod
-    def pairwise_supports(
-        self, items: Sequence[int]
-    ) -> Dict[Tuple[int, int], int]:
+    def pairwise_supports(self, items: Sequence[int]) -> np.ndarray:
         """Support of every unordered pair drawn from ``items``.
 
-        Returns a dict keyed by sorted item pairs, covering all
-        ``(|items| choose 2)`` pairs.
+        Returns a ``(P, P)`` int64 matrix over the sorted,
+        duplicate-free pool ``pool = canonical_itemset(items)``: entry
+        ``[i, j]`` with ``i < j`` is the support of
+        ``{pool[i], pool[j]}``, and every other entry (the diagonal and
+        the lower triangle) is 0.  ``M[np.triu_indices(P, 1)]`` lists
+        the ``(P choose 2)`` supports in ``sorted(pairs)`` order.
         """
 
     @abc.abstractmethod

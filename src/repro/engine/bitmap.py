@@ -3,7 +3,8 @@
 :class:`BitmapBackend` answers the counting primitives with the
 same kernels the library has always used — the CSR item supports of
 :class:`~repro.datasets.transactions.TransactionDatabase`, the packed
-:class:`~repro.fim.counting.ItemBitmaps` pair sweeps, and the
+:class:`~repro.fim.counting.ItemBitmaps` pair sweep into a support
+matrix, and the
 scatter-add bin kernel — but *pools* the expensive intermediates so
 repeated queries reuse them:
 
@@ -16,7 +17,7 @@ The backend is exact and stateless from the caller's point of view
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 import numpy as np
 
@@ -99,9 +100,7 @@ class BitmapBackend(CountingBackend):
             self._item_supports = self._database.item_supports()
         return self._item_supports.copy()
 
-    def pairwise_supports(
-        self, items: Sequence[int]
-    ) -> Dict[Tuple[int, int], int]:
+    def pairwise_supports(self, items: Sequence[int]) -> np.ndarray:
         return self.bitmaps(items).pairwise_supports()
 
     def bin_counts_batch(

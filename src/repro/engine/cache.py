@@ -9,7 +9,7 @@ backend's warm structures survive the append incrementally.
 :class:`~repro.engine.backend.CountingBackend` and keeps:
 
 * the item-support vector (built once);
-* pairwise-support dicts keyed by the (frozen) item pool;
+* pairwise-support matrices keyed by the (frozen) item pool;
 * bin histograms keyed by the basis tuple — the big win: a repeated
   release that lands on a basis already counted skips the full data
   scan of Algorithm 1 entirely;
@@ -84,9 +84,7 @@ class CachedBackend(CountingBackend):
         self._inner = inner
         self._limits = {**DEFAULT_CACHE_LIMITS, **(cache_limits or {})}
         self._item_supports: Optional[np.ndarray] = None
-        self._pair_cache: Dict[
-            FrozenSet[int], Dict[Tuple[int, int], int]
-        ] = {}
+        self._pair_cache: Dict[FrozenSet[int], np.ndarray] = {}
         self._bin_cache: Dict[Itemset, np.ndarray] = {}
         self._topk_cache: Dict[Tuple[int, Optional[int]], object] = {}
         self._hits: Dict[str, int] = {}
@@ -156,9 +154,7 @@ class CachedBackend(CountingBackend):
             self._record("item_supports", hit=True)
         return self._item_supports.copy()
 
-    def pairwise_supports(
-        self, items: Sequence[int]
-    ) -> Dict[Tuple[int, int], int]:
+    def pairwise_supports(self, items: Sequence[int]) -> np.ndarray:
         key = frozenset(int(item) for item in items)
         cached = self._pair_cache.get(key)
         if cached is None:
@@ -170,7 +166,7 @@ class CachedBackend(CountingBackend):
             self._pair_cache[key] = cached
         else:
             self._record("pairwise_supports", hit=True)
-        return dict(cached)
+        return cached.copy()
 
     # Defined here, not inherited, because perfbench times both bin
     # forms by patching this class's own attributes.

@@ -13,7 +13,7 @@ workloads; it is O(N·|t|) Python per query.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -54,17 +54,14 @@ class NaiveBackend(CountingBackend):
                 counts[item] += 1
         return counts
 
-    def pairwise_supports(
-        self, items: Sequence[int]
-    ) -> Dict[Tuple[int, int], int]:
+    def pairwise_supports(self, items: Sequence[int]) -> np.ndarray:
         pool = canonical_itemset(items)
-        supports: Dict[Tuple[int, int], int] = {
-            pair: 0 for pair in combinations(pool, 2)
-        }
+        position = {item: index for index, item in enumerate(pool)}
+        supports = np.zeros((len(pool), len(pool)), dtype=np.int64)
         for transaction in self._transactions:
             present = sorted(set(pool) & transaction)
-            for pair in combinations(present, 2):
-                supports[pair] += 1
+            for first, second in combinations(present, 2):
+                supports[position[first], position[second]] += 1
         return supports
 
     def bin_counts_batch(

@@ -7,9 +7,9 @@ through the store's budget-bounded LRU cache.  Every counting
 primitive runs a per-shard kernel (the ``shard_*`` functions below) on
 a thread pool and merges in the caller:
 
-* item-support vectors and bin histograms add elementwise (the bins of
-  a basis partition each shard exactly as they partition ``D``);
-* pairwise supports add as scalars per pair.
+* item-support vectors, pairwise-support matrices and bin histograms
+  add elementwise (the bins of a basis partition each shard exactly
+  as they partition ``D``).
 
 Counts are additive over any partition of the transactions, so the
 merged answers equal the single-scan answers exactly — the
@@ -17,8 +17,9 @@ equivalence test-suite pins this against both
 :class:`~repro.engine.bitmap.BitmapBackend` and the naive oracle.
 
 The numpy kernels release the GIL in their hot loops; the
-Python-level per-shard work (bitmap row packing, dict merges)
-serializes on the GIL, which caps the speedup below the core count.
+Python-level per-shard work (the per-item loop of the pair sweep and
+of bitmap row packing) serializes on the GIL, which caps the speedup
+below the core count.
 Per-query working memory is one shard's scratch per pool thread
 instead of one full-database scratch, and the resident set stays
 inside the store's memory budget even while a query sweeps every
@@ -28,9 +29,10 @@ something asks for it.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -58,8 +60,8 @@ def shard_item_supports(shard: TransactionDatabase) -> np.ndarray:
 
 def shard_pairwise_supports(
     shard: TransactionDatabase, pool: Sequence[int]
-) -> Dict[Tuple[int, int], int]:
-    """All pairwise supports over ``pool`` within one shard."""
+) -> np.ndarray:
+    """The pairwise-support matrix over ``pool`` within one shard."""
     return ItemBitmaps(shard, pool).pairwise_supports()
 
 
@@ -197,16 +199,10 @@ class ShardedBackend(CountingBackend):
             self._item_supports = np.sum(parts, axis=0, dtype=np.int64)
         return self._item_supports.copy()
 
-    def pairwise_supports(
-        self, items: Sequence[int]
-    ) -> Dict[Tuple[int, int], int]:
+    def pairwise_supports(self, items: Sequence[int]) -> np.ndarray:
         pool = canonical_itemset(items)
         parts = self._map_kernel(shard_pairwise_supports, pool)
-        merged: Dict[Tuple[int, int], int] = {}
-        for part in parts:
-            for pair, count in part.items():
-                merged[pair] = merged.get(pair, 0) + count
-        return merged
+        return functools.reduce(np.add, parts)
 
     def bin_counts_batch(
         self, bases: Sequence[Sequence[int]]

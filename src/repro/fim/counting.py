@@ -3,10 +3,11 @@
 Two kernels back the rest of the library:
 
 * :class:`ItemBitmaps` — packed per-item bit vectors over the ``N``
-  transactions.  A conjunction's row is a bitwise AND (its support a
-  popcount of that row), and all pairwise supports over a small item
-  pool vectorize to one matrix operation per item.  Used by the exact
-  top-k miner and by the frequent-pairs step of PrivBasis.
+  transactions, held as uint64 words.  A conjunction's row is a
+  bitwise AND (its support a popcount of that row), and the pairwise
+  supports over a small item pool vectorize to one sweep per item
+  that fills a support matrix.  Used by the exact miners and by the
+  frequent-pairs step of PrivBasis.
 * :func:`bin_counts_for_items` — the scatter-add histogram of paper
   Algorithm 1: for a basis ``B`` it returns, for each of the
   ``2^{|B|}`` subsets ``X ⊆ B``, the number of transactions ``t`` with
@@ -73,16 +74,32 @@ def _membership(
     return rows
 
 
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """Pack a boolean ``(rows, n)`` matrix into ``ceil(n / 64)`` uint64
+    words per row: the ``np.packbits`` bytes, zero-padded to whole
+    8-byte words.  Popcounts ignore bit order, so the words are never
+    byte-swapped or unpacked as words."""
+    rows, n = bits.shape
+    words = np.zeros((rows, (n + 63) // 64), dtype=np.uint64)
+    words.view(np.uint8)[:, :(n + 7) // 8] = np.packbits(bits, axis=1)
+    return words
+
+
 class ItemBitmaps:
     """Packed boolean membership rows for a pool of items.
+
+    Each row holds ``ceil(N / 64)`` uint64 words: the item's
+    ``np.packbits`` membership bytes, zero-padded to whole words.  The
+    padding (bits past ``N``) is zero and stays zero across
+    :meth:`extend`, so an AND+popcount over whole words counts only
+    real transactions.
 
     Parameters
     ----------
     database:
         Source transactions.
     items:
-        The item pool; one packed row (uint8 words, ``np.packbits``
-    layout) is built per item.
+        The item pool; one packed row is built per item, in this order.
     """
 
     def __init__(
@@ -95,19 +112,19 @@ class ItemBitmaps:
         self._position: Dict[int, int] = {
             item: position for position, item in enumerate(self._items)
         }
-        # Shape: (num_items_in_pool, ceil(N / 8)) of uint8.  ``_packed``
-        # is a column-slice view into ``_buffer``, whose spare capacity
-        # lets :meth:`extend` append bytes in place (amortized O(Δ)).
-        # Rows are packed in blocks, so a wide pool (a frequent-itemset
-        # mine over hundreds of items) never holds its unpacked boolean
-        # matrix at once; a pool of one block (the common case, and the
-        # empty pool) keeps its rows without a copy.
+        # Shape: (num_items_in_pool, ceil(N / 64)) of uint64.
+        # ``_packed`` is a column-slice view into ``_buffer``, whose
+        # spare capacity lets :meth:`extend` append words in place
+        # (amortized O(Δ)).  Rows are packed in blocks, so a wide pool
+        # (a frequent-itemset mine over hundreds of items) never holds
+        # its unpacked boolean matrix at once; a pool of one block (the
+        # common case, and the empty pool) keeps its rows without a
+        # copy.
         blocks = [
-            np.packbits(
+            _pack_words(
                 _membership(
                     database, self._items[start:start + _PACK_BLOCK_ROWS]
-                ),
-                axis=1,
+                )
             )
             for start in range(
                 0, max(len(self._items), 1), _PACK_BLOCK_ROWS
@@ -134,11 +151,13 @@ class ItemBitmaps:
         bits per item from scratch, only the new transactions are
         packed and written into spare buffer capacity — amortized
         O(|pool| · ΔN/8) bytes touched (the buffer doubles when it
-        fills, so full-row copies are rare).  When the existing
-        transaction count is not byte-aligned, the final partially
-        filled byte of each row is unpacked, fused with the new bits,
-        and repacked, so the dense ``np.packbits`` layout (and with it
-        every AND+popcount kernel) is preserved exactly.
+        fills, so full-row copies are rare).  The writes go through a
+        byte view of the words.  When the existing transaction count
+        is not byte-aligned, the final partially filled byte of each
+        row is unpacked, fused with the new bits, and repacked, so
+        the dense ``np.packbits`` layout is preserved exactly.  Bytes
+        past the new ``N`` are never written, so the padding stays
+        zero.
         """
         count = delta.num_transactions
         if count == 0:
@@ -151,28 +170,28 @@ class ItemBitmaps:
         new_n = old_n + count
         old_cols = (old_n + 7) // 8
         new_cols = (new_n + 7) // 8
-        if new_cols > self._buffer.shape[1]:
-            capacity = max(new_cols, 2 * self._buffer.shape[1])
+        new_words = (new_n + 63) // 64
+        if new_words > self._buffer.shape[1]:
+            capacity = max(new_words, 2 * self._buffer.shape[1])
             buffer = np.zeros(
-                (len(self._items), capacity), dtype=np.uint8
+                (len(self._items), capacity), dtype=np.uint64
             )
-            buffer[:, :old_cols] = self._packed
+            buffer[:, :self._packed.shape[1]] = self._packed
             self._buffer = buffer
+        data = self._buffer.view(np.uint8)
         partial = old_n % 8
         if partial:
             boundary = np.unpackbits(
-                self._packed[:, old_cols - 1: old_cols], axis=1
+                data[:, old_cols - 1: old_cols], axis=1
             )[:, :partial].astype(bool)
             tail = np.packbits(
                 np.concatenate([boundary, delta_bits], axis=1), axis=1
             )
-            self._buffer[:, old_cols - 1: new_cols] = tail
+            data[:, old_cols - 1: new_cols] = tail
         else:
-            self._buffer[:, old_cols: new_cols] = np.packbits(
-                delta_bits, axis=1
-            )
+            data[:, old_cols: new_cols] = np.packbits(delta_bits, axis=1)
         self._num_transactions = new_n
-        self._packed = self._buffer[:, :new_cols]
+        self._packed = self._buffer[:, :new_words]
 
     def row(self, item: int) -> np.ndarray:
         """Packed membership row for ``item`` (read-only view)."""
@@ -188,8 +207,8 @@ class ItemBitmaps:
         items = [int(item) for item in items]
         if not items:
             # All transactions: every bit up to N set.
-            full = np.ones(self._num_transactions, dtype=bool)
-            return np.packbits(full)
+            full = np.ones((1, self._num_transactions), dtype=bool)
+            return _pack_words(full)[0]
         result = self.row(items[0]).copy()
         for item in items[1:]:
             np.bitwise_and(result, self.row(item), out=result)
@@ -212,29 +231,21 @@ class ItemBitmaps:
             axis=1, dtype=np.int64
         )
 
-    def pairwise_supports(self) -> Dict[Tuple[int, int], int]:
-        """Support of every unordered pair in the pool.
+    def pairwise_supports(self) -> np.ndarray:
+        """Support of every unordered pair in the pool, as a matrix.
 
-        Returns a dict keyed by sorted item pairs.  Cost is one
-        vectorized AND+popcount sweep per item, i.e. O(|pool|² · N/8)
-        bytes touched.
+        Returns a ``(P, P)`` int64 matrix over the pool in row order:
+        entry ``[i, j]`` with ``i < j`` is the support of
+        ``{items[i], items[j]}``, every other entry is 0.  Cost is one
+        vectorized AND+popcount sweep per item over whole words, i.e.
+        O(|pool|² · N/64) word operations.
         """
-        supports: Dict[Tuple[int, int], int] = {}
-        for position, item in enumerate(self._items):
-            if position + 1 >= len(self._items):
-                break
-            others = self._packed[position + 1:]
-            counts = np.bitwise_count(
-                others & self._packed[position][np.newaxis, :]
+        size = len(self._items)
+        supports = np.zeros((size, size), dtype=np.int64)
+        for position in range(size - 1):
+            supports[position, position + 1:] = np.bitwise_count(
+                self._packed[position + 1:] & self._packed[position]
             ).sum(axis=1, dtype=np.int64)
-            for offset, count in enumerate(counts):
-                other_item = self._items[position + 1 + offset]
-                key = (
-                    (item, other_item)
-                    if item < other_item
-                    else (other_item, item)
-                )
-                supports[key] = int(count)
         return supports
 
 

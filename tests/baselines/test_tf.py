@@ -31,6 +31,22 @@ class TestValidation:
         with pytest.raises(ValidationError):
             tf_method(dense_db, k=1, epsilon=1.0, m=1, variant="x")
 
+    @pytest.mark.parametrize(
+        "k, epsilon",
+        [(5, True), (5, 10**400), (2.7, 1.0), (True, 1.0),
+         (5, float("nan"))],
+        ids=["eps-true", "eps-overflow", "k-float", "k-true", "eps-nan"],
+    )
+    def test_shared_k_and_epsilon_checks(self, dense_db, k, epsilon):
+        with pytest.raises(ValidationError):
+            tf_method(dense_db, k=k, epsilon=epsilon, m=1)
+
+    def test_numpy_integer_k_is_a_k(self, dense_db):
+        result = tf_method(dense_db, k=np.int64(5), epsilon=1, m=1, rng=1)
+        assert result.k == 5 and type(result.k) is int
+        assert result.epsilon == 1.0 and type(result.epsilon) is float
+        assert len(result.itemsets) == 5
+
 
 class TestEndToEnd:
     def test_returns_k_itemsets(self, dense_db):

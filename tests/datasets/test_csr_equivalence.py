@@ -74,10 +74,12 @@ def assert_matches_rows(database, rows, num_items):
         mask = sum(1 << bit for bit, item in enumerate(basis) if item in row)
         want[mask] += 1
     np.testing.assert_array_equal(bin_counts_for_items(database, basis), want)
-    assert ItemBitmaps(database, vocabulary).pairwise_supports() == {
-        pair: naive_support(rows, pair)
-        for pair in combinations(vocabulary, 2)
-    }
+    want = np.zeros((num_items, num_items), dtype=np.int64)
+    for first, second in combinations(vocabulary, 2):
+        want[first, second] = naive_support(rows, (first, second))
+    np.testing.assert_array_equal(
+        ItemBitmaps(database, vocabulary).pairwise_supports(), want
+    )
 
 
 @settings(max_examples=60, deadline=None)

@@ -77,10 +77,11 @@ class TestBackendEquivalence:
         )
         oracle, *others = backends_under_test(database)
         expected = oracle.pairwise_supports(pool)
-        assert len(expected) == 15  # all (6 choose 2) pairs present
+        assert expected.shape == (6, 6)
         for backend in others:
-            assert backend.pairwise_supports(pool) == expected, repr(
-                backend
+            np.testing.assert_array_equal(
+                backend.pairwise_supports(pool), expected,
+                err_msg=repr(backend),
             )
 
     def test_bin_counts_match(self, seed):
@@ -120,7 +121,9 @@ class TestEdgeCases:
         database = TransactionDatabase([], num_items=4)
         for backend in backends_under_test(database):
             assert backend.item_supports().tolist() == [0, 0, 0, 0]
-            assert backend.pairwise_supports((0, 1)) == {(0, 1): 0}
+            np.testing.assert_array_equal(
+                backend.pairwise_supports((0, 1)), np.zeros((2, 2))
+            )
             np.testing.assert_array_equal(
                 backend.bin_counts((0, 2)), np.zeros(4, dtype=np.int64)
             )
@@ -135,7 +138,9 @@ class TestEdgeCases:
     def test_pairwise_on_minimal_pool(self):
         database = random_database(1)
         for backend in backends_under_test(database):
-            assert backend.pairwise_supports((3,)) == {}
+            np.testing.assert_array_equal(
+                backend.pairwise_supports((3,)), np.zeros((1, 1))
+            )
 
     def test_sharded_shard_partitioning(self):
         database = random_database(2, num_transactions=25)
@@ -149,6 +154,74 @@ class TestEdgeCases:
             spilled(database, rows_per_segment=0)
         with pytest.raises(ValidationError):
             spilled(database, max_workers=0)
+
+
+class TestPairMatrixContract:
+    """``pairwise_supports`` is a ``(P, P)`` int64 matrix over the
+    sorted pool whose upper triangle holds the pair supports."""
+
+    @pytest.mark.parametrize(
+        "pool",
+        [(), (5,), (9, 2), (11, 0, 7, 3, 12, 1, 8), tuple(range(14))],
+        ids=["empty", "one", "two", "seven", "all"],
+    )
+    def test_matrix_matches_oracle(self, pool):
+        database = random_database(4, num_transactions=150)
+        oracle, *others = backends_under_test(database)
+        expected = oracle.pairwise_supports(pool)
+        ordered = sorted(pool)
+        assert expected.shape == (len(pool), len(pool))
+        for first, second in zip(*np.triu_indices(len(pool), 1)):
+            assert expected[first, second] == database.support(
+                (ordered[first], ordered[second])
+            )
+        for backend in others:
+            answer = backend.pairwise_supports(pool)
+            assert answer.dtype == np.int64, repr(backend)
+            assert np.array_equal(answer, expected), repr(backend)
+
+    def test_diagonal_and_lower_triangle_are_zero(self):
+        # Every row holds every item, so a filled diagonal or lower
+        # entry would read N rather than 0.
+        database = TransactionDatabase([tuple(range(6))] * 70, num_items=6)
+        expected = np.triu(np.full((6, 6), 70), 1)
+        for backend in backends_under_test(database):
+            assert np.array_equal(
+                backend.pairwise_supports(range(6)), expected
+            ), repr(backend)
+
+    @pytest.mark.parametrize("start, step", [(37, 29), (64, 27), (100, 1)])
+    def test_matrix_after_extend_matches_cold_oracle(self, start, step):
+        # Row counts off the 64-bit word boundary: a warm bitmap pool
+        # must keep its padding bits zero as it grows.
+        database = random_database(5, num_transactions=start + 3 * step)
+        pool = (0, 2, 3, 5, 8, 13)
+        backends = backends_under_test(database.slice(0, start))
+        for backend in backends:
+            backend.pairwise_supports(pool)
+        for stop in range(start + step, database.num_transactions + 1,
+                          step):
+            delta = database.slice(stop - step, stop)
+            expected = NaiveBackend(database.slice(0, stop))
+            want = expected.pairwise_supports(pool)
+            for backend in backends:
+                backend.extend(delta)
+                assert backend.num_transactions == stop
+                assert np.array_equal(
+                    backend.pairwise_supports(pool), want
+                ), (repr(backend), stop)
+
+    def test_cached_answer_is_a_copy(self):
+        database = random_database(6)
+        backend = CachedBackend(BitmapBackend(database))
+        first = backend.pairwise_supports((1, 4, 9))
+        expected = first.copy()
+        first[0, 1] += 1000
+        first[2, 0] = -1
+        assert np.array_equal(backend.pairwise_supports((9, 4, 1)), expected)
+        assert backend.cache_info()["pairwise_supports"] == {
+            "hits": 1, "misses": 1,
+        }
 
 
 class TestProtocolSurface:

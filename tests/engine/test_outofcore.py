@@ -98,8 +98,8 @@ def assert_backends_equivalent(candidate, reference, seed: int):
     np.testing.assert_array_equal(
         candidate.item_supports(), reference.item_supports()
     )
-    assert candidate.pairwise_supports(pool) == (
-        reference.pairwise_supports(pool)
+    assert np.array_equal(
+        candidate.pairwise_supports(pool), reference.pairwise_supports(pool)
     )
     for got, want in zip(
         candidate.bin_counts_batch(bases),
@@ -282,7 +282,9 @@ def _assert_counts_from_views(attached, reference, mapping, monkeypatch):
         sharded.shard_bin_counts_batch(attached, bases), want_bins
     ):
         np.testing.assert_array_equal(got, want)
-    assert sharded.shard_pairwise_supports(attached, pool) == want_pairs
+    assert np.array_equal(
+        sharded.shard_pairwise_supports(attached, pool), want_pairs
+    )
 
 
 def test_file_segment_attaches_zero_copy(tmp_path, monkeypatch):
@@ -306,7 +308,7 @@ def test_spilled_backend_never_builds_rows(tmp_path, monkeypatch):
     with backend:
         for got, want in zip(backend.bin_counts_batch(bases), want_bins):
             np.testing.assert_array_equal(got, want)
-        assert backend.pairwise_supports(pool) == want_pairs
+        assert np.array_equal(backend.pairwise_supports(pool), want_pairs)
 
 
 def test_resident_bytes_are_the_mapped_files(tmp_path):

@@ -46,8 +46,8 @@ def assert_matches(candidate, reference) -> None:
     np.testing.assert_array_equal(
         candidate.item_supports(), reference.item_supports()
     )
-    assert candidate.pairwise_supports(pool) == (
-        reference.pairwise_supports(pool)
+    assert np.array_equal(
+        candidate.pairwise_supports(pool), reference.pairwise_supports(pool)
     )
     for got, want in zip(
         candidate.bin_counts_batch(bases),
@@ -207,7 +207,7 @@ class TestDispatch:
         for supports, bins, pairs in answers:
             np.testing.assert_array_equal(supports, expected[0])
             np.testing.assert_array_equal(bins, expected[1])
-            assert pairs == expected[2]
+            np.testing.assert_array_equal(pairs, expected[2])
 
 
 # ----------------------------------------------------------------------

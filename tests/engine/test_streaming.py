@@ -94,8 +94,9 @@ class TestAppendEquivalence:
                 err_msg=repr(backend),
             )
             pool = sorted(rng.choice(14, size=6, replace=False))
-            assert backend.pairwise_supports(pool) == (
-                oracle.pairwise_supports(pool)
+            assert np.array_equal(
+                backend.pairwise_supports(pool),
+                oracle.pairwise_supports(pool),
             ), repr(backend)
             bases = [
                 [int(item) for item in rng.choice(14, size=size,

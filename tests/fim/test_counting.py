@@ -43,9 +43,17 @@ class TestItemBitmaps:
     def test_pairwise_supports(self, tiny_db):
         bitmaps = ItemBitmaps(tiny_db, [0, 1, 2, 3])
         pairwise = bitmaps.pairwise_supports()
-        assert pairwise[(0, 1)] == tiny_db.support([0, 1])
-        assert pairwise[(2, 3)] == tiny_db.support([2, 3])
-        assert len(pairwise) == 6
+        assert pairwise.shape == (4, 4) and pairwise.dtype == np.int64
+        assert pairwise[0, 1] == tiny_db.support([0, 1])
+        assert pairwise[2, 3] == tiny_db.support([2, 3])
+        assert not np.tril(pairwise).any()
+
+    def test_pairwise_supports_follow_row_order(self, tiny_db):
+        bitmaps = ItemBitmaps(tiny_db, [3, 0, 1])
+        pairwise = bitmaps.pairwise_supports()
+        assert pairwise[0, 1] == tiny_db.support([0, 3])
+        assert pairwise[1, 2] == tiny_db.support([0, 1])
+        assert not np.tril(pairwise).any()
 
     def test_extension_supports(self, tiny_db):
         bitmaps = ItemBitmaps(tiny_db, [0, 1, 2, 3, 4])
@@ -57,7 +65,7 @@ class TestItemBitmaps:
 
     def test_empty_pool(self, tiny_db):
         bitmaps = ItemBitmaps(tiny_db, [])
-        assert bitmaps.pairwise_supports() == {}
+        assert bitmaps.pairwise_supports().shape == (0, 0)
 
     def test_pool_wider_than_a_pack_block(self, small_db, monkeypatch):
         # Rows packed three at a time equal rows packed in one block.
@@ -67,7 +75,9 @@ class TestItemBitmaps:
         blocked = ItemBitmaps(small_db, pool)
         for item in pool:
             np.testing.assert_array_equal(blocked.row(item), whole.row(item))
-        assert blocked.pairwise_supports() == whole.pairwise_supports()
+        np.testing.assert_array_equal(
+            blocked.pairwise_supports(), whole.pairwise_supports()
+        )
 
     def test_extend_after_block_packing(self, small_db, monkeypatch):
         monkeypatch.setattr(counting, "_PACK_BLOCK_ROWS", 2)
@@ -78,11 +88,38 @@ class TestItemBitmaps:
         for item in pool:
             np.testing.assert_array_equal(grown.row(item), cold.row(item))
 
+    @pytest.mark.parametrize("start, steps", [(0, [1, 63, 5]),
+                                              (37, [29, 64, 3]),
+                                              (64, [128, 1])])
+    def test_padding_bits_stay_zero(self, small_db, start, steps):
+        # Rows are whole uint64 words; every bit past N must be zero,
+        # from the constructor and after each in-place extend.
+        pool = [0, 5, 7, 12, 30]
+        bitmaps = ItemBitmaps(small_db.slice(0, start), pool)
+        stop = start
+        for step in [0, *steps]:
+            bitmaps.extend(small_db.slice(stop, stop + step))
+            stop += step
+            for item in pool:
+                row = bitmaps.row(item)
+                assert row.dtype == np.uint64
+                assert row.size == (stop + 63) // 64
+                bits = np.unpackbits(row.view(np.uint8))
+                assert not bits[stop:].any()
+                assert int(bits.sum()) == small_db.slice(0, stop).support(
+                    [item]
+                )
+            assert not np.unpackbits(
+                bitmaps.conjunction_row([]).view(np.uint8)
+            )[stop:].any()
+
     def test_pool_over_no_transactions(self):
         database = TransactionDatabase([], num_items=3)
         bitmaps = ItemBitmaps(database, [0, 2])
         assert popcount(bitmaps.conjunction_row([0])) == 0
-        assert bitmaps.pairwise_supports() == {(0, 2): 0}
+        np.testing.assert_array_equal(
+            bitmaps.pairwise_supports(), np.zeros((2, 2))
+        )
 
 
 class TestBinCounts:
