@@ -101,7 +101,7 @@ def monolithic_release(backend, k, epsilon, rng):
 
 def time_overhead(database, repeats: int) -> None:
     backend = BitmapBackend(database)
-    backend.item_supports()  # warm the pools outside the timers
+    backend.item_supports()  # warm the item supports outside the timers
 
     published = [
         (entry.itemset, entry.noisy_count)

@@ -1,13 +1,14 @@
 """Streaming benchmark: incremental append vs cold rebuild.
 
 A live feed delivers transaction batches; after each batch the serving
-state (database indexes, item supports, packed bitmap pools) must be
-brought current before the next release.  Two strategies compete:
+state (database indexes, item supports) must be brought current before
+the next release.  Two strategies compete:
 
 * **incremental** — ``CountingBackend.extend(delta)``: the CSR
-  inverted index is merged, packed bitmap rows grow in place, tail
-  shards absorb new rows, item supports are advanced by addition —
-  O(Δ) work per batch;
+  inverted index is merged, the database's item supports are advanced
+  by addition, tail shards absorb new rows — O(Δ) work per batch; the
+  pairwise supports of the refresh query are counted afresh, as after
+  any ingest;
 * **cold rebuild** — what the code did before streaming existed:
   construct a fresh ``TransactionDatabase`` + backend over the full
   concatenation and rebuild every structure — O(N) work per batch.
@@ -42,7 +43,7 @@ from repro.datasets.transactions import TransactionDatabase
 from repro.engine import BitmapBackend, NaiveBackend, ShardedBackend
 from repro.engine.mmap import MmapShardStore
 
-#: Item pool whose packed bitmaps every refresh keeps warm (the
+#: Item pool whose pairwise supports every refresh reads (the
 #: frequent-pairs step of PrivBasis works over a pool of this size).
 POOL_SIZE = 24
 
@@ -101,10 +102,7 @@ def make_feed(smoke: bool):
 def warm(backend, pool) -> None:
     """Build the serving state a warm backend keeps across batches."""
     backend.item_supports()
-    if isinstance(backend, BitmapBackend):
-        backend.bitmaps(pool)
-    else:
-        backend.pairwise_supports(pool)
+    backend.pairwise_supports(pool)
 
 
 def refresh_queries(backend, pool) -> int:

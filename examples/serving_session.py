@@ -5,7 +5,7 @@ Scenario: one database (a retail-like basket log), several tenants
 each asking for their own ε-DP top-k release — different k, different
 budgets, different noise mechanisms.  A single
 :class:`repro.PrivBasisSession` serves them all: exact dataset-derived
-state (item supports, bitmap pools, bin histograms, the top-k oracle)
+state (item supports, pair supports, bin histograms, the top-k oracle)
 is built once and shared, and fresh noise is drawn per release.  The
 session keeps no ledger: the caller caps spending across tenants
 with a :class:`repro.dp.budget.PrivacyBudget`, spent *before* each

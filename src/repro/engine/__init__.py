@@ -9,23 +9,26 @@ This package is the data-access seam of the library.  Layering:
    mechanism in :mod:`repro.core` and every baseline counts through a
    backend, which keeps the DP accounting auditable (one inspectable
    surface) and the physical counting strategy swappable.
-2. Concrete backends — :class:`BitmapBackend` (default, single
-   process, pooled packed bitmaps, the dataset in RAM),
+2. Concrete backends, stateless kernels over their data —
+   :class:`BitmapBackend` (default, single process, packed bitmaps,
+   the dataset in RAM),
    :class:`ShardedBackend` (a dataset spilled to
    :mod:`repro.engine.mmap` segment files, its shards counted on a
    thread pool through a budget-bounded cache), and
    :class:`NaiveBackend` (pure-Python oracle for the equivalence
    tests).
-3. :class:`CachedBackend` — memoizes every exact query result and
-   counts every query; each release runs on one, and its counters
-   are the release trace's per-stage query counts.
+3. :class:`CachedBackend` — the one memo of exact counts: it
+   memoizes every exact query result and counts every query; each
+   release runs on one, and its counters are the release trace's
+   per-stage query counts.
 4. :class:`PrivBasisSession` — one database + one cached backend
    serving repeated ``release(k, epsilon)`` calls; the repeated-query
    serving layer the ROADMAP's production north-star asks for.
 
 Streaming: every backend also implements ``extend(delta)`` —
-incremental append of new transactions (packed-bitmap row extension,
-tail-shard growth, oracle append, snapshot-scoped cache invalidation)
+incremental append of new transactions (copy-on-write database
+concatenation, tail-shard growth, oracle append, cached item supports
+advanced by the delta's and the other memos dropped per snapshot)
 that is support-for-support identical to a cold rebuild on the
 concatenated database.  Sessions ride on it via
 :meth:`PrivBasisSession.ingest`, pinning a snapshot version on every

@@ -27,7 +27,8 @@ Implementations in this package:
   by the equivalence test-suite.
 * :class:`repro.engine.cache.CachedBackend` — the memoizing wrapper
   every release runs on (a session's own, or a fresh one per bare
-  release); its hit/miss counters are the trace's query counts.
+  release) and the only place exact counts are kept between calls;
+  its hit/miss counters are the trace's query counts.
 
 Backend selection guidance: stay with :class:`BitmapBackend` while
 the database fits in RAM — it was as fast as or faster than sharding
@@ -105,10 +106,10 @@ class CountingBackend(abc.ABC):
         identical* to a cold rebuild on the concatenation, which the
         streaming equivalence suite pins against
         :class:`~repro.engine.naive.NaiveBackend`.  Implementations
-        reuse their warm state (packed bitmap rows are extended, tail
-        shards grow, memo caches are invalidated per snapshot) rather
-        than rebuilding it, which is what makes a live ingest feed
-        affordable.
+        append rather than rebuild (the database is concatenated
+        copy-on-write, tail shards grow, the memo advances its item
+        supports by the delta's and drops the rest), which is what
+        makes a live ingest feed affordable.
 
         Not thread-safe: callers that serve concurrent queries must
         serialize ``extend`` against them, exactly as the service does

@@ -1,19 +1,23 @@
-"""Memoizing backend wrapper — the cache behind a serving session.
+"""Memoizing backend wrapper — the one memo of exact counts.
 
 Every counting primitive (plus the exact top-k oracle) is a pure
 function of one immutable database *snapshot*, so their results can
-be memoized until the data advances: a streaming append
-(:meth:`CachedBackend.extend`) drops every memo, while the inner
-backend's warm structures survive the append incrementally.
-:class:`CachedBackend` wraps any inner
-:class:`~repro.engine.backend.CountingBackend` and keeps:
+be memoized until the data advances.  :class:`CachedBackend` wraps any
+inner :class:`~repro.engine.backend.CountingBackend` and is the only
+place that keeps exact counts between calls; the backends under it are
+stateless kernels over their data.  It keeps:
 
-* the item-support vector (built once);
+* the item-support vector, which a streaming append
+  (:meth:`CachedBackend.extend`) advances by the delta's supports —
+  counts are sums over transactions, so the count over ``D ⧺ Δ`` is
+  the count over ``D`` plus the count over ``Δ``;
 * pairwise-support matrices keyed by the (frozen) item pool;
 * bin histograms keyed by the basis tuple — the big win: a repeated
   release that lands on a basis already counted skips the full data
   scan of Algorithm 1 entirely;
 * top-k mining results keyed by ``(k, max_length)``.
+
+The last three are dropped on append.
 
 Only *exact* (non-private) quantities are ever cached.  Noise is drawn
 downstream per release, so cache reuse never reuses randomness and the
@@ -21,10 +25,10 @@ DP guarantees of each release are unaffected; what is affected is the
 privacy *budget* bookkeeping across releases, which belongs to
 whoever spends the ε (the service's per-tenant ledger journal).
 
-Every cache is size-capped (oldest entry evicted first) so a
-long-lived serving session holds bounded memory: bin histograms are
-up to ``2^ℓ`` int64 each and would otherwise accumulate one array per
-distinct basis ever released.
+Every cache is size-capped (oldest entry evicted first, see
+:data:`CACHE_LIMITS`) so a long-lived serving session holds bounded
+memory: bin histograms are up to ``2^ℓ`` int64 each and would
+otherwise accumulate one array per distinct basis ever released.
 
 Per-kind hit/miss counters are exposed via :meth:`cache_info` so tests
 and dashboards can verify reuse is actually happening.  Every query
@@ -42,15 +46,14 @@ import numpy as np
 
 from repro.datasets.transactions import TransactionDatabase
 from repro.engine.backend import CountingBackend
-from repro.errors import ValidationError
 
 __all__ = ["CachedBackend"]
 
 Itemset = Tuple[int, ...]
 
-#: Default per-cache entry caps.  Bins and top-k results are the large
-#: entries (2^ℓ int64 per basis, k tuples per mining result).
-DEFAULT_CACHE_LIMITS = {
+#: Per-cache entry caps.  Bins and top-k results are the large entries
+#: (2^ℓ int64 per basis, k tuples per mining result).
+CACHE_LIMITS = {
     "bin_counts": 64,
     "pairwise_supports": 32,
     "top_k": 64,
@@ -64,25 +67,10 @@ def _evict_oldest(cache: Dict, limit: int) -> None:
 
 
 class CachedBackend(CountingBackend):
-    """Wrap ``inner`` with per-query memoization and hit/miss stats.
+    """Wrap ``inner`` with per-query memoization and hit/miss stats."""
 
-    ``cache_limits`` overrides entries of :data:`DEFAULT_CACHE_LIMITS`
-    (per-kind maximum memoized results; oldest evicted first).
-    """
-
-    def __init__(
-        self,
-        inner: CountingBackend,
-        cache_limits: Optional[Dict[str, int]] = None,
-    ) -> None:
-        unknown = sorted(set(cache_limits or ()) - set(DEFAULT_CACHE_LIMITS))
-        if unknown:
-            raise ValidationError(
-                f"unknown cache kinds {unknown}; "
-                f"expected some of {sorted(DEFAULT_CACHE_LIMITS)}"
-            )
+    def __init__(self, inner: CountingBackend) -> None:
         self._inner = inner
-        self._limits = {**DEFAULT_CACHE_LIMITS, **(cache_limits or {})}
         self._item_supports: Optional[np.ndarray] = None
         self._pair_cache: Dict[FrozenSet[int], np.ndarray] = {}
         self._bin_cache: Dict[Itemset, np.ndarray] = {}
@@ -112,15 +100,18 @@ class CachedBackend(CountingBackend):
         """Append ``delta`` through the inner backend, scoped safely.
 
         Every memoized result is a function of one database snapshot,
-        so an append *must* invalidate them — a stale bin histogram
-        would silently misprice every later release.  The inner
-        backend's warm state (extended bitmap pools, grown tail
-        shards) survives; only this wrapper's memos are dropped.
-        Which version the new data state is served as is the session's
-        business, not the cache's.
+        so an append must not serve it stale — a stale bin histogram
+        would silently misprice every later release.  The item-support
+        vector is advanced by ``delta``'s supports (O(Δ), with no pass
+        over the inner data); the pair, bin and top-k memos are
+        dropped.  Which version the new data state is served as is the
+        session's business, not the cache's.
         """
         self._inner.extend(delta)
+        item_supports = self._item_supports
         self.clear()
+        if item_supports is not None:
+            self._item_supports = item_supports + delta.item_supports()
 
     # -- stats ----------------------------------------------------------
     def _record(self, kind: str, hit: bool) -> None:
@@ -161,7 +152,7 @@ class CachedBackend(CountingBackend):
             self._record("pairwise_supports", hit=False)
             cached = self._inner.pairwise_supports(sorted(key))
             _evict_oldest(
-                self._pair_cache, self._limits["pairwise_supports"]
+                self._pair_cache, CACHE_LIMITS["pairwise_supports"]
             )
             self._pair_cache[key] = cached
         else:
@@ -202,7 +193,7 @@ class CachedBackend(CountingBackend):
             for key, counts in zip(missing, results):
                 values[key] = counts
                 _evict_oldest(
-                    self._bin_cache, self._limits["bin_counts"]
+                    self._bin_cache, CACHE_LIMITS["bin_counts"]
                 )
                 self._bin_cache[key] = counts
         return [values[key].copy() for key in keys]
@@ -218,7 +209,7 @@ class CachedBackend(CountingBackend):
         if cached is None:
             self._record("top_k", hit=False)
             cached = self._inner.top_k(k, max_length=max_length)
-            _evict_oldest(self._topk_cache, self._limits["top_k"])
+            _evict_oldest(self._topk_cache, CACHE_LIMITS["top_k"])
             self._topk_cache[key] = cached
         else:
             self._record("top_k", hit=True)

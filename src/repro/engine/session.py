@@ -4,7 +4,7 @@ A production deployment of PrivBasis answers *many* ``(k, ε)``
 release requests against the same database — different tenants,
 different budgets, retries.  Only the noise and the exponential-
 mechanism draws differ between releases; all dataset-derived state
-(item supports, bitmap pools, bin histograms, the exact top-k oracle
+(item supports, pair supports, bin histograms, the exact top-k oracle
 behind GetLambda's θ) is reusable.  :class:`PrivBasisSession` owns one
 database + one :class:`~repro.engine.cache.CachedBackend` and exposes
 ``release`` / ``release_batch``, so the first release pays the cold
@@ -106,9 +106,9 @@ class PrivBasisSession:
         ``transactions`` is an iterable of transactions (each an
         iterable of item ids within the current vocabulary) or a ready
         :class:`TransactionDatabase` delta.  The warm backend advances
-        incrementally — bitmap rows are extended, tail shards grow,
-        and the caching layer drops its memos — so ingestion costs
-        O(Δ), not a cold rebuild.
+        incrementally — the cached item supports grow by the delta's,
+        tail shards grow, and the pair, bin and top-k memos are
+        dropped — so ingestion costs O(Δ), not a cold rebuild.
 
         ``version`` is the number the new data state is served as.  A
         bare session counts its own (the current version + 1); the
@@ -153,12 +153,11 @@ class PrivBasisSession:
         """One JSON-serializable bundle of data-state + cache telemetry.
 
         This is the introspection surface :mod:`repro.service` polls
-        for its ``/metrics`` endpoint: the served snapshot, the
-        per-kind cache hit/miss counters, and — when the inner backend
-        exposes it — the number of bitmap pools built, which is the
-        signal the coalescing tests use to prove cold-start work
-        happened at most once.  Release counts are not here: the
-        service's result store owns them.
+        for its ``/metrics`` endpoint: the served snapshot and the
+        per-kind cache hit/miss counters, whose misses are the signal
+        the coalescing tests use to prove cold-start work happened at
+        most once.  Release counts are not here: the service's result
+        store owns them.
         """
         inner = self._backend.inner
         stats: Dict[str, object] = {
@@ -166,9 +165,6 @@ class PrivBasisSession:
             "num_transactions": self._backend.num_transactions,
             "cache": self._backend.cache_info(),
         }
-        pools_built = getattr(inner, "pools_built", None)
-        if pools_built is not None:
-            stats["pools_built"] = int(pools_built)
         data_plane_stats = getattr(inner, "data_plane_stats", None)
         if callable(data_plane_stats):
             # Out-of-core (mmap) backends report residency telemetry:

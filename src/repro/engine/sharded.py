@@ -104,7 +104,6 @@ class ShardedBackend(CountingBackend):
         self._store = store
         self._max_workers = max_workers
         self._database: Optional[TransactionDatabase] = None
-        self._item_supports: Optional[np.ndarray] = None
 
     @property
     def database(self) -> TransactionDatabase:
@@ -147,17 +146,12 @@ class ShardedBackend(CountingBackend):
 
         The store rewrites only its partial tail segment (atomically,
         under its own file name) and adds new segments for the rest;
-        full segments are untouched.  The cached item-support vector is
-        advanced by adding ``delta``'s supports.
+        full segments are untouched.
         """
         self._validate_delta(delta)
         if not delta.num_transactions:
             return
         self._store.extend(delta)
-        if self._item_supports is not None:
-            self._item_supports = (
-                self._item_supports + delta.item_supports()
-            )
         # A materialized full database is stale now; it is copied out
         # of the segments again only if something asks for it.
         self._database = None
@@ -194,10 +188,8 @@ class ShardedBackend(CountingBackend):
 
     # -- the primitives --------------------------------------------
     def item_supports(self) -> np.ndarray:
-        if self._item_supports is None:
-            parts = self._map_kernel(shard_item_supports)
-            self._item_supports = np.sum(parts, axis=0, dtype=np.int64)
-        return self._item_supports.copy()
+        parts = self._map_kernel(shard_item_supports)
+        return np.sum(parts, axis=0, dtype=np.int64)
 
     def pairwise_supports(self, items: Sequence[int]) -> np.ndarray:
         pool = canonical_itemset(items)

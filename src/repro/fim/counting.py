@@ -90,9 +90,8 @@ class ItemBitmaps:
 
     Each row holds ``ceil(N / 64)`` uint64 words: the item's
     ``np.packbits`` membership bytes, zero-padded to whole words.  The
-    padding (bits past ``N``) is zero and stays zero across
-    :meth:`extend`, so an AND+popcount over whole words counts only
-    real transactions.
+    padding (bits past ``N``) is zero, so an AND+popcount over whole
+    words counts only real transactions.
 
     Parameters
     ----------
@@ -112,14 +111,11 @@ class ItemBitmaps:
         self._position: Dict[int, int] = {
             item: position for position, item in enumerate(self._items)
         }
-        # Shape: (num_items_in_pool, ceil(N / 64)) of uint64.
-        # ``_packed`` is a column-slice view into ``_buffer``, whose
-        # spare capacity lets :meth:`extend` append words in place
-        # (amortized O(Δ)).  Rows are packed in blocks, so a wide pool
-        # (a frequent-itemset mine over hundreds of items) never holds
-        # its unpacked boolean matrix at once; a pool of one block (the
-        # common case, and the empty pool) keeps its rows without a
-        # copy.
+        # Shape: (num_items_in_pool, ceil(N / 64)) of uint64.  Rows
+        # are packed in blocks, so a wide pool (a frequent-itemset mine
+        # over hundreds of items) never holds its unpacked boolean
+        # matrix at once; a pool of one block (the common case, and the
+        # empty pool) keeps its rows without a copy.
         blocks = [
             _pack_words(
                 _membership(
@@ -130,10 +126,9 @@ class ItemBitmaps:
                 0, max(len(self._items), 1), _PACK_BLOCK_ROWS
             )
         ]
-        self._buffer = (
+        self._packed = (
             blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
         )
-        self._packed = self._buffer
 
     @property
     def items(self) -> Tuple[int, ...]:
@@ -143,55 +138,6 @@ class ItemBitmaps:
     @property
     def num_transactions(self) -> int:
         return self._num_transactions
-
-    def extend(self, delta: TransactionDatabase) -> None:
-        """Grow every packed row in place by ``delta``'s transactions.
-
-        The streaming append path: instead of repacking ``N + ΔN``
-        bits per item from scratch, only the new transactions are
-        packed and written into spare buffer capacity — amortized
-        O(|pool| · ΔN/8) bytes touched (the buffer doubles when it
-        fills, so full-row copies are rare).  The writes go through a
-        byte view of the words.  When the existing transaction count
-        is not byte-aligned, the final partially filled byte of each
-        row is unpacked, fused with the new bits, and repacked, so
-        the dense ``np.packbits`` layout is preserved exactly.  Bytes
-        past the new ``N`` are never written, so the padding stays
-        zero.
-        """
-        count = delta.num_transactions
-        if count == 0:
-            return
-        if not self._items:
-            self._num_transactions += count
-            return
-        delta_bits = _membership(delta, self._items)
-        old_n = self._num_transactions
-        new_n = old_n + count
-        old_cols = (old_n + 7) // 8
-        new_cols = (new_n + 7) // 8
-        new_words = (new_n + 63) // 64
-        if new_words > self._buffer.shape[1]:
-            capacity = max(new_words, 2 * self._buffer.shape[1])
-            buffer = np.zeros(
-                (len(self._items), capacity), dtype=np.uint64
-            )
-            buffer[:, :self._packed.shape[1]] = self._packed
-            self._buffer = buffer
-        data = self._buffer.view(np.uint8)
-        partial = old_n % 8
-        if partial:
-            boundary = np.unpackbits(
-                data[:, old_cols - 1: old_cols], axis=1
-            )[:, :partial].astype(bool)
-            tail = np.packbits(
-                np.concatenate([boundary, delta_bits], axis=1), axis=1
-            )
-            data[:, old_cols - 1: new_cols] = tail
-        else:
-            data[:, old_cols: new_cols] = np.packbits(delta_bits, axis=1)
-        self._num_transactions = new_n
-        self._packed = self._buffer[:, :new_words]
 
     def row(self, item: int) -> np.ndarray:
         """Packed membership row for ``item`` (read-only view)."""
@@ -221,12 +167,18 @@ class ItemBitmaps:
 
         ``base_row`` is a packed row (e.g. from
         :meth:`conjunction_row`); returns an int64 array aligned with
-        ``candidate_items``.
+        ``candidate_items``.  Candidates that are one ascending run of
+        pool rows (every later item at the root of a mining walk) are
+        read as a slice of the packed rows instead of a gathered copy.
         """
         if not len(candidate_items):
             return np.zeros(0, dtype=np.int64)
         positions = [self._position[int(item)] for item in candidate_items]
-        stacked = self._packed[positions]
+        first = positions[0]
+        if positions == list(range(first, first + len(positions))):
+            stacked = self._packed[first:first + len(positions)]
+        else:
+            stacked = self._packed[positions]
         return np.bitwise_count(stacked & base_row[np.newaxis, :]).sum(
             axis=1, dtype=np.int64
         )

@@ -60,17 +60,14 @@ def validate_epsilon(epsilon) -> float:
     """``epsilon`` as a positive finite ``float``, or
     :class:`ValidationError`.
 
-    ``True`` is not an ε (as it is not a k), and an integer too large
-    for a float is not finite.
+    Real numbers only, by type (numpy floats included): ``"1.0"`` is
+    not an ε, ``True`` is not one (as it is not a k), and an integer
+    too large for a float is not finite.
     """
-    if isinstance(epsilon, bool):
+    if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real):
         raise ValidationError(f"epsilon must be a number, got {epsilon!r}")
     try:
         value = float(epsilon)
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"epsilon must be a number, got {epsilon!r}"
-        ) from None
     except OverflowError:
         value = float("inf")
     if not (0 < value < float("inf")):

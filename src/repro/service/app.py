@@ -7,7 +7,7 @@ One :class:`PrivBasisService` fronts one
   session caches is exact and non-private, so sharing it leaks nothing
   between tenants; cold-start construction is deduplicated through a
   :class:`~repro.service.coalesce.Coalescer` so a thundering herd on a
-  cold dataset builds its bitmaps once.
+  cold dataset builds its session once.
 * **Budgets are per-tenant, never shared.**  Every release spends from
   the requesting tenant's ledger — its entries in the store's
   :class:`~repro.store.ledger.LedgerJournal` — before any noise is

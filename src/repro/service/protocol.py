@@ -13,11 +13,11 @@ keys are rejected with ``validation_error`` rather than ignored.
 
 from __future__ import annotations
 
-import sys
 from typing import Any, Dict, List, Mapping
 
 from repro.core.result import PrivateFIMResult
 from repro.errors import ValidationError
+from repro.pipeline.plan import validate_epsilon
 from repro.pipeline.planner import resolve_planner
 
 __all__ = [
@@ -98,18 +98,9 @@ def parse_release_request(body: Any) -> Dict[str, Any]:
         raise ValidationError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= MAX_K:
         raise ValidationError(f"k must be in [1, {MAX_K}], got {k!r}")
-    epsilon = body["epsilon"]
-    if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
-        raise ValidationError(
-            f"epsilon must be a number, got {epsilon!r}"
-        )
-    # Compared before float(): an integer past the float range would
-    # overflow there instead of failing validation.
-    if not 0 < epsilon <= sys.float_info.max:
-        raise ValidationError(
-            f"epsilon must be positive and finite, got {epsilon!r}"
-        )
-    request: Dict[str, Any] = {"k": k, "epsilon": float(epsilon)}
+    request: Dict[str, Any] = {
+        "k": k, "epsilon": validate_epsilon(body["epsilon"]),
+    }
     if "noise" in body:
         noise = body["noise"]
         if noise not in ALLOWED_NOISE:

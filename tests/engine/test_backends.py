@@ -351,8 +351,3 @@ class TestBatchedPrimitives:
         np.testing.assert_array_equal(backend.bin_counts([3, 4]), first[1])
         info = backend.cache_info()["bin_counts"]
         assert info == {"hits": 4, "misses": 2}
-
-    def test_cached_rejects_unknown_cache_kinds(self):
-        inner = BitmapBackend(random_database(31))
-        with pytest.raises(ValidationError):
-            CachedBackend(inner, cache_limits={"conjunction_support": 9})

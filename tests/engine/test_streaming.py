@@ -25,6 +25,7 @@ from repro.engine import (
     NaiveBackend,
     PrivBasisSession,
 )
+from repro.engine import sharded
 from repro.errors import ValidationError
 from tests.engine.spill import spilled
 
@@ -64,8 +65,6 @@ def warm_up(backend) -> None:
     backend.item_supports()
     backend.pairwise_supports(range(6))
     backend.bin_counts([0, 3, 7])
-    if isinstance(backend, BitmapBackend):
-        backend.bitmaps(range(8))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -164,14 +163,51 @@ class TestExtendMechanics:
         assert backend.num_transactions == 70
         assert_all_shards_match(backend)
 
-    def test_bitmap_pools_are_extended_not_rebuilt(self):
-        base = random_database(4, 37)
-        backend = BitmapBackend(base)
-        backend.bitmaps(range(8))
-        built_before = backend.pools_built
-        backend.extend(random_database(5, 11))
-        backend.pairwise_supports(range(8))
-        assert backend.pools_built == built_before
+    @pytest.mark.parametrize(
+        "inner",
+        [BitmapBackend, lambda base: spilled(base, rows_per_segment=16)],
+        ids=["bitmap", "sharded"],
+    )
+    def test_cached_item_supports_advance_across_extends(self, inner):
+        base = random_database(4, BASE)
+        backend = CachedBackend(inner(base))
+        backend.item_supports()
+        for seed, count in enumerate((11, 5, 1, 20), start=5):
+            backend.extend(random_database(seed, count))
+            np.testing.assert_array_equal(
+                backend.item_supports(),
+                NaiveBackend(backend.database).item_supports(),
+            )
+        # Every read after the first was answered by the memo.
+        assert backend.cache_info()["item_supports"] == {
+            "hits": 4, "misses": 1,
+        }
+
+    def test_cached_item_supports_skip_the_shard_fan_out(
+        self, monkeypatch
+    ):
+        calls = []
+        kernel = sharded.shard_item_supports
+
+        def counting(shard):
+            calls.append(shard.num_transactions)
+            return kernel(shard)
+
+        monkeypatch.setattr(sharded, "shard_item_supports", counting)
+        backend = CachedBackend(
+            spilled(random_database(4, 40), rows_per_segment=16)
+        )
+        backend.item_supports()
+        fanned_out = len(calls)
+        assert fanned_out == 3
+        backend.extend(random_database(5, 30))
+        backend.extend(random_database(6, 7))
+        assert backend.inner.num_shards == 5
+        np.testing.assert_array_equal(
+            backend.item_supports(),
+            NaiveBackend(backend.database).item_supports(),
+        )
+        assert len(calls) == fanned_out
 
     def test_cached_backend_invalidates_per_snapshot(self):
         base = random_database(6, 30)

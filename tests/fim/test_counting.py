@@ -79,39 +79,22 @@ class TestItemBitmaps:
             blocked.pairwise_supports(), whole.pairwise_supports()
         )
 
-    def test_extend_after_block_packing(self, small_db, monkeypatch):
-        monkeypatch.setattr(counting, "_PACK_BLOCK_ROWS", 2)
-        pool = [1, 4, 9, 16, 25]
-        grown = ItemBitmaps(small_db.slice(0, 101), pool)
-        grown.extend(small_db.slice(101, small_db.num_transactions))
-        cold = ItemBitmaps(small_db, pool)
-        for item in pool:
-            np.testing.assert_array_equal(grown.row(item), cold.row(item))
-
-    @pytest.mark.parametrize("start, steps", [(0, [1, 63, 5]),
-                                              (37, [29, 64, 3]),
-                                              (64, [128, 1])])
-    def test_padding_bits_stay_zero(self, small_db, start, steps):
-        # Rows are whole uint64 words; every bit past N must be zero,
-        # from the constructor and after each in-place extend.
+    @pytest.mark.parametrize("n", [0, 1, 37, 63, 64, 65, 128])
+    def test_padding_bits_stay_zero(self, small_db, n):
+        # Rows are whole uint64 words; every bit past N must be zero.
         pool = [0, 5, 7, 12, 30]
-        bitmaps = ItemBitmaps(small_db.slice(0, start), pool)
-        stop = start
-        for step in [0, *steps]:
-            bitmaps.extend(small_db.slice(stop, stop + step))
-            stop += step
-            for item in pool:
-                row = bitmaps.row(item)
-                assert row.dtype == np.uint64
-                assert row.size == (stop + 63) // 64
-                bits = np.unpackbits(row.view(np.uint8))
-                assert not bits[stop:].any()
-                assert int(bits.sum()) == small_db.slice(0, stop).support(
-                    [item]
-                )
-            assert not np.unpackbits(
-                bitmaps.conjunction_row([]).view(np.uint8)
-            )[stop:].any()
+        database = small_db.slice(0, n)
+        bitmaps = ItemBitmaps(database, pool)
+        for item in pool:
+            row = bitmaps.row(item)
+            assert row.dtype == np.uint64
+            assert row.size == (n + 63) // 64
+            bits = np.unpackbits(row.view(np.uint8))
+            assert not bits[n:].any()
+            assert int(bits.sum()) == database.support([item])
+        assert not np.unpackbits(
+            bitmaps.conjunction_row([]).view(np.uint8)
+        )[n:].any()
 
     def test_pool_over_no_transactions(self):
         database = TransactionDatabase([], num_items=3)

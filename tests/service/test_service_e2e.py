@@ -143,17 +143,20 @@ class TestTwoTenantScenario:
             async with service.serving() as (host, port):
                 async with ServiceClient(host, port, tenant="alice") as c:
                     await c.release(k=8, epsilon=0.25)
-                    pools_after_first = service.session_for(
-                        DATASET
-                    ).stats()["pools_built"]
+                    first = service.session_for(DATASET).stats()
                     await c.release(k=8, epsilon=0.25)
                     stats = service.session_for(DATASET).stats()
-            return loader, pools_after_first, stats
+            return loader, first, stats
 
-        loader, pools_after_first, stats = asyncio.run(scenario())
+        loader, first, stats = asyncio.run(scenario())
         assert loader.calls == 1
-        # The warm release re-used the bitmap pools built by the first.
-        assert stats["pools_built"] == pools_after_first
+        # The warm release's item supports and top-k oracle hit the
+        # memo the first one filled: it added no miss of either kind.
+        for kind in ("item_supports", "top_k"):
+            assert (
+                stats["cache"][kind]["misses"]
+                == first["cache"][kind]["misses"]
+            ), kind
         hits = sum(entry["hits"] for entry in stats["cache"].values())
         assert hits > 0
 
