@@ -71,7 +71,8 @@ def evaluate_release(
     """FNR and median relative error of one release.
 
     ``true_topk`` is the exact (itemset, support) list — pass the
-    cached oracle output so repeated trials don't re-mine.
+    cached oracle output so repeated trials don't re-mine.  The true
+    frequencies are read from it; the database gives only ``N``.
 
     Interpretation note: the relative error is computed over the
     *correctly identified* itemsets (published ∩ exact top-k).  The
@@ -84,20 +85,17 @@ def evaluate_release(
     identified the RE is NaN (plotted as a gap).
     """
     n = float(database.num_transactions)
-    truth_sets = [itemset for itemset, _ in true_topk[: result.k]]
+    true_supports = dict(true_topk[: result.k])
     published = result.itemset_set()
-    fnr = false_negative_rate(truth_sets, published, result.k)
+    fnr = false_negative_rate(true_supports, published, result.k)
 
-    truth_lookup = set(truth_sets)
     published_frequencies: Dict[Itemset, float] = {}
     true_frequencies: Dict[Itemset, float] = {}
     for entry in result.itemsets:
-        if entry.itemset not in truth_lookup:
+        if entry.itemset not in true_supports:
             continue
         published_frequencies[entry.itemset] = entry.noisy_frequency
-        true_frequencies[entry.itemset] = (
-            database.support(entry.itemset) / n
-        )
+        true_frequencies[entry.itemset] = true_supports[entry.itemset] / n
     rel = relative_error(
         published_frequencies, true_frequencies, floor=1.0 / n
     )

@@ -11,13 +11,20 @@ across the chunk → spill → attach → merge path and after O(Δ)
 ``extend``.
 
 Randomization is seeded (no hypothesis dependency): each seed drives
-an independent database shape, chunk size, and segment size.
+an independent database shape, chunk size, and segment size.  The
+registry's generated size tiers are pinned on both planes by committed
+digests of their exact counts (tier-large nightly, with its peak RSS).
 """
 
 from __future__ import annotations
 
 import gzip
+import hashlib
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +34,7 @@ from repro.datasets.chunked import (
     iter_transaction_chunks,
     load_chunked,
 )
+from repro.datasets.registry import TIERS, ensure_tier_file
 from repro.datasets.transactions import TransactionDatabase
 from repro.engine import (
     BitmapBackend,
@@ -343,3 +351,121 @@ def test_session_shape_reads_never_copy_the_store(tmp_path, monkeypatch):
     assert session.backend.num_transactions == total
     assert session.backend.num_items == database.num_items
     session.close()
+
+
+# ----------------------------------------------------------------------
+# Seeded size tiers: exact counts pinned by digest on both planes
+# ----------------------------------------------------------------------
+#: SHA-256 of one release's counting answers on each tier: item
+#: supports, the pool's upper-triangle pairs and ``bin_counts_batch``
+#: over :func:`tier_queries`.  The tiers are seeded and the counts
+#: exact, so any plane on any machine must reproduce them.
+TIER_DIGESTS = {
+    "tier-tiny":
+        "344958c210330eefa716b7a3dc2d85eb26d085b15c15a0a9f1d2f3bd1f1b1222",
+    "tier-small":
+        "4b88af4d678de266c5470ac44b58205576eefd7f29e91c68478c307c9cdc3d81",
+    "tier-large":
+        "82301c8235ccaf40e71a0b6e53a3b6d07397b8f1b464180457421e9491266651",
+}
+
+#: Resident shard budget of the mmap plane: tier-large's spill (~79 MB)
+#: does not fit, so its sweeps evict.
+TIER_BUDGET_MB = 64
+
+#: Peak RSS the tier-large mmap plane must stay under: interpreter,
+#: numpy and one working set of mapped pages.  The memory plane holds
+#: the whole tier and is not bounded.
+TIER_LARGE_RSS_TARGET_MB = 512
+
+
+def tier_queries(num_items: int):
+    """A 20-item pool and five 6-item bases, drawn at seed 2012."""
+    rng = np.random.default_rng(2012)
+
+    def pick(size):
+        return sorted(
+            int(item)
+            for item in rng.choice(num_items, size=size, replace=False)
+        )
+
+    pool = pick(min(20, num_items))
+    return pool, [pick(min(6, num_items)) for _ in range(5)]
+
+
+def tier_backend(tier: str, plane: str, directory):
+    """The tier file under ``directory``, served by ``plane``."""
+    num_items = TIERS[tier].num_items
+    path = ensure_tier_file(tier, directory)
+    if plane == "memory":
+        return BitmapBackend(load_chunked(path, num_items=num_items))
+    store = MmapShardStore.build(
+        os.path.join(directory, f"{tier}-shards"),
+        iter_transaction_chunks(path, num_items=num_items),
+        num_items=num_items,
+        memory_budget_bytes=TIER_BUDGET_MB << 20,
+    )
+    return ShardedBackend(store)
+
+
+def tier_digest(backend) -> str:
+    pool, bases = tier_queries(backend.num_items)
+    supports = backend.pairwise_supports(pool)
+    firsts, seconds = np.triu_indices(len(pool), 1)
+    pairs = [
+        [[pool[first], pool[second]], int(supports[first, second])]
+        for first, second in zip(firsts, seconds)
+    ]
+    answers = [
+        backend.item_supports().tolist(),
+        pairs,
+        [bins.tolist() for bins in backend.bin_counts_batch(bases)],
+    ]
+    return hashlib.sha256(json.dumps(answers).encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def tier_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("tiers")
+
+
+@pytest.mark.parametrize(
+    "tier, plane",
+    [
+        pytest.param(
+            tier, plane,
+            marks=[pytest.mark.soak] if tier == "tier-large" else [],
+        )
+        for tier in TIER_DIGESTS
+        for plane in ("memory", "mmap")
+    ],
+)
+def test_tier_counts_match_the_committed_digest(tier_dir, tier, plane):
+    with tier_backend(tier, plane, tier_dir) as backend:
+        assert tier_digest(backend) == TIER_DIGESTS[tier]
+
+
+@pytest.mark.soak
+def test_tier_large_mmap_peak_rss_stays_under_target(tier_dir):
+    """``ru_maxrss`` is a process-lifetime high-water mark, so the
+    mmap plane is measured in a fresh interpreter."""
+    repo = Path(__file__).resolve().parents[2]
+    child = (
+        "import resource, sys\n"
+        "from tests.engine.test_outofcore import tier_backend, tier_digest\n"
+        "with tier_backend('tier-large', 'mmap', sys.argv[1]) as backend:\n"
+        "    digest = tier_digest(backend)\n"
+        "print(digest, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([str(repo / "src"), str(repo)]),
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", child, str(tier_dir)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    digest, peak_kib = completed.stdout.split()
+    assert digest == TIER_DIGESTS["tier-large"]
+    # Linux reports ru_maxrss in KiB.
+    assert int(peak_kib) < TIER_LARGE_RSS_TARGET_MB * 1024

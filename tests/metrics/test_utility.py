@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.baselines.nonprivate import exact_top_k
 from repro.core.result import NoisyItemset, PrivateFIMResult
+from repro.datasets.transactions import TransactionDatabase
 from repro.errors import ValidationError
 from repro.fim.topk import top_k_itemsets
 from repro.metrics.utility import (
@@ -106,3 +108,27 @@ class TestEvaluateRelease:
         # Only {0} counts toward RE; it is exact → 0, despite the junk
         # itemset having absurd error.
         assert metrics["relative_error"] == pytest.approx(0.0)
+
+    def test_reads_true_supports_from_the_oracle_list(
+        self, tiny_db, monkeypatch
+    ):
+        truth = top_k_itemsets(tiny_db, 4)
+        release = make_release(
+            [(itemset, 0.5) for itemset, _ in truth[:3]] + [((3, 4), 0.9)],
+            k=4,
+        )
+        n = tiny_db.num_transactions
+        want_re = float(np.median([
+            abs(0.5 - tiny_db.support(itemset) / n)
+            / (tiny_db.support(itemset) / n)
+            for itemset, _ in truth[:3]
+        ]))
+
+        def recount(*_args, **_kwargs):
+            raise AssertionError("evaluate_release recounted a support")
+
+        monkeypatch.setattr(TransactionDatabase, "support", recount)
+        metrics = evaluate_release(release, tiny_db, truth)
+        assert metrics["fnr"] == pytest.approx(0.25)
+        assert metrics["relative_error"] == pytest.approx(want_re)
+        assert want_re > 0

@@ -17,8 +17,8 @@ honest crash — and every scenario checks the three cluster contracts:
   serves normally and acked ingest batches survive.
 
 These tests spawn real worker processes, so they are tier-1 but
-marked ``slow``; the heavier churn scenario is ``soak`` (nightly,
-``pytest -m soak``).
+marked ``slow``; the heavier churn scenarios, up to 100k requests
+over 4 workers, are ``soak`` (nightly, ``pytest -m soak``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import json
 import pytest
 
 from repro.datasets.synthetic import QUEST_LOADER_SPEC
-from repro.errors import WorkerUnavailableError
+from repro.errors import OverloadedError, WorkerUnavailableError
 from repro.service import ClusterConfig, PrivBasisCluster, ServiceClient
 from repro.store import read_spent_totals
 
@@ -38,6 +38,9 @@ SCENARIO_TIMEOUT = 120.0
 
 #: How long recovery may take before we call it a failure.
 RECOVERY_TIMEOUT = 30.0
+
+#: Hang bound of the 100k-request soak leg (~90 s on one core).
+SOAK_TIMEOUT = 900.0
 
 
 def make_config(state_dir, tenants, num_workers=2, max_inflight=8,
@@ -54,9 +57,9 @@ def make_config(state_dir, tenants, num_workers=2, max_inflight=8,
     )
 
 
-def run_scenario(coroutine):
-    """Run one async scenario under the global hang bound."""
-    return asyncio.run(asyncio.wait_for(coroutine, SCENARIO_TIMEOUT))
+def run_scenario(coroutine, timeout=SCENARIO_TIMEOUT):
+    """Run one async scenario under a hang bound."""
+    return asyncio.run(asyncio.wait_for(coroutine, timeout))
 
 
 async def wait_for_recovery(cluster, num_workers):
@@ -369,13 +372,13 @@ class TestMmapPlaneCluster:
 
 
 @pytest.mark.soak
-@pytest.mark.parametrize("data_plane", ["memory", "mmap"])
 class TestClusterChurnSoak:
     """Nightly-tier churn: sustained mixed traffic under repeated
     kills, with the ledger invariant checked after every fault — on
     both data planes (the ``mmap`` leg kills workers that spilled
     their datasets to disk, so recovery also re-spills)."""
 
+    @pytest.mark.parametrize("data_plane", ["memory", "mmap"])
     def test_sustained_churn_keeps_the_invariant(
         self, tmp_path, data_plane
     ):
@@ -438,3 +441,86 @@ class TestClusterChurnSoak:
         totals = read_spent_totals(str(tmp_path / "state"))
         for tenant, spent in acked.items():
             assert totals.get(tenant, 0.0) >= spent - 1e-9
+
+    @pytest.mark.parametrize(
+        "workers, requests, kills", [(4, 100_000, 3)], ids=["4w-100k"]
+    )
+    def test_analyst_mix_at_scale_keeps_the_invariant(
+        self, tmp_path, workers, requests, kills
+    ):
+        """16 clients over 8 tenants on 4 datasets send 10 % releases,
+        2 % ingests, 5 % budget reads and 83 % snapshot reads; at
+        evenly spaced points the owner of a live dataset is killed."""
+        tenants = {
+            f"soak-{index}": {
+                "dataset": f"soak/{index % 4}",
+                "epsilon_limit": 1e9,
+            }
+            for index in range(8)
+        }
+        config = make_config(
+            tmp_path / "state", tenants, num_workers=workers,
+            max_inflight=32,
+        )
+        cluster = PrivBasisCluster(config)
+        epsilon = 1e-4
+        acked = {tenant: 0.0 for tenant in tenants}
+        issued = 0
+
+        def check_invariant():
+            floor = dict(acked)  # snapshot before reading the journal
+            totals = read_spent_totals(config.state_dir)
+            for tenant, spent in floor.items():
+                assert totals.get(tenant, 0.0) >= spent - 1e-9, tenant
+
+        async def one(client, index):
+            tenant = f"soak-{index % 8}"
+            bucket = index % 1000
+            try:
+                if bucket < 100:
+                    await client.release(
+                        k=3, epsilon=epsilon, tenant=tenant
+                    )
+                    acked[tenant] += epsilon
+                elif bucket < 120:
+                    await client.ingest([[index % 9, 9]], tenant=tenant)
+                elif bucket < 170:
+                    await client.budget(tenant=tenant)
+                else:
+                    await client.snapshot(tenant=tenant)
+            except (WorkerUnavailableError, OverloadedError):
+                pass
+
+        async def scenario():
+            async with cluster.serving() as (host, port):
+
+                async def client_loop():
+                    nonlocal issued
+                    async with ServiceClient(host, port) as client:
+                        while issued < requests:
+                            issued += 1
+                            await one(client, issued - 1)
+
+                async def fault_injector():
+                    for number in range(kills):
+                        while issued < requests * (number + 1) // (
+                            kills + 1
+                        ):
+                            await asyncio.sleep(0.05)
+                        owner = cluster.router.owner_for(
+                            f"soak/{number % 4}"
+                        )
+                        cluster.kill_worker(
+                            number % workers if owner is None
+                            else owner.index
+                        )
+                        await asyncio.sleep(0.2)
+                        check_invariant()
+
+                await asyncio.gather(
+                    fault_injector(),
+                    *(client_loop() for _ in range(16)),
+                )
+
+        run_scenario(scenario(), timeout=SOAK_TIMEOUT)
+        check_invariant()  # the journal alone, with the cluster stopped
