@@ -9,10 +9,13 @@ one transaction per line, items as whitespace-separated integers,
 gzip-compressed when the file name ends in ``.gz``.  Blank lines are
 skipped, matching :func:`repro.datasets.fimi.read_fimi`.
 
-Chunked loaders feed the zero-copy
+Every chunk is a CSR
+:class:`~repro.datasets.transactions.TransactionDatabase`, built
+through the trusted
 :meth:`~repro.datasets.transactions.TransactionDatabase
-.from_sorted_rows` trusted path (and the mmap spill store behind it),
-which performs **no full validation** — so this module is strict where
+.from_sorted_rows` path and fed as is to the mmap spill store
+(:meth:`~repro.engine.mmap.MmapShardStore.build`).  That path performs
+**no full validation** — so this module is strict where
 :func:`~repro.datasets.fimi.read_fimi` is forgiving.  Every row must
 be strictly increasing (sorted, duplicate-free); duplicate items,
 non-monotone ids, negative or non-integer tokens raise
@@ -32,17 +35,8 @@ from __future__ import annotations
 
 import gzip
 import io
-from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    TextIO,
-    Tuple,
-    Union,
-)
+from typing import Iterable, Iterator, List, Optional, TextIO, Union
 
 import numpy as np
 
@@ -58,7 +52,6 @@ PathLike = Union[str, Path]
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
-    "TransactionChunk",
     "iter_transaction_chunks",
     "load_chunked",
     "synthesize_tier_chunks",
@@ -71,51 +64,17 @@ __all__ = [
 DEFAULT_CHUNK_SIZE = 65_536
 
 
-@dataclass(frozen=True)
-class TransactionChunk:
-    """A fixed-size window of validated transactions.
-
-    Attributes
-    ----------
-    start:
-        Global row offset of the first transaction in this chunk.
-    rows:
-        Sorted, duplicate-free ``int64`` arrays — safe for
-        :meth:`~repro.datasets.transactions.TransactionDatabase
-        .from_sorted_rows` and the mmap spill store.
-    max_item:
-        Largest item id seen in this chunk (``-1`` if all rows are
-        empty — which strict validation forbids anyway).
-    """
-
-    start: int
-    rows: Tuple[np.ndarray, ...]
-    max_item: int
-
-    @property
-    def num_rows(self) -> int:
-        """Transactions in this chunk."""
-        return len(self.rows)
-
-    @property
-    def total_size(self) -> int:
-        """Sum of transaction lengths in this chunk."""
-        return int(sum(row.size for row in self.rows))
-
-    def database(self, num_items: int) -> TransactionDatabase:
-        """This chunk as a standalone database over ``num_items``."""
-        return TransactionDatabase.from_sorted_rows(
-            self.rows, num_items=num_items
-        )
-
-
 def iter_transaction_chunks(
     source: Union[PathLike, TextIO],
     *,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     num_items: Optional[int] = None,
-) -> Iterator[TransactionChunk]:
-    """Stream FIMI ``source`` as validated fixed-size transaction chunks.
+) -> Iterator[TransactionDatabase]:
+    """Stream FIMI ``source`` as validated fixed-size CSR chunks.
+
+    Each chunk is a :class:`~repro.datasets.transactions
+    .TransactionDatabase` over ``num_items`` items — or, when that is
+    not given, over the chunk's own largest id plus one.
 
     Parameters
     ----------
@@ -167,21 +126,18 @@ def load_chunked(
     """Materialize a chunk-validated file as one in-memory database.
 
     The convenience path for callers on the ``memory`` data plane who
-    still want the strict chunked validation (and gzip support).  Memory use is the full dataset — use
-    :func:`iter_transaction_chunks` plus the mmap spill store to stay
-    out of core.
+    still want the strict chunked validation (and gzip support).
+    Memory use is the full dataset — feed :func:`iter_transaction_chunks`
+    to :meth:`~repro.engine.mmap.MmapShardStore.build` to stay out of
+    core.
     """
-    parts: List[TransactionDatabase] = []
-    max_item = -1
-    for chunk in iter_transaction_chunks(
+    parts = list(iter_transaction_chunks(
         source, chunk_size=chunk_size, num_items=num_items
-    ):
-        # Pack each chunk as it arrives: per-row arrays live for one
-        # chunk, never for the whole file.
-        parts.append(chunk.database(max(chunk.max_item + 1, 1)))
-        max_item = max(max_item, chunk.max_item)
-    vocabulary = num_items if num_items is not None else max_item + 1
-    return TransactionDatabase.concatenate(parts, max(vocabulary, 1))
+    ))
+    vocabulary = max(
+        [part.num_items for part in parts], default=num_items or 1
+    )
+    return TransactionDatabase.concatenate(parts, vocabulary)
 
 
 # ----------------------------------------------------------------------
@@ -225,10 +181,8 @@ def _chunk_stream(
     chunk_size: int,
     num_items: Optional[int],
     gzipped: bool = False,
-) -> Iterator[TransactionChunk]:
+) -> Iterator[TransactionDatabase]:
     pending: List[np.ndarray] = []
-    start = 0
-    max_item = -1
     line_number = 0
     line = ""
     lines = iter(handle)
@@ -270,15 +224,21 @@ def _chunk_stream(
                 f"range for num_items={num_items}",
                 source=source, line=line_number,
             )
-        max_item = max(max_item, int(row[-1]))
         pending.append(row)
         if len(pending) >= chunk_size:
-            yield TransactionChunk(start, tuple(pending), max_item)
-            start += len(pending)
+            yield _chunk(pending, num_items)
             pending = []
-            max_item = -1
     if pending:
-        yield TransactionChunk(start, tuple(pending), max_item)
+        yield _chunk(pending, num_items)
+
+
+def _chunk(rows: List[np.ndarray],
+           num_items: Optional[int]) -> TransactionDatabase:
+    """Validated ``rows`` as one CSR chunk over ``num_items`` items —
+    or, when that is not declared, over their largest id plus one."""
+    if num_items is None:
+        num_items = max(int(row[-1]) for row in rows) + 1
+    return TransactionDatabase.from_sorted_rows(rows, num_items)
 
 
 # ----------------------------------------------------------------------
@@ -290,8 +250,8 @@ def synthesize_tier_chunks(
     avg_items: float,
     seed: int,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> Iterator[TransactionChunk]:
-    """Vectorized synthetic transaction stream for the size tiers.
+) -> Iterator[TransactionDatabase]:
+    """Vectorized synthetic CSR chunk stream for the size tiers.
 
     Row lengths are Poisson around ``avg_items`` (at least 1, at most
     ``num_items``); item draws follow a power-law so low ids are
@@ -316,17 +276,16 @@ def synthesize_tier_chunks(
         draws = (num_items * rng.random(int(lengths.sum())) ** 2.5)
         draws = draws.astype(np.int64)
         boundaries = np.cumsum(lengths)[:-1]
-        rows = tuple(
-            np.unique(part) for part in np.split(draws, boundaries)
+        yield TransactionDatabase.from_sorted_rows(
+            [np.unique(part) for part in np.split(draws, boundaries)],
+            num_items,
         )
-        max_item = int(max(int(row[-1]) for row in rows))
-        yield TransactionChunk(start, rows, max_item)
         start += count
 
 
 def write_tier_file(
     path: PathLike,
-    chunks: Iterable[TransactionChunk],
+    chunks: Iterable[TransactionDatabase],
 ) -> int:
     """Write ``chunks`` as a gzip-FIMI file, atomically; returns rows.
 
@@ -346,7 +305,7 @@ def write_tier_file(
                     buffer.write(" ".join(str(int(i)) for i in row))
                     buffer.write("\n")
                 handle.write(buffer.getvalue())
-                rows_written += chunk.num_rows
+                rows_written += chunk.num_transactions
         temp_path.replace(path)
     finally:
         temp_path.unlink(missing_ok=True)

@@ -2,9 +2,9 @@
 
 Experiments refer to datasets by the paper's names (``mushroom``,
 ``retail``, …).  The registry maps those names to the matched
-generators, applies the benchmark scale policy, and caches built
+generators, applies the benchmark scale policy, and caches generated
 databases (and their exact top-k mining results) so repeated trials do
-not regenerate them.
+not regenerate them.  The disk tiers are re-read on every load.
 
 Scale policy: the two biggest datasets (``kosarak``, ``aol``) default
 to a 1/4-scale quick build so the full experiment grid runs in minutes;
@@ -21,7 +21,7 @@ import tempfile
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.datasets.generators import (
     aol_like,
@@ -156,43 +156,6 @@ def ensure_tier_file(
     return path
 
 
-def dataset_chunks(
-    name: str,
-    chunk_size: Optional[int] = None,
-    seed: int = 2012,
-) -> Tuple[int, Iterator["object"]]:
-    """``(num_items, chunk iterator)`` for any registered name.
-
-    Tier names stream straight from their on-disk gzip-FIMI file
-    (bounded memory); classic dataset names materialize through
-    :func:`load_dataset` first and are then re-sliced — they predate
-    the out-of-core plane and fit in RAM by construction.
-    """
-    from repro.datasets.chunked import (
-        DEFAULT_CHUNK_SIZE,
-        TransactionChunk,
-        iter_transaction_chunks,
-    )
-
-    size = chunk_size or DEFAULT_CHUNK_SIZE
-    key = name.strip().lower().replace("_", "-")
-    if key in TIERS:
-        spec = TIERS[key]
-        path = ensure_tier_file(key)
-        return spec.num_items, iter_transaction_chunks(
-            path, chunk_size=size, num_items=spec.num_items
-        )
-    database = load_dataset(name, seed=seed)
-
-    def _slices() -> Iterator[TransactionChunk]:
-        for start in range(0, database.num_transactions, size):
-            window = database.slice(start, start + size)
-            max_item = int(window.items.max()) if window.total_size else -1
-            yield TransactionChunk(start, window.rows, max_item)
-
-    return database.num_items, _slices()
-
-
 def full_scale_enabled() -> bool:
     """True when the ``REPRO_FULL_SCALE`` environment flag is set."""
     return os.environ.get("REPRO_FULL_SCALE", "").strip() in {
@@ -210,6 +173,9 @@ def load_dataset(
 ) -> TransactionDatabase:
     """Build (or fetch from cache) a named dataset.
 
+    Classic datasets are memoized per ``(name, scale, seed)``; a tier
+    is read from its file on every call.
+
     Parameters
     ----------
     name:
@@ -226,17 +192,13 @@ def load_dataset(
         # Tiers ignore the scale policy: their whole point is a fixed,
         # named size.  The load still goes through the strict chunked
         # reader so the memory and mmap planes parse identical bytes.
-        spec = TIERS[tier_key]
-        cache_key = (tier_key, 1.0, spec.seed)
-        cached = _DATABASE_CACHE.get(cache_key)
-        if cached is None:
-            from repro.datasets.chunked import load_chunked
+        # Tiers are not memoized: the mmap plane spills the copy it is
+        # handed, which must then be garbage, not pinned here.
+        from repro.datasets.chunked import load_chunked
 
-            cached = load_chunked(
-                ensure_tier_file(tier_key), num_items=spec.num_items
-            )
-            _DATABASE_CACHE[cache_key] = cached
-        return cached
+        return load_chunked(
+            ensure_tier_file(tier_key), num_items=TIERS[tier_key].num_items
+        )
     key = name.strip().lower().replace("-", "_")
     if key not in _GENERATORS:
         raise ValidationError(

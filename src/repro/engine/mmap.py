@@ -24,7 +24,7 @@ the version, the shape, and a CRC32 of the whole payload.  Version-1
 files (rows only) fail the header check — they are never counted.
 
 A store is per-process scratch: the service spills each session
-build into a fresh directory and removes it at shutdown, so nothing
+build into a fresh directory and removes it at ``stop()``, so nothing
 ever reopens one.  Every write goes ``<file>.tmp`` → ``fsync`` →
 ``rename``, so a crash mid-spill can strand a ``.tmp`` orphan but
 never publish a half-written segment under a live name.  Damage that
@@ -34,10 +34,13 @@ reported as a :class:`~repro.errors.TornSegmentError` naming the
 segment; :func:`verify_segment` with ``check_crc=True`` re-hashes a
 payload to catch in-place corruption too.
 
-The store is built **chunk by chunk** (:meth:`MmapShardStore.build`
-over a :func:`~repro.datasets.chunked.iter_transaction_chunks`
-stream): at no point does it hold more than one segment's rows in
-memory.  Reading back, :meth:`shard_database` returns shard databases
+The store is built **chunk by chunk** by :meth:`MmapShardStore.build`,
+the one spill loop: it takes any stream of CSR
+:class:`~repro.datasets.transactions.TransactionDatabase` chunks — a
+:func:`~repro.datasets.chunked.iter_transaction_chunks` file stream,
+or the service's segment-sized slices of a loaded dataset — and at no
+point holds more than one segment's rows plus one chunk in memory.
+Reading back, :meth:`shard_database` returns shard databases
 that are zero-copy views into the mapping, kept in an LRU cache
 sized from ``memory_budget_bytes`` — evicting an entry drops the
 mapping, and with it the resident pages.
@@ -391,16 +394,20 @@ class MmapShardStore:
     def build(
         cls,
         directory: PathLike,
-        chunks: Iterable[object],
+        chunks: Iterable[TransactionDatabase],
         num_items: int,
         rows_per_segment: Optional[int] = None,
         memory_budget_bytes: Optional[int] = None,
     ) -> "MmapShardStore":
-        """Spill a chunk stream into a fresh store, chunk by chunk.
+        """Spill a stream of CSR chunks into a fresh store.
 
-        ``chunks`` yields :class:`~repro.datasets.chunked
-        .TransactionChunk` objects; peak memory during the build is one
-        segment's rows plus one chunk.
+        The one spill loop: ``chunks`` yields databases over at most
+        ``num_items`` items — :func:`~repro.datasets.chunked
+        .iter_transaction_chunks` from a file, or slices of a loaded
+        database — and each is appended as it arrives, so peak memory
+        during the build is one segment's rows plus one chunk.  If the
+        stream (or a publish) raises, the store is closed before the
+        error propagates.
         """
         store = cls.create(
             directory,
@@ -408,9 +415,13 @@ class MmapShardStore:
             rows_per_segment=rows_per_segment,
             memory_budget_bytes=memory_budget_bytes,
         )
-        for chunk in chunks:
-            store.append(chunk.database(num_items))
-        store.flush()
+        try:
+            for chunk in chunks:
+                store.append(chunk)
+            store.flush()
+        except BaseException:
+            store.close()
+            raise
         return store
 
     # -- shape ----------------------------------------------------------

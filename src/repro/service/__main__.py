@@ -18,7 +18,6 @@ import asyncio
 import sys
 from typing import List, Optional
 
-from repro.engine.mmap import DEFAULT_SHARD_SIZE
 from repro.errors import ValidationError
 from repro.service.app import (
     DEFAULT_MAX_INFLIGHT,
@@ -81,16 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
              "bounded resident memory)",
     )
     parser.add_argument(
-        "--shard-size", type=int, default=None, metavar="ROWS",
-        help="transactions per shard segment; needs --data-plane mmap "
-             f"(default: {DEFAULT_SHARD_SIZE})",
-    )
-    parser.add_argument(
-        "--shard-workers", type=int, default=None, metavar="N",
-        help="thread-pool width for counting the shards; needs "
-             "--data-plane mmap (default: min(shard count, cpu count))",
-    )
-    parser.add_argument(
         "--memory-budget-mb", type=int, default=None, metavar="MB",
         help="resident shard-cache budget; needs --data-plane mmap "
              "(default: engine default, 256 MiB per dataset)",
@@ -125,8 +114,6 @@ async def _run_cluster(arguments: argparse.Namespace) -> int:
         num_workers=arguments.workers,
         fsync=arguments.fsync,
         max_inflight=arguments.max_inflight,
-        shard_workers=arguments.shard_workers,
-        shard_size=arguments.shard_size,
         data_plane=arguments.data_plane,
         memory_budget_mb=arguments.memory_budget_mb,
         reuse=not arguments.no_reuse,
@@ -169,8 +156,6 @@ async def _run(arguments: argparse.Namespace) -> int:
         fsync=arguments.fsync,
         data_plane=arguments.data_plane,
         memory_budget_mb=arguments.memory_budget_mb,
-        shard_size=arguments.shard_size,
-        shard_workers=arguments.shard_workers,
         reuse=not arguments.no_reuse,
     )
     if arguments.no_reuse:
@@ -223,12 +208,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     arguments = parser.parse_args(argv)
     try:
-        validate_data_plane(
-            arguments.data_plane,
-            memory_budget_mb=arguments.memory_budget_mb,
-            shard_size=arguments.shard_size,
-            shard_workers=arguments.shard_workers,
-        )
+        validate_data_plane(arguments.data_plane, arguments.memory_budget_mb)
     except ValidationError as error:
         # Exits 2, like every other usage error.
         parser.error(str(error))

@@ -132,36 +132,29 @@ ROUTES = frozenset(
 
 
 def validate_data_plane(
-    data_plane: str,
-    memory_budget_mb: Optional[int] = None,
-    shard_size: Optional[int] = None,
-    shard_workers: Optional[int] = None,
+    data_plane: str, memory_budget_mb: Optional[int] = None
 ) -> None:
     """Fail fast on data-plane settings no dataset could be served with.
 
-    ``data_plane`` is ``"memory"`` or ``"mmap"``; the shard settings
-    are read only by the mmap plane, so they must be ``>= 1`` there
-    and unset on the memory plane — never silently ignored.  Shared by
+    ``data_plane`` is ``"memory"`` or ``"mmap"``; ``memory_budget_mb``
+    is read only by the mmap plane, so it must be ``>= 1`` there and
+    unset on the memory plane — never silently ignored.  Shared by
     :class:`PrivBasisService`, the cluster config and the CLI.
     """
     if data_plane not in ("memory", "mmap"):
         raise ValidationError(
             f"data_plane must be 'memory' or 'mmap', got {data_plane!r}"
         )
-    settings = {
-        "memory_budget_mb": memory_budget_mb,
-        "shard_size": shard_size,
-        "shard_workers": shard_workers,
-    }
-    for name, value in settings.items():
-        if value is None:
-            continue
-        if data_plane != "mmap":
-            raise ValidationError(
-                f"{name} applies only to data_plane='mmap'"
-            )
-        if value < 1:
-            raise ValidationError(f"{name} must be >= 1, got {value}")
+    if memory_budget_mb is None:
+        return
+    if data_plane != "mmap":
+        raise ValidationError(
+            "memory_budget_mb applies only to data_plane='mmap'"
+        )
+    if memory_budget_mb < 1:
+        raise ValidationError(
+            f"memory_budget_mb must be >= 1, got {memory_budget_mb}"
+        )
 
 
 def _fresh_rng():
@@ -234,13 +227,10 @@ class PrivBasisService:
     memory_budget_mb:
         Resident-shard budget per dataset for ``data_plane="mmap"``
         (default: the engine's
-        :data:`~repro.engine.mmap.DEFAULT_MEMORY_BUDGET_BYTES`).
-    shard_size, shard_workers:
-        Rows per shard segment / counting thread-pool width for
-        ``data_plane="mmap"`` (same meaning as the ``--shard-size`` /
-        ``--shard-workers`` flags); each must be ``>= 1``.  These and
-        ``memory_budget_mb`` are rejected on the memory plane, where
-        nothing would read them.
+        :data:`~repro.engine.mmap.DEFAULT_MEMORY_BUDGET_BYTES`); must
+        be ``>= 1``, and is rejected on the memory plane, where
+        nothing would read it.  Segments hold the engine's
+        :data:`~repro.engine.mmap.DEFAULT_SHARD_SIZE` rows each.
     reuse:
         ``True`` (default) serves dominated plain requests from the
         tenant's stored releases at ε = 0 (see the module docstring's
@@ -260,24 +250,15 @@ class PrivBasisService:
         shared_state: bool = False,
         data_plane: str = "memory",
         memory_budget_mb: Optional[int] = None,
-        shard_size: Optional[int] = None,
-        shard_workers: Optional[int] = None,
         reuse: bool = True,
     ) -> None:
         if max_inflight < 1:
             raise ValidationError(
                 f"max_inflight must be >= 1, got {max_inflight}"
             )
-        validate_data_plane(
-            data_plane,
-            memory_budget_mb=memory_budget_mb,
-            shard_size=shard_size,
-            shard_workers=shard_workers,
-        )
+        validate_data_plane(data_plane, memory_budget_mb)
         self._data_plane = data_plane
         self._memory_budget_mb = memory_budget_mb
-        self._shard_size = shard_size
-        self._shard_workers = shard_workers
         if dataset_loader is None:
             from repro.datasets.registry import (
                 load_dataset,
@@ -349,6 +330,10 @@ class PrivBasisService:
     def _build_mmap_backend(self, dataset: str, database):
         """Spill ``database`` into mmap shard segments, return a backend.
 
+        The spill is :meth:`~repro.engine.mmap.MmapShardStore.build`
+        fed segment-sized slices of ``database``, so the build holds
+        one extra segment, not a second copy of the dataset.
+
         Each session build spills into a *fresh* per-build directory
         (``<state-dir>/shards/<dataset>/<pid>-<token>/`` when
         persistence is on, a tempdir otherwise).  A fresh spill per
@@ -365,7 +350,7 @@ class PrivBasisService:
         import secrets
         import tempfile
 
-        from repro.engine.mmap import MmapShardStore
+        from repro.engine import mmap
         from repro.engine.sharded import ShardedBackend
 
         safe = re.sub(r"[^A-Za-z0-9._-]+", "_", dataset) or "dataset"
@@ -381,24 +366,17 @@ class PrivBasisService:
             if self._memory_budget_mb is not None
             else None
         )
-        store = MmapShardStore.create(
+        step = mmap.DEFAULT_SHARD_SIZE
+        store = mmap.MmapShardStore.build(
             directory,
-            num_items=database.num_items,
-            rows_per_segment=self._shard_size,
+            (
+                database.slice(start, start + step)
+                for start in range(0, database.num_transactions, step)
+            ),
+            database.num_items,
             memory_budget_bytes=budget,
         )
-        try:
-            step = store.rows_per_segment
-            # Feed the spill in segment-sized slices so peak resident
-            # extra memory during the build is one segment, not the
-            # whole dataset twice.
-            for start in range(0, database.num_transactions, step):
-                store.append(database.slice(start, start + step))
-            store.flush()
-        except BaseException:
-            store.close()
-            raise
-        return ShardedBackend(store, max_workers=self._shard_workers)
+        return ShardedBackend(store)
 
     # -- session lifecycle (coalesced cold starts) -----------------------
     async def _build_session(self, dataset: str) -> PrivBasisSession:
@@ -408,9 +386,9 @@ class PrivBasisService:
             database = self._loader(dataset)
             if self._data_plane == "mmap":
                 # The session is built from the backend alone: its
-                # database view comes lazily out of the mmap store,
-                # and the loaded in-memory copy is garbage once the
-                # spill completes.
+                # database view comes lazily out of the mmap store.
+                # The built-in registry does not memoize tiers, so the
+                # loaded copy is garbage once this reference goes.
                 backend = self._build_mmap_backend(dataset, database)
                 del database
                 session = PrivBasisSession(backend)
@@ -1066,14 +1044,12 @@ class PrivBasisService:
         half-closed sockets or orphan tasks outlive the service, and
         every warm session is closed — which closes the spill store
         (and drops its mapped segments) of every mmap-plane dataset —
-        before the spill directories this process built are removed.
-        Those sessions are forgotten with their spill, so a later
-        :meth:`start` builds them again from the dataset log: a
-        durable one replays its ingested rows, an in-memory one serves
-        the base data as version 0 again and numbers its next batch
-        past every version already used.  A memory-plane session stays
-        queryable after close and is kept, ingested rows included
-        (an in-memory store could not replay them).
+        and forgotten, before the spill directories this process built
+        are removed.  Both data planes restart alike, as a new process
+        would: a later :meth:`start` builds each session again from the
+        loader and the dataset log.  A durable one replays its ingested
+        rows; an in-memory one serves the base data as version 0 again
+        and numbers its next batch past every version already used.
         """
         if self._server is not None:
             self._server.close()
@@ -1086,11 +1062,9 @@ class PrivBasisService:
                 *self._connections, return_exceptions=True
             )
         self._connections.clear()
-        for session in self._sessions.values():
+        for dataset, session in list(self._sessions.items()):
             session.close()
-        if self._data_plane == "mmap":
-            for dataset in list(self._sessions):
-                self._forget_session(dataset)
+            self._forget_session(dataset)
         for directory in self._spill_dirs:
             shutil.rmtree(directory, ignore_errors=True)
         self._spill_dirs.clear()

@@ -114,14 +114,13 @@ class ClusterConfig:
         dataset registry.
     max_inflight:
         Per-worker admission bound on concurrent releases.
-    data_plane, memory_budget_mb, shard_size, shard_workers:
+    data_plane, memory_budget_mb:
         ``"memory"`` (default) keeps worker datasets RAM-resident;
         ``"mmap"`` has each worker spill its datasets into
         memory-mapped shard segments under the shared state dir
         (unique per-build directories, so workers never race) and
-        serve out-of-core with the given resident-cache budget, shard
-        rows and counting pool width.  The last three are mmap-only,
-        as for ``python -m repro.service``.
+        serve out-of-core with the given resident-cache budget, which
+        is mmap-only, as for ``python -m repro.service``.
     reuse:
         Per-worker reuse plane toggle (``--no-reuse`` sets this
         ``False``).  Each worker looks up reuse sources in the shared
@@ -136,8 +135,6 @@ class ClusterConfig:
     fsync: str = "batch"
     loader_spec: Optional[str] = None
     max_inflight: int = 8
-    shard_workers: Optional[int] = None
-    shard_size: Optional[int] = None
     data_plane: str = "memory"
     memory_budget_mb: Optional[int] = None
     reuse: bool = True
@@ -153,12 +150,7 @@ class ClusterConfig:
             raise ValidationError(
                 f"num_workers must be >= 1, got {self.num_workers}"
             )
-        validate_data_plane(
-            self.data_plane,
-            memory_budget_mb=self.memory_budget_mb,
-            shard_size=self.shard_size,
-            shard_workers=self.shard_workers,
-        )
+        validate_data_plane(self.data_plane, self.memory_budget_mb)
         if not isinstance(self.tenants, Mapping) or not self.tenants:
             raise ValidationError(
                 "cluster config needs a non-empty tenants mapping"
@@ -203,8 +195,6 @@ async def _worker_serve(index: int, config: ClusterConfig, conn) -> None:
             shared_state=True,
             data_plane=config.data_plane,
             memory_budget_mb=config.memory_budget_mb,
-            shard_size=config.shard_size,
-            shard_workers=config.shard_workers,
             reuse=config.reuse,
         )
         _host, port = await service.start("127.0.0.1", 0)

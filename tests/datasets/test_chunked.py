@@ -22,13 +22,13 @@ import pytest
 
 from repro.datasets.chunked import (
     DEFAULT_CHUNK_SIZE,
-    TransactionChunk,
     iter_transaction_chunks,
     load_chunked,
     synthesize_tier_chunks,
     write_tier_file,
 )
 from repro.datasets.fimi import parse_item_token, read_fimi
+from repro.datasets.transactions import TransactionDatabase
 from repro.errors import (
     DatasetFormatError,
     DatasetTruncatedError,
@@ -53,19 +53,21 @@ class TestChunkGeometry:
         path = tmp_path / "db.dat"
         write_text(path, "".join(f"{i} {i + 1}\n" for i in range(7)))
         chunks = list(iter_transaction_chunks(path, chunk_size=3))
-        assert [chunk.num_rows for chunk in chunks] == [3, 3, 1]
-        assert [chunk.start for chunk in chunks] == [0, 3, 6]
-        assert chunks[-1].max_item == 7
+        assert [chunk.num_transactions for chunk in chunks] == [3, 3, 1]
+        assert int(chunks[-1].items.max()) == 7
         assert chunks[0].total_size == 6
         assert rows_of(chunks) == [[i, i + 1] for i in range(7)]
 
     def test_chunk_database_roundtrip(self, tmp_path):
         path = tmp_path / "db.dat"
         write_text(path, "0 2\n1 3\n")
-        (chunk,) = iter_transaction_chunks(path, chunk_size=10)
-        database = chunk.database(num_items=4)
-        assert database.num_transactions == 2
-        assert database.num_items == 4
+        (chunk,) = iter_transaction_chunks(path, chunk_size=10,
+                                           num_items=6)
+        assert isinstance(chunk, TransactionDatabase)
+        assert chunk.num_transactions == 2
+        assert chunk.num_items == 6
+        np.testing.assert_array_equal(chunk.offsets, [0, 2, 4])
+        np.testing.assert_array_equal(chunk.items, [0, 2, 1, 3])
 
     def test_default_chunk_size_matches_shard_default(self):
         from repro.engine.mmap import DEFAULT_SHARD_SIZE
@@ -104,10 +106,11 @@ class TestChunkGeometry:
         assert rows_of(iter_transaction_chunks(path)) == [[0, 2], [1, 3, 4]]
 
     def test_max_item_is_per_chunk(self):
+        """Without a declared vocabulary each chunk spans its own
+        largest id."""
         stream = io.StringIO("7\n1\n2 3\n")
         chunks = list(iter_transaction_chunks(stream, chunk_size=1))
-        assert [chunk.start for chunk in chunks] == [0, 1, 2]
-        assert [chunk.max_item for chunk in chunks] == [7, 1, 3]
+        assert [chunk.num_items for chunk in chunks] == [8, 2, 4]
 
     def test_empty_source_yields_no_chunks(self, tmp_path):
         path = tmp_path / "empty.dat"
@@ -120,7 +123,7 @@ class TestChunkGeometry:
     def test_num_items_bound_is_exclusive(self):
         (chunk,) = iter_transaction_chunks(io.StringIO("0 4\n"),
                                            num_items=5)
-        assert chunk.max_item == 4
+        assert chunk.num_items == 5
         with pytest.raises(DatasetFormatError, match="out of range"):
             list(iter_transaction_chunks(io.StringIO("0 5\n"),
                                          num_items=5))
@@ -309,7 +312,6 @@ class TestTiers:
         monkeypatch.setenv("REPRO_TIER_DIR", str(tmp_path))
         from repro.datasets.registry import (
             TIERS,
-            dataset_chunks,
             ensure_tier_file,
             load_dataset,
             registered_names,
@@ -320,21 +322,12 @@ class TestTiers:
         spec = TIERS["tier-tiny"]
         path = ensure_tier_file("tier-tiny")
         assert path.exists()
-        num_items, chunks = dataset_chunks("tier-tiny", chunk_size=512)
-        assert num_items == spec.num_items
-        total = sum(chunk.num_rows for chunk in chunks)
+        chunks = iter_transaction_chunks(path, chunk_size=512,
+                                         num_items=spec.num_items)
+        total = sum(chunk.num_transactions for chunk in chunks)
         assert total == spec.num_transactions
         database = load_dataset("tier-tiny")
         assert database.num_transactions == spec.num_transactions
         assert database.num_items == spec.num_items
-
-    def test_classic_datasets_chunk_identically(self):
-        from repro.datasets.registry import dataset_chunks, load_dataset
-
-        database = load_dataset("mushroom")
-        num_items, chunks = dataset_chunks("mushroom", chunk_size=1000)
-        assert num_items == database.num_items
-        rebuilt = rows_of(chunks)
-        assert len(rebuilt) == database.num_transactions
-        for mine, theirs in zip(rebuilt, database.rows):
-            np.testing.assert_array_equal(mine, theirs)
+        # Tiers are re-read, not memoized.
+        assert load_dataset("tier-tiny") is not database

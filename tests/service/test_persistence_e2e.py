@@ -353,7 +353,10 @@ def test_clean_stop_removes_the_mmap_spill_leaf(
     removes it; a state dir keeps its WALs."""
     import tempfile
 
+    from repro.engine import mmap
+
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    monkeypatch.setattr(mmap, "DEFAULT_SHARD_SIZE", 1000)
     (tmp_path / "tmp").mkdir()
     state_dir = tmp_path / "state" if durable else None
     rows = [list(row) for row in small_database().rows] * 15
@@ -364,7 +367,6 @@ def test_clean_stop_removes_the_mmap_spill_leaf(
         dataset_loader=lambda name: TransactionDatabase(rows, num_items=15),
         state_dir=None if state_dir is None else str(state_dir),
         data_plane="mmap",
-        shard_size=1000,
     )
     spill_root = (
         state_dir / "shards" if durable else tmp_path / "tmp" / "repro-shards"
@@ -394,7 +396,10 @@ def test_restarted_mmap_service_rebuilds_its_sessions(
     from a closed shard store."""
     import tempfile
 
+    from repro.engine import mmap
+
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    monkeypatch.setattr(mmap, "DEFAULT_SHARD_SIZE", 50)
     (tmp_path / "tmp").mkdir()
     state_dir = tmp_path / "state" if durable else None
     service = PrivBasisService(
@@ -404,7 +409,6 @@ def test_restarted_mmap_service_rebuilds_its_sessions(
         dataset_loader=lambda name: small_database(),
         state_dir=None if state_dir is None else str(state_dir),
         data_plane="mmap",
-        shard_size=50,
     )
 
     async def scenario():
@@ -421,24 +425,27 @@ def test_restarted_mmap_service_rebuilds_its_sessions(
     assert budget["ledger"]["spent"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("data_plane", ["memory", "mmap"])
 def test_restarted_memory_mmap_service_forgets_lost_ingests(
-    tmp_path, monkeypatch
+    tmp_path, monkeypatch, data_plane
 ):
-    """Without a state dir an mmap session's ingested rows go with its
-    spill at stop(): the restarted session serves the base data as
-    version 0 again, and the next ingest gets a version past the
-    dataset log's watermark, so no snapshot version (reuse hits
+    """Without a state dir a session's ingested rows go with it at
+    stop(), on either plane: the restarted session serves the base
+    data as version 0 again, and the next ingest gets a version past
+    the dataset log's watermark, so no snapshot version (reuse hits
     included) names two data states."""
     import tempfile
 
+    from repro.engine import mmap
+
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(mmap, "DEFAULT_SHARD_SIZE", 50)
     service = PrivBasisService(
         TenantRegistry.from_mapping(
             {"alice": {"dataset": DATASET, "epsilon_limit": 3.0}}
         ),
         dataset_loader=lambda name: small_database(),
-        data_plane="mmap",
-        shard_size=50,
+        data_plane=data_plane,
     )
 
     async def scenario():
@@ -525,31 +532,6 @@ def test_every_budget_read_is_the_one_journal(tmp_path, durable):
     assert before["plan_remaining"] == before["budget_remaining"]
     if durable:
         assert after == pytest.approx(before)
-
-
-def test_restarted_memory_service_keeps_ingested_rows():
-    """A memory-plane session survives stop(): without a state dir
-    nothing could replay its ingests into a rebuilt one."""
-    service = PrivBasisService(
-        TenantRegistry.from_mapping(
-            {"alice": {"dataset": DATASET, "epsilon_limit": 3.0}}
-        ),
-        dataset_loader=lambda name: small_database(),
-    )
-
-    async def scenario():
-        snapshots = []
-        for batch in ([[0, 1]], [[2, 3]]):
-            async with service.serving() as (host, port):
-                async with ServiceClient(host, port, tenant="alice") as c:
-                    await c.ingest(batch)
-                    snapshots.append(await c.snapshot())
-        return snapshots
-
-    first, second = asyncio.run(scenario())
-    assert first["snapshot_version"] == 1
-    assert second["snapshot_version"] == 2
-    assert second["num_transactions"] == first["num_transactions"] + 1
 
 
 def test_failed_apply_after_journal_rebuilds_from_the_log(

@@ -669,12 +669,6 @@ class TestCountingPlaneFlags:
         "state_dir": "unused",
     }
     REGISTRY = CLUSTER["tenants"]
-    #: The settings only the mmap plane reads, as (keyword, flag).
-    MMAP_ONLY = [
-        ("shard_size", "--shard-size"),
-        ("shard_workers", "--shard-workers"),
-        ("memory_budget_mb", "--memory-budget-mb"),
-    ]
 
     @staticmethod
     def serve_nothing(monkeypatch):
@@ -698,77 +692,128 @@ class TestCountingPlaneFlags:
         service = PrivBasisService(
             TenantRegistry.from_mapping(self.REGISTRY),
             dataset_loader=lambda name: small_database(),
-            data_plane="mmap", shard_size=7, shard_workers=2,
+            data_plane="mmap", memory_budget_mb=3,
         )
         database = small_database()
         with service._build_mmap_backend(DATASET, database) as backend:
             assert isinstance(backend, ShardedBackend)
-            assert backend.num_shards == -(-database.num_transactions // 7)
-            assert repr(backend).endswith("max_workers=2)")
+            assert backend.store.memory_budget_bytes == 3 << 20
+            assert backend.num_transactions == database.num_transactions
 
-    def test_parallel_flag_is_gone(self, capsys):
+    def test_mmap_build_leaves_the_loaded_copy_garbage(
+        self, tmp_path, monkeypatch
+    ):
+        """Once a session is spilled, nothing pins the database the
+        loader returned — the registry included."""
+        import tempfile
+        import weakref
+
+        from repro.datasets.registry import load_dataset
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setenv("REPRO_TIER_DIR", str(tmp_path / "tiers"))
+        loaded = []
+
+        def loader(name):
+            database = load_dataset(name)
+            loaded.append(weakref.ref(database))
+            return database
+
+        service = PrivBasisService(
+            TenantRegistry.from_mapping(
+                {"alice": {"dataset": "tier-tiny", "epsilon_limit": 1.0}}
+            ),
+            dataset_loader=loader,
+            data_plane="mmap",
+        )
+
+        async def scenario():
+            session = await service._build_session("tier-tiny")
+            dead = [ref() is None for ref in loaded]
+            await service.stop()
+            return session.backend.num_transactions, dead
+
+        num_transactions, dead = asyncio.run(scenario())
+        assert num_transactions == 2_000
+        assert dead == [True]
+
+    @pytest.mark.parametrize(
+        "flag", ["--parallel", "--shard-size", "--shard-workers"]
+    )
+    def test_removed_flag_is_gone(self, capsys, flag):
         from repro.service.__main__ import build_parser
 
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["--parallel", "threads"])
+            build_parser().parse_args(["--data-plane", "mmap", flag, "4"])
         assert excinfo.value.code == 2
-        assert "unrecognized arguments: --parallel" in (
+        assert f"unrecognized arguments: {flag}" in (
             capsys.readouterr().err
         )
 
-    def test_parallel_and_backend_factory_keywords_are_gone(self):
+    @pytest.mark.parametrize(
+        "target, keyword",
+        [
+            ("cluster", "parallel"),
+            ("cluster", "shard_size"),
+            ("cluster", "shard_workers"),
+            ("service", "backend_factory"),
+            ("service", "shard_size"),
+            ("service", "shard_workers"),
+        ],
+    )
+    def test_removed_keyword_is_gone(self, target, keyword):
         from repro.service import ClusterConfig
 
         with pytest.raises(TypeError):
-            ClusterConfig(**self.CLUSTER, parallel="threads")
-        with pytest.raises(TypeError):
-            PrivBasisService(
-                TenantRegistry.from_mapping(self.REGISTRY),
-                backend_factory=lambda database: None,
-            )
+            if target == "cluster":
+                ClusterConfig(**self.CLUSTER, data_plane="mmap",
+                              **{keyword: 4})
+            else:
+                PrivBasisService(
+                    TenantRegistry.from_mapping(self.REGISTRY),
+                    data_plane="mmap", **{keyword: 4},
+                )
 
-    @pytest.mark.parametrize("keyword, flag", MMAP_ONLY)
     def test_mmap_only_setting_rejected_on_memory_plane(
-        self, capsys, monkeypatch, keyword, flag
+        self, capsys, monkeypatch
     ):
         from repro.service import ClusterConfig
 
         main = self.serve_nothing(monkeypatch)
-        assert main(["--data-plane", "mmap", flag, "4"]) == 0
+        assert main(["--data-plane", "mmap", "--memory-budget-mb", "4"]) == 0
         with pytest.raises(SystemExit) as excinfo:
-            main([flag, "4"])
+            main(["--memory-budget-mb", "4"])
         assert excinfo.value.code == 2
-        assert f"{keyword} applies only to data_plane='mmap'" in (
+        assert "memory_budget_mb applies only to data_plane='mmap'" in (
             capsys.readouterr().err
         )
         with pytest.raises(ValidationError, match="only to data_plane"):
             PrivBasisService(
                 TenantRegistry.from_mapping(self.REGISTRY),
-                **{keyword: 4},
+                memory_budget_mb=4,
             )
         with pytest.raises(ValidationError, match="only to data_plane"):
-            ClusterConfig(**self.CLUSTER, **{keyword: 4}).validate()
+            ClusterConfig(**self.CLUSTER, memory_budget_mb=4).validate()
 
-    @pytest.mark.parametrize("keyword, flag", MMAP_ONLY)
     @pytest.mark.parametrize("value", [0, -3])
-    def test_shard_settings_below_one_fail_at_startup(
-        self, capsys, monkeypatch, keyword, flag, value
+    def test_memory_budget_below_one_fails_at_startup(
+        self, capsys, monkeypatch, value
     ):
         from repro.service import ClusterConfig
 
         main = self.serve_nothing(monkeypatch)
         with pytest.raises(SystemExit) as excinfo:
-            main(["--data-plane", "mmap", flag, str(value)])
+            main(["--data-plane", "mmap", "--memory-budget-mb", str(value)])
         assert excinfo.value.code == 2
-        assert f"{keyword} must be >= 1" in capsys.readouterr().err
-        with pytest.raises(ValidationError, match=f"{keyword} must be"):
+        assert "memory_budget_mb must be >= 1" in capsys.readouterr().err
+        with pytest.raises(ValidationError, match="memory_budget_mb must"):
             PrivBasisService(
                 TenantRegistry.from_mapping(self.REGISTRY),
-                data_plane="mmap", **{keyword: value},
+                data_plane="mmap", memory_budget_mb=value,
             )
-        with pytest.raises(ValidationError, match=f"{keyword} must be"):
+        with pytest.raises(ValidationError, match="memory_budget_mb must"):
             ClusterConfig(
-                **self.CLUSTER, data_plane="mmap", **{keyword: value}
+                **self.CLUSTER, data_plane="mmap", memory_budget_mb=value
             ).validate()
 
     def test_service_takes_no_data_plane_mode(self):

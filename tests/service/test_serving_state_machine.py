@@ -14,10 +14,9 @@ one owner:
   ``datasets.<name>`` and ``/v1/snapshot`` count exactly the charged
   releases and their ε.
 
-The model of the served data is simple: ingested rows survive a
-restart on the memory plane (the session is kept) and with a state
-dir (the log replays them); an mmap session without a state dir
-serves the base rows again.
+The model of the served data is the same on both planes: ingested
+rows survive a restart only with a state dir (the log replays them);
+without one the rebuilt session serves the base rows again.
 
 Example budgets follow ``REPRO_PROPERTY_PROFILE`` (``nightly`` widens
 them).
@@ -42,6 +41,7 @@ from hypothesis.stateful import (
 )
 
 from repro.datasets.transactions import TransactionDatabase
+from repro.engine import mmap
 from repro.service import PrivBasisService, TenantRegistry
 from tests.pipeline.strategies import PROFILE
 
@@ -97,7 +97,6 @@ def serving_machine(data_plane: str, durable: bool):
             self.run(self.service.start("127.0.0.1", 0))
 
         def build(self) -> PrivBasisService:
-            kwargs = {"shard_size": 32} if data_plane == "mmap" else {}
             return PrivBasisService(
                 TenantRegistry.from_mapping(
                     {
@@ -110,7 +109,6 @@ def serving_machine(data_plane: str, durable: bool):
                 ),
                 state_dir=f"{self.root}/state" if durable else None,
                 data_plane=data_plane,
-                **kwargs,
             )
 
         def run(self, coroutine):
@@ -166,8 +164,8 @@ def serving_machine(data_plane: str, durable: bool):
         @rule()
         def restart(self):
             self.run(self.service.stop())
-            if data_plane == "mmap" and not durable:
-                self.rows = list(BASE)  # the spill took the ingests
+            if not durable:
+                self.rows = list(BASE)  # nothing replays the ingests
             self.run(self.service.start("127.0.0.1", 0))
 
         @precondition(lambda self: durable)
@@ -201,8 +199,10 @@ def serving_machine(data_plane: str, durable: bool):
 @pytest.mark.parametrize("durable", [False, True], ids=["in-memory", "durable"])
 @pytest.mark.parametrize("data_plane", ["memory", "mmap"])
 def test_one_owner_per_serving_fact(data_plane, durable, tmp_path, monkeypatch):
-    # Spills without a state dir land in the system temp dir.
+    # Spills without a state dir land in the system temp dir; small
+    # segments make the 80 base rows several shards.
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(mmap, "DEFAULT_SHARD_SIZE", 32)
     examples, steps = BUDGET
     run_state_machine_as_test(
         serving_machine(data_plane, durable),
